@@ -120,19 +120,19 @@ void stream_with_churn(pipeline& p, std::string_view bytes,
 // churn_stream
 
 namespace {
-// Stream chunks and add/remove pairs per round; the leg reads at most
-// kLegBytes of the workload.
+// Stream chunks per round, whatever the number of pairs; the leg reads at
+// most kLegBytes of the workload.
 constexpr std::size_t kRoundChunks = 4;
-constexpr std::size_t kRoundPairs = 2;
 constexpr std::size_t kLegBytes = 8'000'000;
 }  // namespace
 
 churn_stream::churn_stream(pipeline_builder builder, const corpus& data,
                            const std::vector<char>& expected,
                            const std::vector<char>* exact,
-                           std::vector<core::expr_ptr> churn, tracer& t,
-                           report& r, samples& s)
-    : churn_(std::move(churn)), t_(t), r_(r), s_(s) {
+                           std::vector<core::expr_ptr> churn,
+                           std::size_t pairs, tracer& t, report& r,
+                           samples& s)
+    : churn_(std::move(churn)), t_(t), r_(r), s_(s), pairs_(pairs) {
   std::size_t records = 0;
   while (records < data.records() && data.starts[records + 1] <= kLegBytes)
     ++records;
@@ -173,10 +173,11 @@ void churn_stream::offer_chunk() {
 
 void churn_stream::round() {
   if (!p_ || churn_.empty()) return;
-  for (std::size_t pair = 0; pair < kRoundPairs; ++pair, ++swaps_) {
+  for (std::size_t pair = 0; pair < pairs_; ++pair, ++swaps_) {
     const core::query_id id =
         timed_add(*p_, churn_[swaps_ % churn_.size()], swaps_, t_, r_, s_);
-    for (std::size_t i = 0; i < kRoundChunks / kRoundPairs; ++i)
+    for (std::size_t i = pair * kRoundChunks / pairs_;
+         i < (pair + 1) * kRoundChunks / pairs_; ++i)
       offer_chunk();
     timed_remove(*p_, id, swaps_, t_, r_, s_);
   }

@@ -3,8 +3,8 @@
 // time as the passes do:
 //
 //   churn_stream    a streaming pipeline of the workload's configuration,
-//                   fed a slice of the stream per round with one
-//                   add_query()/remove_query() pair around it;
+//                   fed a slice of the stream per round, spread over the
+//                   round's add_query()/remove_query() pairs;
 //   socket_session  the workload's query behind net::filter_service on a
 //                   Unix socket, one connection per shard, driven open loop
 //                   in windows at a fixed rate.
@@ -34,12 +34,13 @@ namespace perfbench {
 /// Streams are offered in 64 KB calls, as a socket reader would.
 inline constexpr std::size_t kOfferBytes = 64 * 1024;
 
-/// Neighbour load on a shared host slows whole passes by up to 2x for
+/// Neighbour load on a shared host slows whole passes by 25-100 % for
 /// seconds at a time, so the median of a run's samples tracks the host
-/// more than the code. The fast decile tracks the code: it ignores the
-/// slowed samples without resting on a single lucky one.
-inline double fast_decile(const std::vector<double>& v) {
-  return quantile(v, 0.1);
+/// more than the code. The fastest 5 % track the code: they ignore the
+/// slowed samples, hold in runs where the host was calm for only a few
+/// seconds, and still rest on two or more samples (30+ passes a run).
+inline double fast_tail(const std::vector<double>& v) {
+  return quantile(v, 0.05);
 }
 
 /// Timings every workload contributes to.
@@ -84,16 +85,17 @@ class churn_stream {
  public:
   /// Builds the pipeline (timed into s.build_ms) and attaches a checking
   /// sink to its primary query; `expected`/`exact` index the records of
-  /// `data`.
+  /// `data`. Each round makes `pairs` add/remove pairs.
   churn_stream(jrf::pipeline_builder builder, const corpus& data,
                const std::vector<char>& expected,
                const std::vector<char>* exact,
-               std::vector<jrf::core::expr_ptr> churn, tracer& t, report& r,
-               samples& s);
+               std::vector<jrf::core::expr_ptr> churn, std::size_t pairs,
+               tracer& t, report& r, samples& s);
   churn_stream(const churn_stream&) = delete;
   churn_stream& operator=(const churn_stream&) = delete;
 
-  /// Two times: add_query(), the next slice of the stream, remove_query().
+  /// `pairs` times: add_query(), the pair's share of the round's slice of
+  /// the stream (possibly none), remove_query().
   void round();
   /// The rest of the stream, finish(), and the verdict checks.
   void finish();
@@ -106,7 +108,7 @@ class churn_stream {
   report& r_;
   samples& s_;
   std::string_view bytes_;
-  std::size_t offset_ = 0, swaps_ = 0;
+  std::size_t pairs_, offset_ = 0, swaps_ = 0;
   std::optional<verdict_log> log_;
   std::optional<jrf::pipeline> p_;
 };
