@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -87,10 +88,18 @@ std::string run_result::to_string() const {
   return out;
 }
 
+
 // ---------------------------------------------------------------------------
 // pipeline::impl - the execution state behind the facade. The streaming
 // surface is the primitive; run() is a driver loop over it (plus the
 // concurrent_runner policy for the sharded backend).
+//
+// build() resolves the backend once: an engine kind, a stream count and a
+// modelled Figure-4 lane count. After that the only execution branch is
+// "sharded lanes (FIFOs, per-shard engines) or one direct engine"; every
+// stream stages its decisions the same way - the engines' consume stream
+// (take_decisions, plus verdict words when the epoch has more than one
+// query) into the stream's history and delivery batches.
 //
 // Locking. The facade no longer owns one global mutex: each stream carries
 // its own gate, so producers on different shards never serialize above the
@@ -112,6 +121,7 @@ struct pipeline::impl {
   decision_sink sink;
   verdict_sink vsink;
   std::vector<input_spec> inputs;
+  core::engine_kind engine_kind = core::engine_kind::chunked;  // resolved
 
   // --- multi-tenant query registry ---------------------------------------
   // qset names the resident queries (stable ids, dense order = bitmap bit
@@ -124,20 +134,19 @@ struct pipeline::impl {
   struct query_registry {
     std::vector<core::query_id> ids;          // dense order
     std::vector<decision_sink> query_sinks;   // parallel to ids; may be null
-    bool has_query_sinks = false;
     /// Ordinals of the queries with a non-null sink: the flush loop visits
     /// only these instead of probing every resident query per record.
     std::vector<std::uint32_t> sink_ordinals;
+    std::uint64_t epoch = 0;  // 0 = the build-time set
 
     std::size_t wpr() const noexcept { return (ids.size() + 63) / 64; }
 
-    /// Recompute has_query_sinks / sink_ordinals after query_sinks edits.
+    /// Recompute sink_ordinals after query_sinks edits.
     void index_sinks() {
       sink_ordinals.clear();
       for (std::size_t qi = 0; qi < query_sinks.size(); ++qi)
         if (query_sinks[qi])
           sink_ordinals.push_back(static_cast<std::uint32_t>(qi));
-      has_query_sinks = !sink_ordinals.empty();
     }
   };
   using registry_ptr = std::shared_ptr<const query_registry>;
@@ -145,70 +154,52 @@ struct pipeline::impl {
   core::query_set qset;        // resident queries (mutation_mutex)
   registry_ptr reg;            // current epoch snapshot (mutation_mutex)
   mutable std::mutex mutation_mutex;
-  // Multi-tenant bookkeeping on: decision staging switches from the
-  // index-cursor over the engines' growing decision vectors to a consume
-  // stream (take_decisions + bitmap words) archived per stream. Off for
-  // plain single-query pipelines, whose hot path stays byte-identical to
-  // the pre-multi-tenant facade; flips on (never off) at the first
-  // mutation or when built with >1 query / a verdict sink.
-  std::atomic<bool> multi{false};
 
   enum class phase { idle, streaming, done };
   std::atomic<phase> state{phase::idle};
-  std::mutex state_mutex;  // guards phase transitions + execution bring-up
+  std::mutex state_mutex;  // guards phase transitions
 
-  // One per stream: the gate serializes this stream's offers/pumps, and
-  // the delivery half stages decisions (under the gate) so they can be
-  // handed to the sink outside every lock, in per-shard record order.
+  // One per stream: the gate serializes this stream's offers/pumps and
+  // guards its history; the delivery half stages decision batches (under
+  // the gate) so they can be handed to the sinks outside every lock, in
+  // per-shard record order.
   struct stream_state {
     std::mutex gate;
 
-    // Epoch of the engine currently resident on this stream and the count
-    // of records taken into the shard's history (both gate-guarded).
+    // Epoch of the engine currently resident on this stream.
     registry_ptr reg;
-    std::uint64_t archived = 0;
+    // Bytes offered to the direct engine and accepted records taken; the
+    // report and stats() read these (sharded lanes keep their own stats).
+    std::uint64_t offered = 0;
+    std::uint64_t accepted = 0;
 
-    std::mutex sink_mutex;         // guards the delivery fields below
-    std::vector<bool> pending;     // staged, not yet handed to the sink
-    std::size_t pending_head = 0;  // consumed prefix of `pending`
-    std::uint64_t next_index = 0;  // record index of pending[pending_head]
-    bool delivering = false;       // a flush loop is live for this shard
-    std::uint64_t observed = 0;    // decisions staged so far (gate-guarded)
-
-    // Multi-tenant delivery row: one record's verdicts plus the epoch
-    // snapshot they decided under (so the verdict / per-query sinks see
-    // the right id set even across a concurrent add/remove).
-    struct verdict_row {
-      bool any = false;
-      std::uint64_t index = 0;  // per-shard record ordinal
-      registry_ptr reg;
-      std::size_t words_offset = 0;  // first word in row_words, wpr() long
-    };
-    std::vector<verdict_row> rows;  // staged multi-tenant deliveries
-    std::size_t rows_head = 0;      // consumed prefix of `rows`
-    // Verdict bitmaps of the staged rows as one flat word buffer: a batch
-    // lands with a single bulk append of whole 64-bit words and each row
-    // indexes its span by offset, instead of one heap vector per record.
-    // Cleared together with rows.
-    std::vector<std::uint64_t> row_words;
-  };
-  std::vector<std::unique_ptr<stream_state>> streams;
-
-  // Multi-tenant mode archives every taken decision batch here (the
-  // engines' decision vectors become consume streams): the any-match
-  // column feeds collect()'s decisions, and the bitmap words - grouped
-  // into segments by epoch - expand into per-query columns at the end.
-  // Guarded by the owning stream's gate.
-  struct stream_history {
+    // Every decision taken off the engine: the any-match column feeds
+    // collect()'s decisions, and the per-epoch segments expand into the
+    // per-query columns at the end. A one-query epoch stores no words -
+    // its column IS the any-match column - so a single-query stream keeps
+    // one bit per record.
     struct segment {
       registry_ptr reg;
       std::uint64_t first_record = 0;  // per-shard ordinal of row 0
-      std::vector<std::uint64_t> words;
+      std::uint64_t records = 0;
+      std::vector<std::uint64_t> words;  // reg->wpr() per row, or empty
     };
     std::vector<bool> any;
     std::vector<segment> segments;
+
+    // One taken batch awaiting delivery, with the epoch it decided under
+    // (carried once per batch, not per row).
+    struct staged_batch {
+      registry_ptr reg;
+      std::uint64_t first = 0;  // per-shard index of any[0]
+      std::vector<bool> any;
+      std::vector<std::uint64_t> words;  // as segment::words
+    };
+    std::mutex sink_mutex;          // guards the delivery fields below
+    std::deque<staged_batch> staged;
+    bool delivering = false;        // a flush loop is live for this shard
   };
-  std::vector<stream_history> history;
+  std::vector<std::unique_ptr<stream_state>> streams;
 
   // Record router behind the shard-less offer(bytes) overload on a
   // multi-stream pipeline: deals complete records round-robin, carrying a
@@ -221,27 +212,20 @@ struct pipeline::impl {
   std::string router_carry;          // partial record, no boundary yet
   std::size_t router_next_shard = 0;
 
-  // Single-stream backends (scalar / chunked: one engine; system: lanes
-  // dealt whole records round-robin, filter_system semantics).
+  // Execution: one direct engine (scalar / chunked / system backends), or
+  // the sharded system's per-shard lanes.
   std::unique_ptr<core::filter_engine> engine;
-  std::vector<std::unique_ptr<core::filter_engine>> lanes;
-  std::vector<std::uint64_t> lane_bytes;
-  std::string pending;               // in-flight record (system dealing)
-  std::size_t accounted = 0;         // records dealt for lane accounting
-  std::vector<bool> dealt;           // system-backend decisions
-  std::vector<std::uint64_t> dealt_words;  // parallel bitmaps (multi only)
-  std::uint64_t dealt_count = 0;     // lifetime records dealt (lane cursor -
-                                     // `dealt` is consumed in multi mode)
-  std::uint64_t offered = 0;
-
-  // Sharded backend.
   std::unique_ptr<system::sharded_filter_system> sharded;
+  // System backend: the direct engine's record sizes dealt round-robin
+  // over the modelled lanes (gate-guarded); the report then carries the
+  // Figure-4 cycle model. Without it the stream is one lane.
+  std::optional<system::lane_ledger> ledger;
 
   // --- projection ---------------------------------------------------------
   // One extraction lane per stream, driven by the engines' accepted-record
-  // hook. The hook fires under the stream gate (chunked/system) or the
-  // lane mutex (sharded) - the same lock that orders that shard's
-  // decisions - so batches flush, and the sink fires, strictly BEFORE any
+  // hook. The hook fires under the stream gate (direct engine) or the lane
+  // mutex (sharded) - the same lock that orders that shard's decisions -
+  // so batches flush, and the sink fires, strictly BEFORE any
   // flush_decisions can deliver the verdicts of the records they contain.
   // collect() runs quiescent (run()/finish() exclusivity), so the final
   // partial-batch flush needs no extra lock; the pool-join / gate
@@ -304,69 +288,37 @@ struct pipeline::impl {
                               std::size_t offset) {
       project_record(shard, ordinal, record, pass, offset);
     };
-    switch (opts.backend) {
-      case backend_kind::chunked:
-        engine->set_accepted_hook(std::move(hook));
-        break;
-      case backend_kind::system:
-        // Every chunk routes through lane 0's bitmap pipeline
-        // (drain_router), so its decision stream covers all records.
-        lanes.front()->set_accepted_hook(std::move(hook));
-        break;
-      case backend_kind::sharded:
-        sharded->set_accepted_hook(shard, std::move(hook));
-        break;
-      case backend_kind::scalar:
-        break;  // unreachable: build() rejected projection on scalar
-    }
+    if (sharded)
+      sharded->set_accepted_hook(shard, std::move(hook));
+    else
+      engine->set_accepted_hook(std::move(hook));
   }
 
-  std::size_t stream_count() const {
-    if (opts.backend != backend_kind::sharded) return 1;
-    return inputs.empty() ? opts.shards : inputs.size();
+  /// Put `fresh` in place as the direct engine (at bring-up and on every
+  /// runtime add/remove).
+  void install_engine(std::unique_ptr<core::filter_engine> fresh) {
+    engine = std::move(fresh);
+    if (ledger) engine->collect_record_sizes(true);
   }
 
-  void ensure_exec(std::size_t shard_count) {
-    if (engine || !lanes.empty() || sharded) return;
-    // One shared compile over the whole resident set (a one-element set is
-    // the plain single-query engine - byte- and performance-identical).
-    switch (opts.backend) {
-      case backend_kind::scalar:
-        engine = core::make_filter_engine(core::engine_kind::scalar,
-                                          qset.queries(), opts.filter);
-        break;
-      case backend_kind::chunked:
-        engine = core::make_filter_engine(core::engine_kind::chunked,
-                                          qset.queries(), opts.filter);
-        break;
-      case backend_kind::system:
-        // filter_system semantics: compile once, clone every further lane.
-        lanes.push_back(core::make_filter_engine(opts.engine, qset.queries(),
-                                                 opts.filter));
-        if (opts.engine == core::engine_kind::chunked)
-          lanes.front()->collect_record_sizes(true);  // lane accounting
-        for (int lane = 1; lane < opts.lanes; ++lane)
-          lanes.push_back(lanes.front()->clone());
-        lane_bytes.assign(static_cast<std::size_t>(opts.lanes), 0);
-        break;
-      case backend_kind::sharded:
-        sharded = std::make_unique<system::sharded_filter_system>(
-            qset.queries(), shard_count,
-            to_system_options(opts, static_cast<int>(shard_count),
-                              opts.engine));
-        break;
+  /// Stand the execution up once, at build(): `shards` sharded lanes, or
+  /// (shards == 0) one direct engine whose records the report deals over
+  /// `model_lanes` Figure-4 lanes (0 = the stream is one lane).
+  void bring_up(std::size_t shards, int model_lanes) {
+    if (shards > 0) {
+      sharded = std::make_unique<system::sharded_filter_system>(
+          qset.queries(), shards,
+          to_system_options(opts, static_cast<int>(shards), engine_kind));
+    } else {
+      if (model_lanes > 0) ledger.emplace(model_lanes);
+      install_engine(
+          core::make_filter_engine(engine_kind, qset.queries(), opts.filter));
     }
-    const std::size_t n =
-        opts.backend == backend_kind::sharded ? shard_count : 1;
-    streams.reserve(n);
-    while (streams.size() < n) {
-      auto st = std::make_unique<stream_state>();
-      st->reg = reg;
-      streams.push_back(std::move(st));
-    }
-    if (history.size() < n) history.resize(n);
-    if (project_enabled && projection.empty()) {
-      for (std::size_t shard = 0; shard < n; ++shard) {
+    for (std::size_t shard = 0; shard < std::max<std::size_t>(shards, 1);
+         ++shard) {
+      streams.push_back(std::make_unique<stream_state>());
+      streams.back()->reg = reg;
+      if (project_enabled) {
         projection.push_back(
             std::make_unique<projection_state>(paths, opts.filter.simd));
         attach_projection(shard);
@@ -374,311 +326,137 @@ struct pipeline::impl {
     }
   }
 
-  // One record complete: deal it to the next lane (round-robin, identical
-  // to filter_system::run over json::split_records with the configured
-  // separator byte).
-  void deal_record(std::string_view record) {
-    if (record.empty()) return;  // split_records skips empty lines
-    // dealt_count, not dealt.size(): `dealt` is a consume stream in
-    // multi-tenant mode, while the round-robin lane cursor must keep the
-    // lifetime record ordinal.
-    const std::size_t lane =
-        static_cast<std::size_t>(dealt_count) % lanes.size();
-    lane_bytes[lane] += record.size() + 1;  // + separator byte
-    ++dealt_count;
-    if (lanes.front()->query_count() > 1) {
-      const std::size_t wpr = lanes.front()->words_per_record();
-      dealt_words.resize(dealt_words.size() + wpr, 0);
-      dealt.push_back(lanes[lane]->accepts_bits(
-          record, dealt_words.data() + dealt_words.size() - wpr));
-    } else {
-      dealt.push_back(lanes[lane]->accepts(record));
-    }
-  }
-
-  // Chunked-engine record routing: whole chunks flow through lane 0's
-  // buffer-at-a-time bitmap pipeline (one structural classification per
-  // ingest buffer) instead of one accepts() call per record, which would
-  // stand up a fresh bitmap pass per record. Decisions land in `dealt` in
-  // record order - the same order per-record dealing produces, since every
-  // lane runs the identical compiled filter. The round-robin lane byte
-  // accounting the cycle model consumes comes from the engine's framing
-  // telemetry (record_sizes), so no second separator walk of the stream.
-  void drain_router() {
-    for (const bool d : lanes.front()->take_decisions()) {
-      dealt.push_back(d);
-      ++dealt_count;
-    }
-    // Whole-word batch move: the engine's bitmap rows either BECOME the
-    // dealt buffer or append to it with one bulk insert.
-    std::vector<std::uint64_t> words = lanes.front()->take_decision_words();
-    if (dealt_words.empty())
-      dealt_words = std::move(words);
-    else
-      dealt_words.insert(dealt_words.end(), words.begin(), words.end());
-    for (const std::uint32_t n : lanes.front()->take_record_sizes()) {
-      lane_bytes[accounted % lanes.size()] += n + 1;  // + separator byte
-      ++accounted;
-    }
-  }
-
-  void deal_chunk(std::string_view chunk) {
-    const char separator = static_cast<char>(opts.filter.separator);
-    std::size_t start = 0;
-    while (start <= chunk.size()) {
-      const std::size_t nl = chunk.find(separator, start);
-      if (nl == std::string_view::npos) {
-        pending.append(chunk.substr(start));
-        return;
-      }
-      if (pending.empty()) {
-        deal_record(chunk.substr(start, nl - start));
-      } else {
-        pending.append(chunk.substr(start, nl - start));
-        deal_record(pending);
-        pending.clear();
-      }
-      start = nl + 1;
-    }
-  }
-
   void offer_bytes(std::size_t shard, std::string_view bytes) {
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-        engine->scan_chunk(bytes);
-        offered += bytes.size();
-        break;
-      case backend_kind::system:
-        if (opts.engine == core::engine_kind::chunked) {
-          lanes.front()->scan_chunk(bytes);
-          drain_router();
-        } else {
-          deal_chunk(bytes);
-        }
-        offered += bytes.size();
-        break;
-      case backend_kind::sharded: {
-        // Absorb the whole view, draining a full FIFO in-line - only this
-        // shard's lane, so a blocking producer never waits on (or pumps
-        // work into) another shard. pump_shard() with a zero budget
-        // empties the lane, so after one drain a non-zero FIFO (validated
-        // at build()) must accept bytes: two zero-byte rounds in a row
-        // mean the lane cannot make forward progress, which is reported
-        // instead of spun on (each refused round already ticked the
-        // shard's hard_backpressure_events, so the stall is observable in
-        // stats() too).
-        std::string_view rest = bytes;
-        bool stalled = false;
-        while (!rest.empty()) {
-          const std::size_t taken = sharded->offer(shard, rest);
-          rest.remove_prefix(taken);
-          if (rest.empty()) break;
-          if (taken == 0) {
-            if (stalled)
-              throw error("pipeline: offer() made no forward progress on "
-                          "shard " + std::to_string(shard) +
-                          " (lane FIFO stuck full after a drain)");
-            stalled = true;
-          } else {
-            stalled = false;
-          }
-          sharded->pump_shard(shard);
-        }
-        break;
+    if (!sharded) {
+      engine->scan_chunk(bytes);
+      streams.front()->offered += bytes.size();
+      return;
+    }
+    // Absorb the whole view, draining a full FIFO in-line - only this
+    // shard's lane, so a blocking producer never waits on (or pumps work
+    // into) another shard. pump_shard() with a zero budget empties the
+    // lane, so after one drain a non-zero FIFO (validated at build())
+    // must accept bytes: two zero-byte rounds in a row mean the lane
+    // cannot make forward progress, which is reported instead of spun on
+    // (each refused round already ticked the shard's
+    // hard_backpressure_events, so the stall is observable in stats()
+    // too).
+    std::string_view rest = bytes;
+    bool stalled = false;
+    while (!rest.empty()) {
+      const std::size_t taken = sharded->offer(shard, rest);
+      rest.remove_prefix(taken);
+      if (rest.empty()) break;
+      if (taken == 0) {
+        if (stalled)
+          throw error("pipeline: offer() made no forward progress on "
+                      "shard " + std::to_string(shard) +
+                      " (lane FIFO stuck full after a drain)");
+        stalled = true;
+      } else {
+        stalled = false;
       }
+      sharded->pump_shard(shard);
     }
   }
 
   void flush() {
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-        engine->finish();
-        break;
-      case backend_kind::system:
-        if (opts.engine == core::engine_kind::chunked) {
-          lanes.front()->finish();
-          drain_router();
-        } else if (!pending.empty()) {
-          deal_record(pending);
-          pending.clear();
-        }
-        break;
-      case backend_kind::sharded:
-        sharded->finish();
-        break;
-    }
-  }
-
-  const std::vector<bool>& decisions_of(std::size_t shard) const {
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-        return engine->decisions();
-      case backend_kind::system:
-        return dealt;
-      case backend_kind::sharded:
-        return sharded->decisions(shard);
-    }
-    throw error("pipeline: invalid backend");
+    if (sharded)
+      sharded->finish();
+    else
+      engine->finish();
   }
 
   bool sinks_for(const query_registry& r) const {
-    return sink || vsink || r.has_query_sinks;
+    return sink || vsink || !r.sink_ordinals.empty();
   }
 
-  /// Append one taken decision batch to the shard's history and stage
-  /// delivery rows when any sink wants them. Caller holds the gate;
-  /// `any`/`words` are the engine's consume-stream batch, `reg_now` the
-  /// epoch those records decided under. Single-query engines emit no
-  /// words: bit 0 is synthesized from the any-match column (the epoch has
-  /// exactly one resident query by construction).
-  void archive_batch(std::size_t shard, const registry_ptr& reg_now,
-                     const std::vector<bool>& any,
-                     std::vector<std::uint64_t>&& words) {
-    if (any.empty()) return;
+  /// Append one taken decision batch to the shard's history and stage it
+  /// for delivery when any sink wants it. Caller holds the gate; `any` /
+  /// `words` are the engine's consume-stream batch (words only when the
+  /// epoch has more than one query), `epoch` the set those records
+  /// decided under. Returns the batch's record count.
+  std::uint64_t archive_batch(std::size_t shard, const registry_ptr& epoch,
+                              std::vector<bool>&& any,
+                              std::vector<std::uint64_t>&& words) {
+    const std::size_t n = any.size();
+    if (n == 0) return 0;
     stream_state& st = *streams[shard];
-    const std::size_t wpr = reg_now->wpr();
-    if (words.empty()) {
-      words.assign(any.size() * wpr, 0);
-      for (std::size_t r = 0; r < any.size(); ++r)
-        if (any[r]) words[r * wpr] |= 1u;
-    }
-    const std::uint64_t base = st.archived;
-    st.archived += any.size();
-    stream_history& h = history[shard];
-    h.any.insert(h.any.end(), any.begin(), any.end());
-    // Records the legacy index-cursor already staged (the mode-switch
-    // prefix) must not reach the sinks a second time.
-    std::size_t skip = 0;
-    if (st.observed > base)
-      skip = static_cast<std::size_t>(
-          std::min<std::uint64_t>(st.observed - base, any.size()));
-    if (sinks_for(*reg_now) && skip < any.size()) {
+    const std::uint64_t first = st.any.size();
+    st.accepted += static_cast<std::uint64_t>(
+        std::count(any.begin(), any.end(), true));
+    st.any.insert(st.any.end(), any.begin(), any.end());
+    if (st.segments.empty() || st.segments.back().reg != epoch)
+      st.segments.push_back({epoch, first, 0, {}});
+    stream_state::segment& seg = st.segments.back();
+    seg.records += n;
+    seg.words.insert(seg.words.end(), words.begin(), words.end());
+    if (sinks_for(*epoch)) {
       std::lock_guard<std::mutex> lock(st.sink_mutex);
-      // The whole batch's bitmaps land with ONE word append; each row just
-      // records where its wpr-word span starts.
-      std::size_t offset = st.row_words.size();
-      st.row_words.insert(st.row_words.end(),
-                          words.begin() +
-                              static_cast<std::ptrdiff_t>(skip * wpr),
-                          words.end());
-      st.rows.reserve(st.rows.size() + (any.size() - skip));
-      for (std::size_t r = skip; r < any.size(); ++r, offset += wpr)
-        st.rows.push_back({any[r], base + r, reg_now, offset});
+      st.staged.push_back({epoch, first, std::move(any), std::move(words)});
     }
-    if (!h.segments.empty() && h.segments.back().reg == reg_now) {
-      stream_history::segment& seg = h.segments.back();
-      seg.words.insert(seg.words.end(), words.begin(), words.end());
-    } else {
-      h.segments.push_back({reg_now, base, std::move(words)});
-    }
+    return n;
   }
 
-  /// Multi-tenant staging: consume the engine's decision stream (any +
-  /// bitmap words) into the shard's history. Caller holds the gate.
-  std::uint64_t stage_multi(std::size_t shard) {
-    stream_state& st = *streams[shard];
-    std::vector<bool> any;
-    std::vector<std::uint64_t> words;
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-        any = engine->take_decisions();
-        words = engine->take_decision_words();
-        break;
-      case backend_kind::system:
-        any.swap(dealt);
-        words.swap(dealt_words);
-        break;
-      case backend_kind::sharded: {
-        auto taken = sharded->take_decisions(shard);
-        any = std::move(taken.any);
-        words = std::move(taken.words);
-        break;
-      }
-    }
-    const std::uint64_t base = st.archived;
-    archive_batch(shard, st.reg, any, std::move(words));
-    const std::uint64_t end = base + any.size();
-    const std::uint64_t seen = std::max<std::uint64_t>(st.observed, base);
-    return end > seen ? end - seen : 0;
-  }
-
-  /// Stage decisions the sink has not seen yet. Caller holds the shard's
-  /// gate (which keeps the lane quiescent, so reading decisions_of is
-  /// safe); the sink is NOT invoked here - flush_decisions does that with
-  /// no lock held. Returns how many new decisions were observed.
+  /// Take the decisions the engine emitted since the last call into the
+  /// shard's history. Caller holds the shard's gate (which keeps the lane
+  /// quiescent); the sinks are NOT invoked here - flush_decisions does
+  /// that with no lock held. Returns how many new decisions were taken.
   std::uint64_t stage_decisions(std::size_t shard) {
-    if (multi.load(std::memory_order_relaxed)) return stage_multi(shard);
-    stream_state& st = *streams[shard];
-    const std::vector<bool>& all = decisions_of(shard);
-    if (st.observed >= all.size()) return 0;
-    const std::uint64_t fresh = all.size() - st.observed;
-    std::lock_guard<std::mutex> lock(st.sink_mutex);
-    for (; st.observed < all.size(); ++st.observed)
-      if (sink) st.pending.push_back(all[st.observed]);
-    return fresh;
+    const registry_ptr& epoch = streams[shard]->reg;
+    if (sharded) {
+      auto taken = sharded->take_decisions(shard);
+      return archive_batch(shard, epoch, std::move(taken.any),
+                           std::move(taken.words));
+    }
+    if (ledger)
+      for (const std::uint32_t n : engine->take_record_sizes()) ledger->deal(n);
+    return archive_batch(shard, epoch, engine->take_decisions(),
+                         engine->take_decision_words());
   }
 
-  /// Hand staged decisions to the sink, in record order, outside every
+  /// Hand staged decisions to the sinks, in record order, outside every
   /// internal lock - a sink may therefore re-enter the streaming surface.
   /// One flush loop runs per shard at a time: a second caller (including a
   /// re-entrant one) returns immediately and the live loop picks up
   /// whatever it staged.
   void flush_decisions(std::size_t shard) {
-    if (!sink && !multi.load(std::memory_order_relaxed)) return;
     stream_state& st = *streams[shard];
-    std::vector<std::uint64_t> words_scratch;  // reused across rows
     std::unique_lock<std::mutex> lock(st.sink_mutex);
     if (st.delivering) return;
     st.delivering = true;
-    // The legacy pending queue drains first: its entries predate every
-    // verdict row (rows only start once multi-tenant staging is on, and
-    // the mode-switch archives the legacy prefix before staging rows).
-    while (st.pending_head < st.pending.size() ||
-           st.rows_head < st.rows.size()) {
-      if (st.pending_head < st.pending.size()) {
-        const bool accepted = st.pending[st.pending_head++];
-        const std::uint64_t index = st.next_index++;
-        if (st.pending_head == st.pending.size()) {
-          st.pending.clear();
-          st.pending_head = 0;
-        }
-        lock.unlock();
-        sink(shard, index, accepted);
-        lock.lock();
-        continue;
-      }
-      const stream_state::verdict_row row = st.rows[st.rows_head++];
-      // Copy the row's word span out before unlocking: producers may
-      // append (and reallocate) row_words while the sinks run.
-      const auto first = st.row_words.begin() +
-                         static_cast<std::ptrdiff_t>(row.words_offset);
-      words_scratch.assign(
-          first, first + static_cast<std::ptrdiff_t>(row.reg->wpr()));
-      if (st.rows_head == st.rows.size()) {
-        st.rows.clear();
-        st.rows_head = 0;
-        st.row_words.clear();
-      }
+    while (!st.staged.empty()) {
+      const stream_state::staged_batch batch = std::move(st.staged.front());
+      st.staged.pop_front();
       lock.unlock();
-      if (sink) sink(shard, row.index, row.any);
-      if (vsink)
-        vsink(shard, row.index,
-              std::span<const core::query_id>(row.reg->ids),
-              std::span<const std::uint64_t>(words_scratch));
-      // Only the queries that actually have a sink are visited - the
-      // registry indexes them once per epoch, so a 10k-query fleet with
-      // two subscribed sinks costs two calls per record, not 10k probes.
-      for (const std::uint32_t qi : row.reg->sink_ordinals)
-        row.reg->query_sinks[qi](
-            shard, row.index,
-            ((words_scratch[qi / 64] >> (qi % 64)) & 1u) != 0);
+      deliver(shard, batch);
       lock.lock();
     }
     st.delivering = false;
+  }
+
+  void deliver(std::size_t shard,
+               const stream_state::staged_batch& batch) const {
+    const query_registry& r = *batch.reg;
+    const std::size_t wpr = r.wpr();
+    std::uint64_t one_word = 0;  // a one-query epoch's row: the any bit
+    for (std::size_t i = 0; i < batch.any.size(); ++i) {
+      const std::uint64_t index = batch.first + i;
+      const bool accepted = batch.any[i];
+      if (sink) sink(shard, index, accepted);
+      one_word = accepted ? 1 : 0;
+      const std::uint64_t* row =
+          batch.words.empty() ? &one_word : batch.words.data() + i * wpr;
+      if (vsink)
+        vsink(shard, index, std::span<const core::query_id>(r.ids),
+              std::span<const std::uint64_t>(row, wpr));
+      // Only the queries that actually have a sink are visited - the
+      // registry indexes them once per epoch, so a 10k-query fleet with
+      // two subscribed sinks costs two calls per record, not 10k probes.
+      for (const std::uint32_t qi : r.sink_ordinals)
+        r.query_sinks[qi](shard, index,
+                          ((row[qi / 64] >> (qi % 64)) & 1u) != 0);
+    }
   }
 
   /// Deal `bytes` into per-shard batches of complete records (round-robin,
@@ -715,102 +493,91 @@ struct pipeline::impl {
     return batches;
   }
 
-  /// Expand the per-epoch bitmap segments into one decision column per
-  /// query ever resident on each shard. Ids are never reused, so every
-  /// query's residency is one contiguous span and consecutive segments
-  /// containing the same id concatenate in record order.
+  /// Expand the per-epoch segments into one decision column per query ever
+  /// resident on each shard. Ids are never reused, so every query's
+  /// residency is one contiguous span and consecutive segments containing
+  /// the same id concatenate in record order.
   std::vector<std::vector<query_column>> expand_columns() const {
-    std::vector<std::vector<query_column>> out(history.size());
-    for (std::size_t shard = 0; shard < history.size(); ++shard) {
+    std::vector<std::vector<query_column>> out(streams.size());
+    for (std::size_t shard = 0; shard < streams.size(); ++shard) {
+      const stream_state& st = *streams[shard];
       std::vector<query_column>& cols = out[shard];
       // id -> column slot, so a 10k-query epoch costs one hash probe per
       // query instead of a linear rescan of every column per query.
       std::unordered_map<core::query_id, std::size_t> slot_of;
-      for (const stream_history::segment& seg : history[shard].segments) {
+      for (const stream_state::segment& seg : st.segments) {
         const std::size_t wpr = seg.reg->wpr();
-        const std::size_t rows = wpr == 0 ? 0 : seg.words.size() / wpr;
+        const std::size_t rows = static_cast<std::size_t>(seg.records);
         for (std::size_t qi = 0; qi < seg.reg->ids.size(); ++qi) {
           const core::query_id id = seg.reg->ids[qi];
           const auto [it, fresh] = slot_of.try_emplace(id, cols.size());
           if (fresh) cols.push_back({id, seg.first_record, {}});
-          query_column& col = cols[it->second];
+          std::vector<bool>& column = cols[it->second].decisions;
+          if (seg.words.empty()) {  // one-query epoch: the any column
+            const auto from =
+                st.any.begin() + static_cast<std::ptrdiff_t>(seg.first_record);
+            column.insert(column.end(), from,
+                          from + static_cast<std::ptrdiff_t>(rows));
+            continue;
+          }
           // Transpose the segment one whole word stride at a time: the
           // query's (word, shift) address is fixed across the segment.
           const std::uint64_t* word = seg.words.data() + qi / 64;
           const unsigned shift = static_cast<unsigned>(qi % 64);
-          col.decisions.reserve(col.decisions.size() + rows);
+          column.reserve(column.size() + rows);
           for (std::size_t r = 0; r < rows; ++r, word += wpr)
-            col.decisions.push_back(((*word >> shift) & 1u) != 0);
+            column.push_back(((*word >> shift) & 1u) != 0);
         }
       }
     }
     return out;
   }
 
+  /// Live accounting of the direct engine's stream (gate-guarded).
+  system::shard_stats direct_stats() const {
+    const stream_state& st = *streams.front();
+    system::shard_stats stats;
+    stats.offered = st.offered;
+    stats.bytes = st.offered;
+    stats.records = st.any.size();
+    stats.accepted = st.accepted;
+    return stats;
+  }
+
   run_result collect() {
     run_result result;
-    const bool m = multi.load(std::memory_order_relaxed);
-    switch (opts.backend) {
-      case backend_kind::scalar:
-      case backend_kind::chunked:
-      case backend_kind::system: {
-        const bool single = opts.backend != backend_kind::system;
-        // Multi-tenant mode drained every decision into the history (the
-        // engine vectors are consume streams); otherwise they still sit
-        // in the engine / the dealt vector.
-        const std::vector<bool>& decisions =
-            m ? history[0].any : (single ? engine->decisions() : dealt);
-        std::uint64_t accepted = 0;
-        for (const bool d : decisions) accepted += d ? 1 : 0;
-        // Single-engine backends: the whole stream flows through one lane.
-        const std::uint64_t slowest =
-            single ? offered
-                   : (lane_bytes.empty()
-                          ? 0
-                          : *std::max_element(lane_bytes.begin(),
-                                              lane_bytes.end()));
-        const core::engine_kind ek = opts.backend == backend_kind::scalar
-                                         ? core::engine_kind::scalar
-                                         : opts.backend == backend_kind::chunked
-                                               ? core::engine_kind::chunked
-                                               : opts.engine;
-        result.report = system::model_report(
-            to_system_options(opts, single ? 1 : opts.lanes, ek), offered,
-            decisions.size(), accepted, slowest);
-        system::shard_stats stats;
-        stats.offered = offered;
-        stats.bytes = offered;
-        stats.records = decisions.size();
-        stats.accepted = accepted;
-        result.shards.push_back(stats);
-        result.shard_decisions.push_back(decisions);
-        result.decisions = decisions;
-        break;
-      }
-      case backend_kind::sharded: {
-        const system::sharded_report sr = sharded->report();
-        result.report.bytes = sr.bytes;
-        result.report.records = sr.records;
-        result.report.accepted = sr.accepted;
-        result.report.cycles = sr.cycles;
-        result.report.stall_cycles = sr.stall_cycles;
-        result.report.seconds = sr.seconds;
-        result.report.gbytes_per_second = sr.gbytes_per_second;
-        result.report.theoretical_gbps = sr.theoretical_gbps;
-        result.shards = sr.shards;
-        for (std::size_t shard = 0; shard < sharded->shard_count(); ++shard) {
-          result.shard_decisions.push_back(m ? history[shard].any
-                                             : sharded->decisions(shard));
-          result.decisions.insert(result.decisions.end(),
-                                  result.shard_decisions.back().begin(),
-                                  result.shard_decisions.back().end());
-        }
-        break;
-      }
+    if (sharded) {
+      const system::sharded_report sr = sharded->report();
+      result.report.bytes = sr.bytes;
+      result.report.records = sr.records;
+      result.report.accepted = sr.accepted;
+      result.report.cycles = sr.cycles;
+      result.report.stall_cycles = sr.stall_cycles;
+      result.report.seconds = sr.seconds;
+      result.report.gbytes_per_second = sr.gbytes_per_second;
+      result.report.theoretical_gbps = sr.theoretical_gbps;
+      result.shards = sr.shards;
+    } else {
+      const system::shard_stats stats = direct_stats();
+      // The Figure-4 model of the system backend; otherwise the whole
+      // stream flows through one lane.
+      result.report = system::model_report(
+          to_system_options(opts, ledger ? ledger->lanes() : 1, engine_kind),
+          stats.offered, stats.records, stats.accepted,
+          ledger ? ledger->slowest() : stats.offered);
+      result.shards.push_back(stats);
     }
-    if (m) {
+    // Multi-tenant pipelines (more than one resident query, a verdict or
+    // per-query sink, or any runtime add/remove) also report per-query
+    // columns.
+    if (vsink || reg->ids.size() > 1 || reg->epoch > 0) {
       result.query_ids = reg->ids;
       result.shard_query_columns = expand_columns();
+    }
+    for (const auto& st : streams) {
+      result.shard_decisions.push_back(st->any);
+      result.decisions.insert(result.decisions.end(), st->any.begin(),
+                              st->any.end());
     }
     if (project_enabled) {
       // Quiescent by contract (run()/finish() exclusivity): flush each
@@ -845,14 +612,12 @@ struct pipeline::impl {
   }
 
   run_result run_batch() {
-    if (opts.backend == backend_kind::sharded) {
-      ensure_exec(inputs.size());
+    if (sharded) {
       system::concurrent_runner runner(*sharded, opts.dma_burst_bytes);
       for (std::size_t shard = 0; shard < inputs.size(); ++shard)
         runner.bind(shard, open_source(inputs[shard]));
       runner.run();
     } else {
-      ensure_exec(1);
       for (input_spec& in : inputs) {
         // In-memory inputs skip the source round-trip: one offer each.
         if (in.k == input_spec::kind::view)
@@ -877,36 +642,28 @@ struct pipeline::impl {
 
   /// Why this pipeline cannot swap engines mid-stream, or nullopt when it
   /// can. Swapping needs an engine that surrenders its in-flight partial
-  /// record (take_carry): every chunked engine does; the system backend's
-  /// scalar lanes hold no cross-record state (the facade keeps the partial
-  /// record itself), so they swap trivially too.
+  /// record (take_carry), which only the chunked engine does.
   std::optional<std::string> mutation_unsupported() const {
-    if (opts.backend == backend_kind::scalar)
+    if (engine_kind != core::engine_kind::chunked)
       return std::string(
-          "pipeline: runtime add/remove needs a batched engine - the "
-          "scalar backend replays one fixed byte-per-cycle pipeline");
-    if (opts.backend == backend_kind::sharded &&
-        opts.engine == core::engine_kind::scalar)
-      return std::string(
-          "pipeline: runtime add/remove on the sharded backend needs "
-          "engine(chunked) - scalar lanes cannot surrender an in-flight "
-          "record");
+          "pipeline: runtime add/remove needs the chunked engine - the "
+          "scalar engine replays fixed byte-per-cycle pipelines that cannot "
+          "surrender an in-flight record");
     return std::nullopt;
   }
 
-  /// New epoch snapshot for the current qset, carrying per-query sinks
-  /// over by id. Caller holds mutation_mutex.
+  /// New epoch snapshot for the current qset, carrying the per-query
+  /// sinks of the old epoch over by id. Caller holds mutation_mutex.
   std::shared_ptr<query_registry> snapshot_registry() const {
     auto nreg = std::make_shared<query_registry>();
     nreg->ids = qset.ids();
     nreg->query_sinks.resize(nreg->ids.size());
     if (reg) {
-      for (std::size_t qi = 0; qi < nreg->ids.size(); ++qi)
-        for (std::size_t old = 0; old < reg->ids.size(); ++old)
-          if (reg->ids[old] == nreg->ids[qi]) {
-            nreg->query_sinks[qi] = reg->query_sinks[old];
-            break;
-          }
+      nreg->epoch = reg->epoch + 1;
+      for (const std::uint32_t old : reg->sink_ordinals)
+        if (qset.contains(reg->ids[old]))
+          nreg->query_sinks[qset.ordinal(reg->ids[old])] =
+              reg->query_sinks[old];
     }
     nreg->index_sinks();
     return nreg;
@@ -921,73 +678,40 @@ struct pipeline::impl {
   /// records decided before the new set existed.
   void swap_epoch(registry_ptr nreg, bool rebuild) {
     std::unique_ptr<core::filter_engine> proto;
-    if (rebuild && opts.backend != backend_kind::sharded) {
-      const core::engine_kind kind =
-          opts.backend == backend_kind::chunked ? core::engine_kind::chunked
-                                                : opts.engine;
-      proto = core::make_filter_engine(kind, qset.queries(), opts.filter);
-    }
-    std::unique_ptr<core::filter_engine> sharded_proto;
-    if (rebuild && opts.backend == backend_kind::sharded)
-      sharded_proto = core::make_filter_engine(core::engine_kind::chunked,
-                                               qset.queries(), opts.filter);
-    // Flip to consume-stream staging BEFORE touching any stream: a
-    // producer racing the walk on a not-yet-swapped shard then stages
-    // take-style under its stream's (still old) epoch, which is exactly
-    // right; the `observed` cursor keeps the already-staged legacy prefix
-    // from reaching the sink twice.
-    multi.store(true, std::memory_order_relaxed);
+    if (rebuild)
+      proto = core::make_filter_engine(engine_kind, qset.queries(),
+                                       opts.filter);
     for (std::size_t shard = 0; shard < streams.size(); ++shard) {
       stream_state& st = *streams[shard];
       std::lock_guard<std::mutex> gate(st.gate);
       stage_decisions(shard);
       if (rebuild) {
-        switch (opts.backend) {
-          case backend_kind::chunked: {
-            std::vector<unsigned char> carry = engine->take_carry();
-            engine = proto->clone();
-            // A record always starts from the power-on automaton state, so
-            // replaying the in-flight bytes reproduces the stream position
-            // exactly (no boundary hides in a carry by construction).
-            if (!carry.empty())
-              engine->scan_chunk(
-                  std::span<const unsigned char>{carry.data(), carry.size()});
-            break;
-          }
-          case backend_kind::system: {
-            std::vector<unsigned char> carry;
-            if (opts.engine == core::engine_kind::chunked)
-              carry = lanes.front()->take_carry();
-            lanes.clear();
-            lanes.push_back(proto->clone());
-            if (opts.engine == core::engine_kind::chunked)
-              lanes.front()->collect_record_sizes(true);
-            for (int lane = 1; lane < opts.lanes; ++lane)
-              lanes.push_back(lanes.front()->clone());
-            if (!carry.empty())
-              lanes.front()->scan_chunk(
-                  std::span<const unsigned char>{carry.data(), carry.size()});
-            break;
-          }
-          case backend_kind::sharded: {
-            // swap_shard drains the FIFO through the OLD engine first; its
-            // tail decisions belong to the outgoing epoch.
-            auto taken = sharded->swap_shard(shard, *sharded_proto);
-            archive_batch(shard, st.reg, taken.any, std::move(taken.words));
-            break;
-          }
-          case backend_kind::scalar:
-            break;  // unreachable: mutation_unsupported rejected it
+        if (sharded) {
+          // swap_shard drains the FIFO through the OLD engine first; its
+          // tail decisions belong to the outgoing epoch.
+          auto taken = sharded->swap_shard(shard, *proto);
+          archive_batch(shard, st.reg, std::move(taken.any),
+                        std::move(taken.words));
+        } else {
+          // The one direct stream takes the prototype itself. A record
+          // always starts from the power-on automaton state, so replaying
+          // the in-flight bytes reproduces the stream position exactly
+          // (no boundary hides in a carry by construction).
+          std::vector<unsigned char> carry = engine->take_carry();
+          install_engine(std::move(proto));
+          if (!carry.empty())
+            engine->scan_chunk(
+                std::span<const unsigned char>{carry.data(), carry.size()});
         }
-        if (project_enabled && shard < projection.size()) {
+        if (project_enabled) {
           // The rebuilt engine starts bare (clones never carry the hook)
           // and its record ordinals restart at zero; everything decided so
           // far was archived above (stage_decisions, plus swap_shard's
           // drained tail), so the shard's record numbering continues at
-          // st.archived. The projected path set stays frozen - runtime
-          // adds decide normally but do not extend it.
+          // the history's length. The projected path set stays frozen -
+          // runtime adds decide normally but do not extend it.
           attach_projection(shard);
-          projection[shard]->base = st.archived;
+          projection[shard]->base = st.any.size();
         }
       }
       st.reg = nreg;
@@ -1060,12 +784,11 @@ struct pipeline::impl {
       return std::string("pipeline: ") + op +
              "() on a pipeline with bound inputs - use run(), or build "
              "without inputs to stream";
-    if (shard >= stream_count())
+    if (shard >= streams.size())
       return "pipeline: shard " + std::to_string(shard) +
-             " out of range (" + std::to_string(stream_count()) +
+             " out of range (" + std::to_string(streams.size()) +
              " streams)";
     state.store(phase::streaming, std::memory_order_relaxed);
-    ensure_exec(stream_count());
     return std::nullopt;
   }
 
@@ -1097,7 +820,7 @@ const pipeline_options& pipeline::options() const noexcept {
 }
 
 std::size_t pipeline::shard_count() const noexcept {
-  return impl_->stream_count();
+  return impl_->streams.size();
 }
 
 expected<run_result> pipeline::run() {
@@ -1145,7 +868,7 @@ expected<std::uint64_t> pipeline::offer(std::size_t shard,
 }
 
 expected<std::uint64_t> pipeline::offer(std::string_view bytes) {
-  if (impl_->stream_count() <= 1) return offer(0, bytes);
+  if (impl_->streams.size() <= 1) return offer(0, bytes);
   // Multi-stream pipeline, no shard named: deal complete records
   // round-robin (record k -> shard k % streams). The router is one shared
   // cursor, so shard-less producers serialize on it - producers that want
@@ -1207,7 +930,6 @@ expected<std::uint64_t> pipeline::pump() {
       std::lock_guard<std::mutex> lock(impl_->state_mutex);
       if (impl_->state.load(std::memory_order_relaxed) == impl::phase::done)
         return unexpected("pipeline: pump() after finish()/run()");
-      impl_->ensure_exec(impl_->stream_count());
     }
     std::uint64_t observed = 0;
     for (std::size_t shard = 0; shard < impl_->streams.size(); ++shard) {
@@ -1231,12 +953,11 @@ expected<std::uint64_t> pipeline::pump(std::size_t shard) {
       std::lock_guard<std::mutex> lock(impl_->state_mutex);
       if (impl_->state.load(std::memory_order_relaxed) == impl::phase::done)
         return unexpected("pipeline: pump() after finish()/run()");
-      if (shard >= impl_->stream_count())
+      if (shard >= impl_->streams.size())
         return unexpected("pipeline: shard " + std::to_string(shard) +
                           " out of range (" +
-                          std::to_string(impl_->stream_count()) +
+                          std::to_string(impl_->streams.size()) +
                           " streams)");
-      impl_->ensure_exec(impl_->stream_count());
     }
     std::uint64_t observed = 0;
     {
@@ -1262,7 +983,6 @@ expected<run_result> pipeline::finish() {
       if (!impl_->inputs.empty())
         return unexpected("pipeline: finish() on a pipeline with bound "
                           "inputs - use run()");
-      impl_->ensure_exec(impl_->stream_count());
       impl_->state.store(impl::phase::done, std::memory_order_release);
     }
     // Quiesce: in-flight offers either finished before the store above or
@@ -1366,26 +1086,8 @@ std::vector<core::query_id> pipeline::query_ids() const {
 expected<std::vector<system::shard_stats>> pipeline::stats() const {
   try {
     if (impl_->sharded) return impl_->sharded->report().shards;
-    system::shard_stats stats;
-    if (!impl_->streams.empty()) {
-      // Single-stream backends: the gate keeps the engine quiescent while
-      // the decision vector is scanned.
-      std::lock_guard<std::mutex> gate(impl_->streams.front()->gate);
-      stats.offered = impl_->offered;
-      stats.bytes = impl_->offered;
-      const std::vector<bool>& decisions = impl_->decisions_of(0);
-      stats.records = decisions.size();
-      for (const bool d : decisions) stats.accepted += d ? 1 : 0;
-      if (impl_->multi.load(std::memory_order_relaxed) &&
-          !impl_->history.empty()) {
-        // Multi-tenant mode: decisions_of holds only the not-yet-taken
-        // tail; everything staged so far lives in the history.
-        stats.records += impl_->history[0].any.size();
-        for (const bool d : impl_->history[0].any)
-          stats.accepted += d ? 1 : 0;
-      }
-    }
-    return std::vector<system::shard_stats>{stats};
+    std::lock_guard<std::mutex> gate(impl_->streams.front()->gate);
+    return std::vector<system::shard_stats>{impl_->direct_stats()};
   } catch (const std::exception& e) {
     return unexpected(error_info::from(e));
   }
@@ -1396,28 +1098,24 @@ expected<std::vector<system::shard_stats>> pipeline::stats() const {
 
 struct pipeline_builder::state {
   pipeline_options opts;
-
-  enum class source_kind { none, filter_expr, jsonpath, parsed, expr };
-  source_kind qsrc = source_kind::none;
-  bool duplicate_query = false;
-  bool consumed = false;    // build() succeeded; the builder is spent
-  bool shards_set = false;  // shards() called explicitly
-  std::optional<std::string> bad_simd;  // unparseable simd("...") argument
-  std::string qtext;
-  query::data_model qmodel = query::data_model::flat;
-  std::optional<query::query> parsed;
-  core::expr_ptr expr;
-
-  // Additional resident queries beyond the primary source, in add order
-  // (ids are assigned in this order, primary first).
-  struct extra_query {
-    source_kind k = source_kind::none;
+  enum class source_kind { filter_expr, jsonpath, parsed, expr };
+  /// One query source: the primary (filter_expression / jsonpath /
+  /// from_query / raw_filter) or an add_* resident query.
+  struct query_source {
+    source_kind k = source_kind::expr;
     std::string text;
     query::data_model model = query::data_model::flat;
     std::optional<query::query> parsed;
     core::expr_ptr expr;
   };
-  std::vector<extra_query> extras;
+  // Resident queries in id order: entry 0 is the primary source once one
+  // is set, then every add_* query in call order.
+  std::vector<query_source> queries;
+  bool has_primary = false;
+  bool duplicate_query = false;
+  bool consumed = false;    // build() succeeded; the builder is spent
+  bool shards_set = false;  // shards() called explicitly
+  std::optional<std::string> bad_simd;  // unparseable simd("...") argument
 
   std::vector<input_spec> inputs;
   decision_sink sink;
@@ -1428,11 +1126,16 @@ struct pipeline_builder::state {
   std::optional<project::path_set> project_paths;  // explicit targets
   projection_sink psink;
 
-  void set_source(source_kind kind) {
+  void set_primary(query_source src) {
+    if (!has_primary) {
+      queries.insert(queries.begin(), std::move(src));
+      has_primary = true;
+      return;
+    }
     // Re-setting the same kind replaces it (the retry-after-parse-error
     // flow); mixing kinds is the misuse the duplicate diagnosis catches.
-    if (qsrc != source_kind::none && qsrc != kind) duplicate_query = true;
-    qsrc = kind;
+    if (queries.front().k != src.k) duplicate_query = true;
+    queries.front() = std::move(src);
   }
 };
 
@@ -1444,61 +1147,51 @@ pipeline_builder& pipeline_builder::operator=(pipeline_builder&&) noexcept =
 
 pipeline_builder& pipeline_builder::filter_expression(std::string_view text,
                                                       query::data_model model) {
-  state_->set_source(state::source_kind::filter_expr);
-  state_->qtext = std::string(text);
-  state_->qmodel = model;
+  state_->set_primary(
+      {state::source_kind::filter_expr, std::string(text), model, {}, {}});
   return *this;
 }
 
 pipeline_builder& pipeline_builder::jsonpath(std::string_view text) {
-  state_->set_source(state::source_kind::jsonpath);
-  state_->qtext = std::string(text);
+  state_->set_primary({state::source_kind::jsonpath, std::string(text),
+                       query::data_model::flat, {}, {}});
   return *this;
 }
 
 pipeline_builder& pipeline_builder::from_query(query::query q) {
-  state_->set_source(state::source_kind::parsed);
-  state_->parsed = std::move(q);
+  state_->set_primary({state::source_kind::parsed, {},
+                       query::data_model::flat, std::move(q), {}});
   return *this;
 }
 
 pipeline_builder& pipeline_builder::raw_filter(core::expr_ptr expr) {
-  state_->set_source(state::source_kind::expr);
-  state_->expr = std::move(expr);
+  state_->set_primary({state::source_kind::expr, {}, query::data_model::flat,
+                       {}, std::move(expr)});
   return *this;
 }
 
 pipeline_builder& pipeline_builder::add_filter_expression(
     std::string_view text, query::data_model model) {
-  state::extra_query ex;
-  ex.k = state::source_kind::filter_expr;
-  ex.text = std::string(text);
-  ex.model = model;
-  state_->extras.push_back(std::move(ex));
+  state_->queries.push_back(
+      {state::source_kind::filter_expr, std::string(text), model, {}, {}});
   return *this;
 }
 
 pipeline_builder& pipeline_builder::add_jsonpath(std::string_view text) {
-  state::extra_query ex;
-  ex.k = state::source_kind::jsonpath;
-  ex.text = std::string(text);
-  state_->extras.push_back(std::move(ex));
+  state_->queries.push_back({state::source_kind::jsonpath, std::string(text),
+                             query::data_model::flat, {}, {}});
   return *this;
 }
 
 pipeline_builder& pipeline_builder::add_query(query::query q) {
-  state::extra_query ex;
-  ex.k = state::source_kind::parsed;
-  ex.parsed = std::move(q);
-  state_->extras.push_back(std::move(ex));
+  state_->queries.push_back({state::source_kind::parsed, {},
+                             query::data_model::flat, std::move(q), {}});
   return *this;
 }
 
 pipeline_builder& pipeline_builder::add_raw_filter(core::expr_ptr expr) {
-  state::extra_query ex;
-  ex.k = state::source_kind::expr;
-  ex.expr = std::move(expr);
-  state_->extras.push_back(std::move(ex));
+  state_->queries.push_back({state::source_kind::expr, {},
+                             query::data_model::flat, {}, std::move(expr)});
   return *this;
 }
 
@@ -1651,7 +1344,7 @@ expected<pipeline> pipeline_builder::build() {
                       "builder");
 
   // --- configuration validation (before any parsing work) ---
-  if (s.qsrc == state::source_kind::none)
+  if (!s.has_primary)
     return unexpected("pipeline: no query source given - call one of "
                       "filter_expression / jsonpath / from_query / "
                       "raw_filter");
@@ -1673,9 +1366,10 @@ expected<pipeline> pipeline_builder::build() {
   for (const input_spec& in : s.inputs)
     if (in.k == input_spec::kind::custom && !in.source)
       return unexpected("pipeline: null ingest source bound");
-  for (const state::extra_query& ex : s.extras)
-    if (ex.k == state::source_kind::expr && !ex.expr)
-      return unexpected("pipeline: add_raw_filter(null expression)");
+  for (std::size_t i = 0; i < s.queries.size(); ++i)
+    if (s.queries[i].k == state::source_kind::expr && !s.queries[i].expr)
+      return unexpected(i == 0 ? "pipeline: raw_filter(null expression)"
+                               : "pipeline: add_raw_filter(null expression)");
   if (s.opts.backend == backend_kind::sharded) {
     if (s.opts.lane_fifo_bytes == 0)
       return unexpected("pipeline: the sharded backend needs a non-zero "
@@ -1690,16 +1384,32 @@ expected<pipeline> pipeline_builder::build() {
                         " bound inputs - sharded mode binds one shard per "
                         "input");
   }
+
+  // --- backend resolution: the one place backend_kind is consulted. The
+  // result is an engine kind, a sharded stream count (0 = one direct
+  // engine) and the Figure-4 lanes the system backend models.
+  core::engine_kind engine = s.opts.engine;
+  std::size_t shards = 0;
+  int model_lanes = 0;
+  switch (s.opts.backend) {
+    case backend_kind::scalar:
+      engine = core::engine_kind::scalar;
+      break;
+    case backend_kind::chunked:
+      engine = core::engine_kind::chunked;
+      break;
+    case backend_kind::system:
+      model_lanes = s.opts.lanes;
+      break;
+    case backend_kind::sharded:
+      shards = s.inputs.empty() ? s.opts.shards : s.inputs.size();
+      break;
+  }
+
   if (s.project) {
-    if (s.opts.backend == backend_kind::scalar)
-      return unexpected("pipeline: projection needs an engine that surfaces "
-                        "accepted records - the scalar backend cannot "
-                        "project (use chunked / system / sharded)");
-    if (s.opts.backend != backend_kind::chunked &&
-        s.opts.engine == core::engine_kind::scalar)
+    if (engine != core::engine_kind::chunked)
       return unexpected("pipeline: projection needs the chunked engine - "
-                        "engine(core::engine_kind::scalar) cannot surface "
-                        "accepted records");
+                        "the scalar engine cannot surface accepted records");
     if (s.opts.projection_batch_rows == 0)
       return unexpected("pipeline: projection_batch_rows must be non-zero");
     // The extraction walk reads the records' structural bitmap; a record
@@ -1723,64 +1433,40 @@ expected<pipeline> pipeline_builder::build() {
   impl->sink = s.sink;
   impl->vsink = s.vsink;
   impl->inputs = std::move(s.inputs);
+  impl->engine_kind = engine;
   try {
-    switch (s.qsrc) {
-      case state::source_kind::filter_expr:
-        impl->q = query::parse_filter_expression(s.qtext, s.qmodel);
-        break;
-      case state::source_kind::jsonpath:
-        impl->q = query::parse_jsonpath(s.qtext);
-        break;
-      case state::source_kind::parsed:
-        impl->q = s.parsed;
-        break;
-      case state::source_kind::expr:
-        impl->expr = s.expr;
-        break;
-      case state::source_kind::none:
-        break;  // unreachable, validated above
-    }
-    if (impl->q) {
-      query::compile_options co;
-      co.group = s.opts.group;
-      impl->expr = query::compile_default(*impl->q, s.opts.block, co);
-    }
-    // The resident query set: primary source first (query 0), then every
-    // add_* query in call order. A one-element set compiles to exactly
-    // the single-query engines - the multi-tenant bookkeeping stays off
-    // unless a second query or a bitmap sink asks for it.
-    impl->qset.add(impl->expr);
-    // Projection derive mode reads the parsed query forms, so the extras
-    // loop keeps them alongside the compiled expressions. Raw expressions
-    // carry no attribute names - derive mode refuses them below.
+    // The resident query set in id order (the primary source is query 0).
+    // Projection derive mode reads the parsed query forms, so they are
+    // kept alongside the compiled expressions; raw expressions carry no
+    // attribute names - derive mode refuses them below.
     std::vector<query::query> parsed_queries;
-    bool raw_expr_query = !impl->q;
-    if (impl->q) parsed_queries.push_back(*impl->q);
-    for (const state::extra_query& ex : s.extras) {
-      switch (ex.k) {
-        case state::source_kind::filter_expr: {
-          query::query q = query::parse_filter_expression(ex.text, ex.model);
-          impl->qset.add(compile_for(s.opts, q));
-          parsed_queries.push_back(std::move(q));
+    bool raw_expr_query = false;
+    for (const state::query_source& src : s.queries) {
+      std::optional<query::query> parsed;
+      switch (src.k) {
+        case state::source_kind::filter_expr:
+          parsed = query::parse_filter_expression(src.text, src.model);
           break;
-        }
-        case state::source_kind::jsonpath: {
-          query::query q = query::parse_jsonpath(ex.text);
-          impl->qset.add(compile_for(s.opts, q));
-          parsed_queries.push_back(std::move(q));
+        case state::source_kind::jsonpath:
+          parsed = query::parse_jsonpath(src.text);
           break;
-        }
         case state::source_kind::parsed:
-          impl->qset.add(compile_for(s.opts, *ex.parsed));
-          parsed_queries.push_back(*ex.parsed);
+          parsed = src.parsed;
           break;
         case state::source_kind::expr:
-          impl->qset.add(ex.expr);
-          raw_expr_query = true;
           break;
-        case state::source_kind::none:
-          break;  // unreachable, extras always carry a kind
       }
+      core::expr_ptr compiled =
+          parsed ? compile_for(s.opts, *parsed) : src.expr;
+      if (impl->qset.size() == 0) {
+        impl->q = parsed;
+        impl->expr = compiled;
+      }
+      impl->qset.add(std::move(compiled));
+      if (parsed)
+        parsed_queries.push_back(std::move(*parsed));
+      else
+        raw_expr_query = true;
     }
     if (s.project) {
       if (s.project_paths) {
@@ -1799,13 +1485,11 @@ expected<pipeline> pipeline_builder::build() {
       impl->psink = s.psink;
     }
     impl->reg = impl->snapshot_registry();
-    if (impl->qset.size() > 1 || impl->vsink)
-      impl->multi.store(true, std::memory_order_relaxed);
-    // Stand the execution state up eagerly: engine compilation, lane
-    // clones and the worker pool all belong to build(), so run()/offer()
-    // spend their time on steady-state filtering only (the wall-clock
-    // benches time run() alone, matching a pre-constructed filter_system).
-    impl->ensure_exec(impl->stream_count());
+    // Stand the execution state up eagerly: engine compilation and the
+    // worker pool belong to build(), so run()/offer() spend their time on
+    // steady-state filtering only (the wall-clock benches time run()
+    // alone, matching a pre-constructed filter_system).
+    impl->bring_up(shards, model_lanes);
   } catch (const std::exception& e) {
     s.inputs = std::move(impl->inputs);
     const auto* pe = dynamic_cast<const parse_error*>(&e);

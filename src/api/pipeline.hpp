@@ -31,8 +31,10 @@
 //   scalar  - one core::filter_engine(scalar): the paper-faithful
 //             byte-per-cycle reference path,
 //   chunked - one core::filter_engine(chunked): the batched hot path,
-//   system  - system::filter_system semantics: N replicated lanes, whole
-//             records dealt round-robin (Figure 4),
+//   system  - one core::filter_engine(opts.engine) with
+//             system::filter_system's decisions and Figure-4 report: the
+//             engine's record sizes are dealt round-robin over `lanes`
+//             modelled replicated lanes,
 //   sharded - system::sharded_filter_system + concurrent_runner: one lane
 //             per input stream, bounded FIFOs, optional worker pool.
 //
@@ -114,7 +116,7 @@ struct pipeline_options {
   backend_kind backend = backend_kind::system;
 
   // Execution.
-  int lanes = 7;                   // system backend: replicated pipelines
+  int lanes = 7;                   // system backend: modelled lanes
   std::size_t shards = 1;          // sharded streaming: lane/FIFO count
   std::size_t worker_threads = 0;  // sharded: pool pumping the lanes
   std::size_t lane_fifo_bytes = 8192;
@@ -212,8 +214,9 @@ class pipeline_builder {
 
   // --- decision push sinks ---
   pipeline_builder& on_decision(decision_sink sink);
-  /// Per-record decision bitmap (multi-tenant): registering it switches
-  /// the pipeline into bitmap bookkeeping even with one resident query.
+  /// Per-record decision bitmap (multi-tenant). With one resident query
+  /// the bitmap is one word holding the any-match bit; registering it
+  /// also makes run_result report per-query columns.
   pipeline_builder& on_verdict(verdict_sink sink);
 
   // --- projection (src/project/: structural-tape field extraction) ---
@@ -224,9 +227,10 @@ class pipeline_builder {
   /// parseable query sources, not raw expressions); the path_set overload
   /// names them explicitly. The set is frozen at build(): queries added at
   /// runtime decide normally but do NOT extend the projected paths.
-  /// Projection needs an engine that materialises bitmap passes: the
-  /// chunked backend, or system/sharded with engine(chunked) - the scalar
-  /// paths are rejected at build().
+  /// Projection needs the chunked engine, which materialises bitmap
+  /// passes (the same rule as runtime add/remove): the chunked backend,
+  /// or system/sharded with engine(chunked) - the scalar engine is
+  /// rejected at build().
   pipeline_builder& project();
   pipeline_builder& project(project::path_set paths);
   /// Accepted records per batch (default 1024; 1 = one batch per record).
@@ -309,9 +313,9 @@ class pipeline {
   // outside every stream lock (live traffic keeps flowing), then each
   // stream pauses only for its own drain + in-flight-record replay. Bytes
   // offered before the swap decide under the outgoing query set, bytes
-  // after under the incoming one - never half-and-half. Requires an
-  // engine that can surrender its in-flight record: the chunked /
-  // system backends and sharded with engine(chunked); the scalar backend
+  // after under the incoming one - never half-and-half. Requires the
+  // chunked engine, which can surrender its in-flight record: the chunked
+  // backend, or system / sharded with engine(chunked); the scalar engine
   // reports an error. The optional per-query sink receives (shard,
   // per-shard record index, accepted) for THAT query only, while it is
   // resident.

@@ -283,18 +283,6 @@ filter_engine::filter_engine(std::vector<expr_ptr> queries,
   expr_ = queries_.front();
 }
 
-bool filter_engine::accepts_bits(std::string_view record,
-                                 std::uint64_t* words) {
-  // Base default = the single-query mapping (bit 0 is the query);
-  // multi-query engines override with real per-query bits.
-  const bool accepted = accepts(record);
-  if (words != nullptr) {
-    std::fill_n(words, words_per_record(), std::uint64_t{0});
-    if (accepted) words[0] = 1;
-  }
-  return accepted;
-}
-
 std::vector<unsigned char> filter_engine::take_carry() {
   throw error("filter engine: this engine cannot export its in-flight "
               "record (scalar byte paths hold partial-match state inside "
@@ -336,72 +324,19 @@ const char* to_string(engine_kind kind) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar engine: raw_filter::push per byte, the paper-faithful reference.
+// Scalar engine: the paper-faithful reference. One raw_filter per resident
+// query, each pushed one byte at a time, stepped in lockstep. Framing is
+// query-independent (the separator/string-literal automaton never consults
+// the expression), so every filter reports the same record boundaries and
+// filter 0's boundary decides for all of them. No engine dedup here - the
+// chunked multi-query path is tested against this one, so it deliberately
+// models N independent byte pipelines. N = 1 is the degenerate case: no
+// decision words, exactly like the chunked engine.
 // ---------------------------------------------------------------------------
 
 class scalar_filter_engine final : public filter_engine {
  public:
-  scalar_filter_engine(expr_ptr expr, filter_options options)
-      : filter_engine(std::move(expr), options), rf_(expr_, options) {}
-
-  void reset() override {
-    rf_.reset();
-    pending_ = false;
-  }
-
-  void scan_chunk(std::span<const unsigned char> chunk) override {
-    for (const unsigned char byte : chunk) {
-      const raw_filter::step_result r = rf_.push(byte);
-      if (r.record_boundary) {
-        if (pending_) decisions_.push_back(r.accept);
-        pending_ = false;
-      } else {
-        pending_ = true;
-      }
-    }
-  }
-
-  void finish() override {
-    if (!pending_) return;
-    const raw_filter::step_result r = rf_.push(options_.separator);
-    decisions_.push_back(r.accept);
-    // A masked flush separator (trailing record left a string literal
-    // open) produces no boundary, so push() did not reset; do it here so
-    // the engine is ready for a fresh stream like the chunked path.
-    if (!r.record_boundary) rf_.reset();
-    pending_ = false;
-  }
-
-  bool accepts(std::string_view record) override {
-    pending_ = false;
-    return rf_.accepts(record);
-  }
-
-  std::unique_ptr<filter_engine> clone() const override {
-    return std::unique_ptr<filter_engine>(new scalar_filter_engine(rf_));
-  }
-
- private:
-  explicit scalar_filter_engine(const raw_filter& other)
-      : filter_engine(other.expression(), other.options()), rf_(other) {}
-
-  raw_filter rf_;
-  bool pending_ = false;  // bytes seen since the last boundary
-};
-
-// ---------------------------------------------------------------------------
-// Multi-query scalar engine: one raw_filter per resident query, stepped in
-// lockstep. Framing is query-independent (the separator/string-literal
-// automaton never consults the expression), so every filter reports the
-// same record boundaries and one engine can aggregate the per-query
-// accepts into the decision bitmap. No engine dedup here - this is the
-// paper-faithful reference the chunked multi-query path is tested against,
-// so it deliberately models N independent byte pipelines.
-// ---------------------------------------------------------------------------
-
-class multi_scalar_engine final : public filter_engine {
- public:
-  multi_scalar_engine(std::vector<expr_ptr> queries, filter_options options)
+  scalar_filter_engine(std::vector<expr_ptr> queries, filter_options options)
       : filter_engine(std::move(queries), options) {
     filters_.reserve(queries_.size());
     for (const expr_ptr& q : queries_) filters_.emplace_back(q, options);
@@ -409,60 +344,33 @@ class multi_scalar_engine final : public filter_engine {
 
   void reset() override {
     for (raw_filter& f : filters_) f.reset();
-    pending_ = false;
+    pending_ = 0;
   }
 
   void scan_chunk(std::span<const unsigned char> chunk) override {
-    const std::size_t wpr = words_per_record();
     for (const unsigned char byte : chunk) {
-      const raw_filter::step_result r0 = filters_[0].push(byte);
-      if (r0.record_boundary) {
-        word_scratch_.assign(wpr, 0);
-        bool any = r0.accept;
-        if (r0.accept) word_scratch_[0] |= 1;
-        for (std::size_t q = 1; q < filters_.size(); ++q) {
-          const raw_filter::step_result r = filters_[q].push(byte);
-          if (r.accept) {
-            any = true;
-            word_scratch_[q / 64] |= std::uint64_t{1} << (q % 64);
-          }
-        }
-        if (pending_) {
-          decisions_.push_back(any);
-          decision_words_.insert(decision_words_.end(), word_scratch_.begin(),
-                                 word_scratch_.end());
-        }
-        pending_ = false;
+      const raw_filter::step_result r = filters_.front().push(byte);
+      if (!r.record_boundary) {
+        step_rest(byte, nullptr);
+        ++pending_;
+      } else if (pending_ == 0) {
+        step_rest(byte, nullptr);  // empty record: no decision
       } else {
-        for (std::size_t q = 1; q < filters_.size(); ++q)
-          filters_[q].push(byte);
-        pending_ = true;
+        decide(r.accept, byte);
       }
     }
   }
 
   void finish() override {
-    if (!pending_) return;
-    const std::size_t wpr = words_per_record();
-    word_scratch_.assign(wpr, 0);
-    bool any = false;
-    bool boundary = false;
-    for (std::size_t q = 0; q < filters_.size(); ++q) {
-      const raw_filter::step_result r = filters_[q].push(options_.separator);
-      boundary = r.record_boundary;
-      if (r.accept) {
-        any = true;
-        word_scratch_[q / 64] |= std::uint64_t{1} << (q % 64);
-      }
-    }
-    decisions_.push_back(any);
-    decision_words_.insert(decision_words_.end(), word_scratch_.begin(),
-                           word_scratch_.end());
-    // Masked flush separator: no boundary, push() did not reset (see the
-    // single-query scalar engine).
-    if (!boundary)
+    if (pending_ == 0) return;
+    const raw_filter::step_result r =
+        filters_.front().push(options_.separator);
+    decide(r.accept, options_.separator);
+    // A masked flush separator (trailing record left a string literal
+    // open) produces no boundary, so push() did not reset; do it here so
+    // the engine is ready for a fresh stream like the chunked path.
+    if (!r.record_boundary)
       for (raw_filter& f : filters_) f.reset();
-    pending_ = false;
   }
 
   bool accepts(std::string_view record) override {
@@ -470,7 +378,7 @@ class multi_scalar_engine final : public filter_engine {
   }
 
   bool accepts_bits(std::string_view record, std::uint64_t* words) override {
-    pending_ = false;
+    pending_ = 0;
     if (words != nullptr)
       std::fill_n(words, words_per_record(), std::uint64_t{0});
     bool any = false;
@@ -485,17 +393,44 @@ class multi_scalar_engine final : public filter_engine {
   }
 
   std::unique_ptr<filter_engine> clone() const override {
-    return std::unique_ptr<filter_engine>(new multi_scalar_engine(*this));
+    return std::unique_ptr<filter_engine>(new scalar_filter_engine(*this));
   }
 
  private:
-  multi_scalar_engine(const multi_scalar_engine& other)
+  scalar_filter_engine(const scalar_filter_engine& other)
       : filter_engine(other.queries_, other.options_),
         filters_(other.filters_) {}
 
+  /// Push `byte` into filters 1..N-1; with a `row`, set the bit of every
+  /// filter that accepts. Returns whether any of them accepted.
+  bool step_rest(unsigned char byte, std::uint64_t* row) {
+    bool any = false;
+    for (std::size_t q = 1; q < filters_.size(); ++q) {
+      if (filters_[q].push(byte).accept && row != nullptr) {
+        any = true;
+        row[q / 64] |= std::uint64_t{1} << (q % 64);
+      }
+    }
+    return any;
+  }
+
+  /// Emit the record that `byte` (filter 0's verdict: `first`) ends.
+  void decide(bool first, unsigned char byte) {
+    bool any = first;
+    if (filters_.size() > 1) {
+      const std::size_t at = decision_words_.size();
+      decision_words_.resize(at + words_per_record(), 0);
+      std::uint64_t* row = decision_words_.data() + at;
+      if (first) row[0] |= 1;
+      any = step_rest(byte, row) || first;
+    }
+    decisions_.push_back(any);
+    if (sizes_enabled_) record_sizes_.push_back(pending_);
+    pending_ = 0;
+  }
+
   std::vector<raw_filter> filters_;  // query order
-  std::vector<std::uint64_t> word_scratch_;
-  bool pending_ = false;  // bytes seen since the last boundary
+  std::uint32_t pending_ = 0;        // bytes since the last boundary
 };
 
 // ---------------------------------------------------------------------------
@@ -1427,7 +1362,8 @@ std::unique_ptr<filter_engine> make_filter_engine(engine_kind kind,
                                                   expr_ptr expr,
                                                   filter_options options) {
   if (kind == engine_kind::scalar)
-    return std::make_unique<scalar_filter_engine>(std::move(expr), options);
+    return std::make_unique<scalar_filter_engine>(
+        std::vector<expr_ptr>{std::move(expr)}, options);
   return std::make_unique<chunked_filter_engine>(std::move(expr), options);
 }
 
@@ -1440,7 +1376,7 @@ std::unique_ptr<filter_engine> make_filter_engine(engine_kind kind,
   if (queries.size() == 1)
     return make_filter_engine(kind, std::move(queries.front()), options);
   if (kind == engine_kind::scalar)
-    return std::make_unique<multi_scalar_engine>(std::move(queries), options);
+    return std::make_unique<scalar_filter_engine>(std::move(queries), options);
   return std::make_unique<chunked_filter_engine>(std::move(queries), options);
 }
 

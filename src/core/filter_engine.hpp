@@ -18,8 +18,8 @@
 //
 // Two implementations exist behind make_filter_engine():
 //
-//   scalar  - wraps raw_filter::push(), byte per byte; the paper-faithful
-//             reference path.
+//   scalar  - steps one raw_filter::push() per resident query, byte per
+//             byte, in lockstep; the paper-faithful reference path.
 //   chunked - the batched hot path. Records are framed with memchr-style
 //             separator search (escape-aware, so separator bytes inside
 //             JSON string literals never split a record), then each record
@@ -198,9 +198,8 @@ class filter_engine {
 
   /// Multi-query accepts: fill `words` (words_per_record() entries, may be
   /// null) with the record's decision bitmap and return the any-match
-  /// verdict. The base default serves single-query engines (bit 0 = the
-  /// query); multi-query engines override with the real per-query bits.
-  virtual bool accepts_bits(std::string_view record, std::uint64_t* words);
+  /// verdict (bit 0 is the query of a single-query engine).
+  virtual bool accepts_bits(std::string_view record, std::uint64_t* words) = 0;
 
   /// Fresh engine for another lane: duplicates run state only, sharing the
   /// compiled query (expression tree, DFA tables, gram sets).
@@ -219,11 +218,12 @@ class filter_engine {
   /// reset + scan + finish; identical to raw_filter::filter_stream.
   std::vector<bool> filter_stream(std::string_view stream);
 
-  /// Opt-in framing telemetry: when enabled, the chunked engine appends
-  /// the byte length of every record it decides (parallel to decisions(),
-  /// same skip-empty-records rule). The record router of the api layer
-  /// consumes this for lane byte accounting instead of re-framing the
-  /// stream itself. The scalar byte path does not implement it.
+  /// Opt-in framing telemetry: when enabled, both engines append the byte
+  /// length of every record they decide - the bytes since the previous
+  /// boundary, separator excluded (parallel to decisions(), same
+  /// skip-empty-records rule). The api layer's system backend deals these
+  /// sizes round-robin over its modelled Figure-4 lanes instead of
+  /// re-framing the stream itself.
   void collect_record_sizes(bool on) {
     sizes_enabled_ = on;
     record_sizes_.clear();

@@ -93,8 +93,7 @@ throughput_report filter_system::run(std::string_view stream) {
 
   // Whole records are dealt round-robin; each lane consumes one byte per
   // cycle, so the slowest lane sets the filtering time.
-  std::vector<std::uint64_t> lane_bytes(
-      static_cast<std::size_t>(options_.lanes), 0);
+  lane_ledger ledger(options_.lanes);
   std::uint64_t accepted = 0;
   decisions_.assign(records.size(), false);
   const bool multi = query_count() > 1;
@@ -102,19 +101,15 @@ throughput_report filter_system::run(std::string_view stream) {
   decision_words_.assign(multi ? records.size() * wpr : 0, 0);
   for (std::size_t r = 0; r < records.size(); ++r) {
     const std::size_t lane = r % static_cast<std::size_t>(options_.lanes);
-    lane_bytes[lane] += records[r].size() + 1;  // + separator byte
+    ledger.deal(records[r].size());
     decisions_[r] =
         multi ? lanes_[lane]->accepts_bits(records[r],
                                            decision_words_.data() + r * wpr)
               : lanes_[lane]->accepts(records[r]);
     if (decisions_[r]) ++accepted;
   }
-  const std::uint64_t slowest =
-      lane_bytes.empty()
-          ? 0
-          : *std::max_element(lane_bytes.begin(), lane_bytes.end());
   return model_report(options_, stream.size(), records.size(), accepted,
-                      slowest);
+                      ledger.slowest());
 }
 
 }  // namespace jrf::system

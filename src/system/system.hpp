@@ -16,6 +16,7 @@
 // theoretical peak.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -76,6 +77,29 @@ throughput_report model_report(const system_options& options,
                                std::uint64_t bytes, std::uint64_t records,
                                std::uint64_t accepted,
                                std::uint64_t slowest_lane_bytes);
+
+/// The Figure-4 dispatcher's lane accounting: whole records are dealt
+/// round-robin over the replicated lanes, and each lane is charged its
+/// records' bytes plus one separator byte (one byte per cycle). The
+/// slowest lane is model_report's slowest_lane_bytes.
+class lane_ledger {
+ public:
+  explicit lane_ledger(int lanes)
+      : bytes_(static_cast<std::size_t>(lanes), 0) {}
+
+  void deal(std::uint64_t record_bytes) {
+    bytes_[next_] += record_bytes + 1;
+    next_ = (next_ + 1) % bytes_.size();
+  }
+  int lanes() const noexcept { return static_cast<int>(bytes_.size()); }
+  std::uint64_t slowest() const noexcept {
+    return bytes_.empty() ? 0 : *std::max_element(bytes_.begin(), bytes_.end());
+  }
+
+ private:
+  std::vector<std::uint64_t> bytes_;
+  std::size_t next_ = 0;
+};
 
 /// Streams `stream` through the modelled system once and reports the
 /// achieved bandwidth. All lanes run the same compiled filter expression

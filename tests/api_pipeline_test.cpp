@@ -89,33 +89,71 @@ TEST(ApiPipelineEquivalence, ScalarAndChunkedMatchFilterEngine) {
 TEST(ApiPipelineEquivalence, SystemBackendMatchesFilterSystem) {
   for (const workload& w : workloads()) {
     const core::expr_ptr rf = query::compile_default(w.q);
-    for (const int lanes : {1, 3, 7}) {
-      system::system_options so;
-      so.lanes = lanes;
-      system::filter_system reference(rf, so);
-      const auto reference_report = reference.run(w.stream);
+    for (const core::engine_kind engine :
+         {core::engine_kind::chunked, core::engine_kind::scalar}) {
+      for (const int lanes : {1, 3, 7}) {
+        system::system_options so;
+        so.lanes = lanes;
+        so.engine = engine;
+        system::filter_system reference(rf, so);
+        const auto reference_report = reference.run(w.stream);
 
-      auto built = pipeline::make()
-                       .from_query(w.q)
-                       .backend(backend_kind::system)
-                       .lanes(lanes)
-                       .input(w.stream)
-                       .build();
-      ASSERT_TRUE(built.has_value()) << built.error().message;
-      auto result = built->run();
-      ASSERT_TRUE(result.has_value()) << result.error().message;
+        auto built = pipeline::make()
+                         .from_query(w.q)
+                         .backend(backend_kind::system)
+                         .engine(engine)
+                         .lanes(lanes)
+                         .input(w.stream)
+                         .build();
+        ASSERT_TRUE(built.has_value()) << built.error().message;
+        auto result = built->run();
+        ASSERT_TRUE(result.has_value()) << result.error().message;
 
-      EXPECT_EQ(result->decisions, reference.decisions())
-          << w.name << " lanes=" << lanes;
-      // The facade reuses system::model_report, so the whole cycle-model
-      // accounting matches, not just the verdict counts.
-      EXPECT_EQ(result->report.bytes, reference_report.bytes);
-      EXPECT_EQ(result->report.records, reference_report.records);
-      EXPECT_EQ(result->report.accepted, reference_report.accepted);
-      EXPECT_EQ(result->report.cycles, reference_report.cycles);
-      EXPECT_EQ(result->report.stall_cycles, reference_report.stall_cycles);
-      EXPECT_DOUBLE_EQ(result->report.gbytes_per_second,
-                       reference_report.gbytes_per_second);
+        EXPECT_EQ(result->decisions, reference.decisions())
+            << w.name << " lanes=" << lanes;
+        // The facade reuses system::model_report, so the whole cycle-model
+        // accounting matches, not just the verdict counts.
+        EXPECT_EQ(result->report.bytes, reference_report.bytes);
+        EXPECT_EQ(result->report.records, reference_report.records);
+        EXPECT_EQ(result->report.accepted, reference_report.accepted);
+        EXPECT_EQ(result->report.cycles, reference_report.cycles);
+        EXPECT_EQ(result->report.stall_cycles, reference_report.stall_cycles);
+        EXPECT_DOUBLE_EQ(result->report.gbytes_per_second,
+                         reference_report.gbytes_per_second);
+
+        // Streaming: odd-sized offers split records mid-token, so the lane
+        // accounting rests on the engine's record-size telemetry across
+        // chunk boundaries. The whole report must still match.
+        auto streaming = pipeline::make()
+                             .from_query(w.q)
+                             .backend(backend_kind::system)
+                             .engine(engine)
+                             .lanes(lanes)
+                             .build();
+        ASSERT_TRUE(streaming.has_value()) << streaming.error().message;
+        std::string_view rest = w.stream;
+        std::size_t step = 1;  // odd offer sizes 1, 3, ..., 149, 1, ...
+        while (!rest.empty()) {
+          const std::size_t n = std::min(step, rest.size());
+          ASSERT_TRUE(streaming->offer(rest.substr(0, n)).has_value());
+          rest.remove_prefix(n);
+          step = step >= 149 ? 1 : step + 2;
+        }
+        auto streamed = streaming->finish();
+        ASSERT_TRUE(streamed.has_value()) << streamed.error().message;
+        const system::throughput_report& r = streamed->report;
+        EXPECT_EQ(streamed->decisions, reference.decisions())
+            << w.name << " " << core::to_string(engine) << " lanes=" << lanes;
+        EXPECT_EQ(r.bytes, reference_report.bytes);
+        EXPECT_EQ(r.records, reference_report.records);
+        EXPECT_EQ(r.accepted, reference_report.accepted);
+        EXPECT_EQ(r.cycles, reference_report.cycles);
+        EXPECT_EQ(r.stall_cycles, reference_report.stall_cycles);
+        EXPECT_DOUBLE_EQ(r.seconds, reference_report.seconds);
+        EXPECT_DOUBLE_EQ(r.gbytes_per_second,
+                         reference_report.gbytes_per_second);
+        EXPECT_DOUBLE_EQ(r.theoretical_gbps, reference_report.theoretical_gbps);
+      }
     }
   }
 }

@@ -470,6 +470,98 @@ TEST(ApiQuerySet, AttachQuerySinkWorksOnScalarBackend) {
   EXPECT_EQ(seen, standalone(primary_expr(), telemetry()));
 }
 
+TEST(ApiQuerySet, QuerySinkSurvivesAnOrdinalShift) {
+  // Removing an earlier query shifts every later query's dense ordinal
+  // (its bitmap bit). A per-query sink is keyed by id, so it must keep
+  // receiving its own query's verdicts across the shift.
+  const std::string& stream = telemetry();
+  const char* const temperature = R"((0.7 <= "temperature" <= 35.1))";
+  const std::vector<bool> col_b = standalone(second_expr(), stream);
+  constexpr std::size_t kRemoveRecord = 90;
+  const std::size_t cut = record_boundary(stream, kRemoveRecord);
+
+  for (const backend_kind kind :
+       {backend_kind::chunked, backend_kind::system}) {
+    auto built = pipeline::make()
+                     .from_query(query::riotbench::qs0())
+                     .add_filter_expression(temperature)
+                     .add_raw_filter(second_expr())
+                     .backend(kind)
+                     .build();
+    ASSERT_TRUE(built.has_value()) << built.error().message;
+    ASSERT_EQ(built->query_ids(), (std::vector<core::query_id>{1, 2, 3}));
+    std::vector<bool> seen;
+    std::vector<std::uint64_t> indices;
+    ASSERT_TRUE(built
+                    ->on_query_decision(3, [&](std::size_t, std::uint64_t index,
+                                               bool accepted) {
+                      indices.push_back(index);
+                      seen.push_back(accepted);
+                    })
+                    .has_value());
+    ASSERT_TRUE(built->offer(std::string_view(stream).substr(0, cut))
+                    .has_value());
+    ASSERT_TRUE(built->remove_query(2).has_value());  // 3: ordinal 2 -> 1
+    ASSERT_TRUE(built->offer(std::string_view(stream).substr(cut))
+                    .has_value());
+    ASSERT_TRUE(built->finish().has_value());
+
+    EXPECT_EQ(seen, col_b) << to_string(kind);
+    ASSERT_EQ(indices.size(), col_b.size());
+    for (std::size_t i = 0; i < indices.size(); ++i)
+      ASSERT_EQ(indices[i], i) << to_string(kind);
+  }
+}
+
+TEST(ApiQuerySet, LiveStatsMatchDeliveredDecisions) {
+  // stats() on a single-stream pipeline is a live view of the same
+  // counters finish() reports: after every offer it equals what the sink
+  // has seen, across a runtime add, and the final result agrees.
+  const std::string& stream = telemetry();
+  const std::size_t cut = record_boundary(stream, 100) + 17;  // mid-record
+  for (const backend_kind kind :
+       {backend_kind::chunked, backend_kind::system}) {
+    std::uint64_t records = 0;
+    std::uint64_t accepted = 0;
+    auto built = pipeline::make()
+                     .from_query(query::riotbench::qs0())
+                     .backend(kind)
+                     .on_decision([&](std::size_t, std::uint64_t, bool a) {
+                       ++records;
+                       accepted += a ? 1 : 0;
+                     })
+                     .build();
+    ASSERT_TRUE(built.has_value()) << built.error().message;
+    const auto expect_live = [&](const char* when) {
+      auto stats = built->stats();
+      ASSERT_TRUE(stats.has_value()) << stats.error().message;
+      ASSERT_EQ(stats->size(), 1u);
+      EXPECT_EQ(stats->front().records, records) << to_string(kind) << when;
+      EXPECT_EQ(stats->front().accepted, accepted) << to_string(kind) << when;
+    };
+    std::string_view rest = stream;
+    bool added = false;
+    while (!rest.empty()) {
+      const std::size_t n = std::min<std::size_t>(997, rest.size());
+      ASSERT_TRUE(built->offer(rest.substr(0, n)).has_value());
+      rest.remove_prefix(n);
+      expect_live(" after offer");
+      if (!added && stream.size() - rest.size() >= cut) {
+        ASSERT_TRUE(built->add_query(second_expr()).has_value());
+        expect_live(" after add");
+        added = true;
+      }
+    }
+    auto result = built->finish();
+    ASSERT_TRUE(result.has_value()) << result.error().message;
+    EXPECT_EQ(result->records(), records) << to_string(kind);
+    EXPECT_EQ(result->accepted(), accepted) << to_string(kind);
+    EXPECT_EQ(result->shards.front().records, records) << to_string(kind);
+    EXPECT_EQ(result->shards.front().accepted, accepted) << to_string(kind);
+    EXPECT_GT(accepted, 0u);
+  }
+}
+
 TEST(ApiQuerySet, MutationErrorPaths) {
   // Scalar backend: no take_carry, so add/remove are diagnosed up front.
   auto scalar = pipeline::make()
@@ -486,6 +578,17 @@ TEST(ApiQuerySet, MutationErrorPaths) {
                             .build();
   ASSERT_TRUE(sharded_scalar.has_value()) << sharded_scalar.error().message;
   EXPECT_FALSE(sharded_scalar->add_query(second_expr()).has_value());
+
+  // The system backend runs one engine of the configured kind, so the
+  // scalar engine refuses add/remove there too.
+  auto system_scalar = pipeline::make()
+                           .from_query(query::riotbench::qs0())
+                           .backend(backend_kind::system)
+                           .engine(core::engine_kind::scalar)
+                           .build();
+  ASSERT_TRUE(system_scalar.has_value()) << system_scalar.error().message;
+  EXPECT_FALSE(system_scalar->add_query(second_expr()).has_value());
+  EXPECT_FALSE(system_scalar->remove_query(1).has_value());
 
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
