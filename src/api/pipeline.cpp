@@ -1,6 +1,5 @@
 #include "api/pipeline.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <mutex>
@@ -46,20 +45,6 @@ std::unique_ptr<system::ingest_source> open_source(input_spec& in) {
   throw error("pipeline: invalid input binding");
 }
 
-system::system_options to_system_options(const pipeline_options& o, int lanes,
-                                         core::engine_kind engine) {
-  system::system_options so;
-  so.lanes = lanes;
-  so.clock_mhz = o.clock_mhz;
-  so.dma_burst_bytes = o.dma_burst_bytes;
-  so.dma_setup_cycles = o.dma_setup_cycles;
-  so.lane_fifo_bytes = o.lane_fifo_bytes;
-  so.worker_threads = o.worker_threads;
-  so.engine = engine;
-  so.filter = o.filter;
-  return so;
-}
-
 }  // namespace
 
 const char* to_string(backend_kind kind) {
@@ -92,14 +77,16 @@ std::string run_result::to_string() const {
 // ---------------------------------------------------------------------------
 // pipeline::impl - the execution state behind the facade. The streaming
 // surface is the primitive; run() is a driver loop over it (plus the
-// concurrent_runner policy for the sharded backend).
+// concurrent_runner policy when every input is its own shard).
 //
-// build() resolves the backend once: an engine kind, a stream count and a
-// modelled Figure-4 lane count. After that the only execution branch is
-// "sharded lanes (FIFOs, per-shard engines) or one direct engine"; every
-// stream stages its decisions the same way - the engines' consume stream
-// (take_decisions, plus verdict words when the epoch has more than one
-// query) into the stream's history and delivery batches.
+// build() resolves the backend once: an engine kind, a stream count, a
+// worker count and a modelled Figure-4 lane count. Every backend then runs
+// on one system::sharded_filter_system - one lane per stream, so the
+// single-stream backends are one lane - and every stream stages its
+// decisions the same way: the lane's consume stream (take_decisions, plus
+// verdict words when the epoch has more than one query) into the stream's
+// history and delivery batches. The two execution branches left are the
+// system backend's lane ledger and run()'s input binding.
 //
 // Locking. The facade no longer owns one global mutex: each stream carries
 // its own gate, so producers on different shards never serialize above the
@@ -121,6 +108,9 @@ struct pipeline::impl {
   decision_sink sink;
   verdict_sink vsink;
   std::vector<input_spec> inputs;
+  // run() binding: one shard per input (sharded backend), or every input
+  // a segment of the one stream.
+  bool shard_per_input = false;
   core::engine_kind engine_kind = core::engine_kind::chunked;  // resolved
 
   // --- multi-tenant query registry ---------------------------------------
@@ -168,10 +158,6 @@ struct pipeline::impl {
 
     // Epoch of the engine currently resident on this stream.
     registry_ptr reg;
-    // Bytes offered to the direct engine and accepted records taken; the
-    // report and stats() read these (sharded lanes keep their own stats).
-    std::uint64_t offered = 0;
-    std::uint64_t accepted = 0;
 
     // Every decision taken off the engine: the any-match column feeds
     // collect()'s decisions, and the per-epoch segments expand into the
@@ -212,21 +198,19 @@ struct pipeline::impl {
   std::string router_carry;          // partial record, no boundary yet
   std::size_t router_next_shard = 0;
 
-  // Execution: one direct engine (scalar / chunked / system backends), or
-  // the sharded system's per-shard lanes.
-  std::unique_ptr<core::filter_engine> engine;
-  std::unique_ptr<system::sharded_filter_system> sharded;
-  // System backend: the direct engine's record sizes dealt round-robin
-  // over the modelled lanes (gate-guarded); the report then carries the
-  // Figure-4 cycle model. Without it the stream is one lane.
+  // Execution: one sharded-system lane per stream (FIFO, engine, stats).
+  std::unique_ptr<system::sharded_filter_system> lanes;
+  // System backend: the lane's record sizes dealt round-robin over the
+  // modelled lanes (gate-guarded); the report then carries the Figure-4
+  // cycle model. Without it every stream is one lane.
   std::optional<system::lane_ledger> ledger;
 
   // --- projection ---------------------------------------------------------
   // One extraction lane per stream, driven by the engines' accepted-record
-  // hook. The hook fires under the stream gate (direct engine) or the lane
-  // mutex (sharded) - the same lock that orders that shard's decisions -
-  // so batches flush, and the sink fires, strictly BEFORE any
-  // flush_decisions can deliver the verdicts of the records they contain.
+  // hook. The hook fires under the lane mutex - the lock that orders that
+  // shard's decisions - so batches flush, and the sink fires, strictly
+  // BEFORE any flush_decisions can deliver the verdicts of the records
+  // they contain.
   // collect() runs quiescent (run()/finish() exclusivity), so the final
   // partial-batch flush needs no extra lock; the pool-join / gate
   // hand-offs of the backends give the happens-before edges.
@@ -278,93 +262,34 @@ struct pipeline::impl {
       ps.retained.push_back(std::move(batch));
   }
 
-  /// (Re)install the hook on the engine currently serving `shard` - at
-  /// bring-up and after every engine rebuild (swap_epoch / swap_shard
-  /// replace the engine, and clones start bare by design).
-  void attach_projection(std::size_t shard) {
-    auto hook = [this, shard](std::uint64_t ordinal,
-                              std::span<const unsigned char> record,
-                              const core::bitmap_pass& pass,
-                              std::size_t offset) {
-      project_record(shard, ordinal, record, pass, offset);
-    };
-    if (sharded)
-      sharded->set_accepted_hook(shard, std::move(hook));
-    else
-      engine->set_accepted_hook(std::move(hook));
-  }
-
-  /// Put `fresh` in place as the direct engine (at bring-up and on every
-  /// runtime add/remove).
-  void install_engine(std::unique_ptr<core::filter_engine> fresh) {
-    engine = std::move(fresh);
-    if (ledger) engine->collect_record_sizes(true);
-  }
-
-  /// Stand the execution up once, at build(): `shards` sharded lanes, or
-  /// (shards == 0) one direct engine whose records the report deals over
-  /// `model_lanes` Figure-4 lanes (0 = the stream is one lane).
-  void bring_up(std::size_t shards, int model_lanes) {
-    if (shards > 0) {
-      sharded = std::make_unique<system::sharded_filter_system>(
-          qset.queries(), shards,
-          to_system_options(opts, static_cast<int>(shards), engine_kind));
-    } else {
-      if (model_lanes > 0) ledger.emplace(model_lanes);
-      install_engine(
-          core::make_filter_engine(engine_kind, qset.queries(), opts.filter));
-    }
-    for (std::size_t shard = 0; shard < std::max<std::size_t>(shards, 1);
-         ++shard) {
+  /// Stand the execution up once, at build(): `shards` lanes pumped by
+  /// `workers` threads, whose records the report deals over `model_lanes`
+  /// Figure-4 lanes (0 = each stream is one lane).
+  void bring_up(std::size_t shards, std::size_t workers, int model_lanes) {
+    system::system_options so;
+    so.dma_burst_bytes = opts.dma_burst_bytes;
+    so.lane_fifo_bytes = opts.lane_fifo_bytes;
+    so.worker_threads = workers;
+    so.engine = engine_kind;
+    so.filter = opts.filter;
+    lanes = std::make_unique<system::sharded_filter_system>(qset.queries(),
+                                                            shards, so);
+    if (model_lanes > 0) ledger.emplace(model_lanes);
+    for (std::size_t shard = 0; shard < shards; ++shard) {
       streams.push_back(std::make_unique<stream_state>());
       streams.back()->reg = reg;
-      if (project_enabled) {
-        projection.push_back(
-            std::make_unique<projection_state>(paths, opts.filter.simd));
-        attach_projection(shard);
-      }
+      if (!project_enabled) continue;
+      projection.push_back(
+          std::make_unique<projection_state>(paths, opts.filter.simd));
+      // swap_shard carries the hook over to every rebuilt engine.
+      lanes->set_accepted_hook(
+          shard, [this, shard](std::uint64_t ordinal,
+                               std::span<const unsigned char> record,
+                               const core::bitmap_pass& pass,
+                               std::size_t offset) {
+            project_record(shard, ordinal, record, pass, offset);
+          });
     }
-  }
-
-  void offer_bytes(std::size_t shard, std::string_view bytes) {
-    if (!sharded) {
-      engine->scan_chunk(bytes);
-      streams.front()->offered += bytes.size();
-      return;
-    }
-    // Absorb the whole view, draining a full FIFO in-line - only this
-    // shard's lane, so a blocking producer never waits on (or pumps work
-    // into) another shard. pump_shard() with a zero budget empties the
-    // lane, so after one drain a non-zero FIFO (validated at build())
-    // must accept bytes: two zero-byte rounds in a row mean the lane
-    // cannot make forward progress, which is reported instead of spun on
-    // (each refused round already ticked the shard's
-    // hard_backpressure_events, so the stall is observable in stats()
-    // too).
-    std::string_view rest = bytes;
-    bool stalled = false;
-    while (!rest.empty()) {
-      const std::size_t taken = sharded->offer(shard, rest);
-      rest.remove_prefix(taken);
-      if (rest.empty()) break;
-      if (taken == 0) {
-        if (stalled)
-          throw error("pipeline: offer() made no forward progress on "
-                      "shard " + std::to_string(shard) +
-                      " (lane FIFO stuck full after a drain)");
-        stalled = true;
-      } else {
-        stalled = false;
-      }
-      sharded->pump_shard(shard);
-    }
-  }
-
-  void flush() {
-    if (sharded)
-      sharded->finish();
-    else
-      engine->finish();
   }
 
   bool sinks_for(const query_registry& r) const {
@@ -372,47 +297,41 @@ struct pipeline::impl {
   }
 
   /// Append one taken decision batch to the shard's history and stage it
-  /// for delivery when any sink wants it. Caller holds the gate; `any` /
-  /// `words` are the engine's consume-stream batch (words only when the
-  /// epoch has more than one query), `epoch` the set those records
-  /// decided under. Returns the batch's record count.
-  std::uint64_t archive_batch(std::size_t shard, const registry_ptr& epoch,
-                              std::vector<bool>&& any,
-                              std::vector<std::uint64_t>&& words) {
+  /// for delivery when any sink wants it. Caller holds the gate; `taken`
+  /// is the lane's consume-stream batch (words only when the epoch has
+  /// more than one query), `epoch` the set those records decided under.
+  /// Returns the batch's record count.
+  std::uint64_t archive_batch(
+      std::size_t shard, const registry_ptr& epoch,
+      system::sharded_filter_system::taken_decisions&& taken) {
+    if (ledger)
+      for (const std::uint32_t n : taken.sizes) ledger->deal(n);
+    std::vector<bool>& any = taken.any;
     const std::size_t n = any.size();
     if (n == 0) return 0;
     stream_state& st = *streams[shard];
     const std::uint64_t first = st.any.size();
-    st.accepted += static_cast<std::uint64_t>(
-        std::count(any.begin(), any.end(), true));
     st.any.insert(st.any.end(), any.begin(), any.end());
     if (st.segments.empty() || st.segments.back().reg != epoch)
       st.segments.push_back({epoch, first, 0, {}});
     stream_state::segment& seg = st.segments.back();
     seg.records += n;
-    seg.words.insert(seg.words.end(), words.begin(), words.end());
+    seg.words.insert(seg.words.end(), taken.words.begin(), taken.words.end());
     if (sinks_for(*epoch)) {
       std::lock_guard<std::mutex> lock(st.sink_mutex);
-      st.staged.push_back({epoch, first, std::move(any), std::move(words)});
+      st.staged.push_back(
+          {epoch, first, std::move(any), std::move(taken.words)});
     }
     return n;
   }
 
-  /// Take the decisions the engine emitted since the last call into the
-  /// shard's history. Caller holds the shard's gate (which keeps the lane
-  /// quiescent); the sinks are NOT invoked here - flush_decisions does
-  /// that with no lock held. Returns how many new decisions were taken.
+  /// Take the decisions the lane emitted since the last call into the
+  /// shard's history. Caller holds the shard's gate; the sinks are NOT
+  /// invoked here - flush_decisions does that with no lock held. Returns
+  /// how many new decisions were taken.
   std::uint64_t stage_decisions(std::size_t shard) {
-    const registry_ptr& epoch = streams[shard]->reg;
-    if (sharded) {
-      auto taken = sharded->take_decisions(shard);
-      return archive_batch(shard, epoch, std::move(taken.any),
-                           std::move(taken.words));
-    }
-    if (ledger)
-      for (const std::uint32_t n : engine->take_record_sizes()) ledger->deal(n);
-    return archive_batch(shard, epoch, engine->take_decisions(),
-                         engine->take_decision_words());
+    return archive_batch(shard, streams[shard]->reg,
+                         lanes->take_decisions(shard));
   }
 
   /// Hand staged decisions to the sinks, in record order, outside every
@@ -533,21 +452,18 @@ struct pipeline::impl {
     return out;
   }
 
-  /// Live accounting of the direct engine's stream (gate-guarded).
-  system::shard_stats direct_stats() const {
-    const stream_state& st = *streams.front();
-    system::shard_stats stats;
-    stats.offered = st.offered;
-    stats.bytes = st.offered;
-    stats.records = st.any.size();
-    stats.accepted = st.accepted;
-    return stats;
-  }
-
   run_result collect() {
     run_result result;
-    if (sharded) {
-      const system::sharded_report sr = sharded->report();
+    const system::sharded_report sr = lanes->report();
+    result.shards = sr.shards;
+    if (ledger) {
+      // The Figure-4 model of the system backend: the stream's records
+      // dealt over the modelled lanes.
+      system::system_options modelled = lanes->options();
+      modelled.lanes = ledger->lanes();
+      result.report = system::model_report(modelled, sr.bytes, sr.records,
+                                           sr.accepted, ledger->slowest());
+    } else {
       result.report.bytes = sr.bytes;
       result.report.records = sr.records;
       result.report.accepted = sr.accepted;
@@ -556,16 +472,6 @@ struct pipeline::impl {
       result.report.seconds = sr.seconds;
       result.report.gbytes_per_second = sr.gbytes_per_second;
       result.report.theoretical_gbps = sr.theoretical_gbps;
-      result.shards = sr.shards;
-    } else {
-      const system::shard_stats stats = direct_stats();
-      // The Figure-4 model of the system backend; otherwise the whole
-      // stream flows through one lane.
-      result.report = system::model_report(
-          to_system_options(opts, ledger ? ledger->lanes() : 1, engine_kind),
-          stats.offered, stats.records, stats.accepted,
-          ledger ? ledger->slowest() : stats.offered);
-      result.shards.push_back(stats);
     }
     // Multi-tenant pipelines (more than one resident query, a verdict or
     // per-query sink, or any runtime add/remove) also report per-query
@@ -595,39 +501,36 @@ struct pipeline::impl {
     return result;
   }
 
-  /// Pull `source` dry into `shard`, one DMA burst per round (the
-  /// concurrent_runner pacing, applied to the single-stream backends).
-  void feed(std::size_t shard, system::ingest_source& source) {
-    while (!source.exhausted()) {
-      const std::string_view chunk = source.peek(opts.dma_burst_bytes);
+  /// Pull `in` dry into the one stream: in-memory inputs in one scan,
+  /// other sources one DMA burst per round.
+  void feed(input_spec& in) {
+    if (in.k == input_spec::kind::view || in.k == input_spec::kind::text) {
+      lanes->absorb(0, in.k == input_spec::kind::view ? in.view : in.text);
+      return;
+    }
+    const std::unique_ptr<system::ingest_source> source = open_source(in);
+    while (!source->exhausted()) {
+      const std::string_view chunk = source->peek(opts.dma_burst_bytes);
       if (chunk.empty()) {
         // Throttled source, nothing this round: give the producer's clock
         // a chance to advance instead of pegging a core on the poll.
         std::this_thread::yield();
         continue;
       }
-      offer_bytes(shard, chunk);
-      source.consume(chunk.size());
+      lanes->absorb(0, chunk);
+      source->consume(chunk.size());
     }
   }
 
   run_result run_batch() {
-    if (sharded) {
-      system::concurrent_runner runner(*sharded, opts.dma_burst_bytes);
+    if (shard_per_input) {
+      system::concurrent_runner runner(*lanes, opts.dma_burst_bytes);
       for (std::size_t shard = 0; shard < inputs.size(); ++shard)
         runner.bind(shard, open_source(inputs[shard]));
       runner.run();
     } else {
-      for (input_spec& in : inputs) {
-        // In-memory inputs skip the source round-trip: one offer each.
-        if (in.k == input_spec::kind::view)
-          offer_bytes(0, in.view);
-        else if (in.k == input_spec::kind::text)
-          offer_bytes(0, in.text);
-        else
-          feed(0, *open_source(in));
-      }
-      flush();
+      for (input_spec& in : inputs) feed(in);
+      lanes->finish();
     }
     // run() is exclusive (state moved to done before this), so staging
     // needs no gates; the sink still fires outside the stage step.
@@ -686,33 +589,20 @@ struct pipeline::impl {
       std::lock_guard<std::mutex> gate(st.gate);
       stage_decisions(shard);
       if (rebuild) {
-        if (sharded) {
-          // swap_shard drains the FIFO through the OLD engine first; its
-          // tail decisions belong to the outgoing epoch.
-          auto taken = sharded->swap_shard(shard, *proto);
-          archive_batch(shard, st.reg, std::move(taken.any),
-                        std::move(taken.words));
-        } else {
-          // The one direct stream takes the prototype itself. A record
-          // always starts from the power-on automaton state, so replaying
-          // the in-flight bytes reproduces the stream position exactly
-          // (no boundary hides in a carry by construction).
-          std::vector<unsigned char> carry = engine->take_carry();
-          install_engine(std::move(proto));
-          if (!carry.empty())
-            engine->scan_chunk(
-                std::span<const unsigned char>{carry.data(), carry.size()});
-        }
-        if (project_enabled) {
-          // The rebuilt engine starts bare (clones never carry the hook)
-          // and its record ordinals restart at zero; everything decided so
-          // far was archived above (stage_decisions, plus swap_shard's
-          // drained tail), so the shard's record numbering continues at
-          // the history's length. The projected path set stays frozen -
-          // runtime adds decide normally but do not extend it.
-          attach_projection(shard);
-          projection[shard]->base = st.any.size();
-        }
+        // Every shard but the last runs a clone; the last takes the
+        // prototype itself, so a one-stream swap clones nothing.
+        // swap_shard drains the FIFO through the OLD engine first; its
+        // tail decisions belong to the outgoing epoch.
+        archive_batch(shard, st.reg,
+                      lanes->swap_shard(shard, shard + 1 < streams.size()
+                                                   ? proto->clone()
+                                                   : std::move(proto)));
+        // The fresh engine's record ordinals restart at zero; everything
+        // decided so far was archived above, so the shard's projected
+        // record numbering continues at the history's length. The
+        // projected path set stays frozen - runtime adds decide normally
+        // but do not extend it.
+        if (project_enabled) projection[shard]->base = st.any.size();
       }
       st.reg = nreg;
     }
@@ -815,10 +705,6 @@ const query::query* pipeline::parsed_query() const noexcept {
   return impl_->q ? &*impl_->q : nullptr;
 }
 
-const pipeline_options& pipeline::options() const noexcept {
-  return impl_->opts;
-}
-
 std::size_t pipeline::shard_count() const noexcept {
   return impl_->streams.size();
 }
@@ -857,7 +743,7 @@ expected<std::uint64_t> pipeline::offer(std::size_t shard,
       // (gates are taken after the state flips) must not be scanned past.
       if (impl_->done())
         return unexpected("pipeline: offer() after finish()/run()");
-      impl_->offer_bytes(shard, bytes);
+      impl_->lanes->absorb(shard, bytes);
       impl_->stage_decisions(shard);
     }
     impl_->flush_decisions(shard);
@@ -884,7 +770,7 @@ expected<std::uint64_t> pipeline::offer(std::string_view bytes) {
         std::lock_guard<std::mutex> gate(impl_->streams[shard]->gate);
         if (impl_->done())
           return unexpected("pipeline: offer() after finish()/run()");
-        impl_->offer_bytes(shard, batches[shard]);
+        impl_->lanes->absorb(shard, batches[shard]);
         impl_->stage_decisions(shard);
       }
     }
@@ -901,24 +787,12 @@ expected<std::uint64_t> pipeline::try_offer(std::size_t shard,
   try {
     if (auto err = impl_->enter_streaming("try_offer", shard))
       return unexpected(std::move(*err));
-    impl::stream_state& st = *impl_->streams[shard];
-    std::uint64_t taken = 0;
-    {
-      std::lock_guard<std::mutex> gate(st.gate);
-      if (impl_->done())
-        return unexpected("pipeline: try_offer() after finish()/run()");
-      if (impl_->sharded) {
-        // Bounded by the lane's free FIFO space; never drains in-line.
-        taken = impl_->sharded->offer(shard, bytes);
-      } else {
-        // No FIFO in front of a single engine: absorbing IS the scan.
-        impl_->offer_bytes(shard, bytes);
-        taken = bytes.size();
-        impl_->stage_decisions(shard);
-      }
-    }
-    impl_->flush_decisions(shard);
-    return taken;
+    std::lock_guard<std::mutex> gate(impl_->streams[shard]->gate);
+    if (impl_->done())
+      return unexpected("pipeline: try_offer() after finish()/run()");
+    // Bounded by the lane's free FIFO space; never drains in-line, so
+    // there is nothing new to stage or deliver.
+    return static_cast<std::uint64_t>(impl_->lanes->offer(shard, bytes));
   } catch (const std::exception& e) {
     return unexpected(error_info::from(e));
   }
@@ -936,7 +810,7 @@ expected<std::uint64_t> pipeline::pump() {
       {
         std::lock_guard<std::mutex> gate(impl_->streams[shard]->gate);
         if (impl_->done()) break;
-        if (impl_->sharded) impl_->sharded->pump_shard(shard);
+        impl_->lanes->pump_shard(shard);
         observed += impl_->stage_decisions(shard);
       }
       impl_->flush_decisions(shard);
@@ -963,7 +837,7 @@ expected<std::uint64_t> pipeline::pump(std::size_t shard) {
     {
       std::lock_guard<std::mutex> gate(impl_->streams[shard]->gate);
       if (!impl_->done()) {
-        if (impl_->sharded) impl_->sharded->pump_shard(shard);
+        impl_->lanes->pump_shard(shard);
         observed = impl_->stage_decisions(shard);
       }
     }
@@ -996,10 +870,10 @@ expected<run_result> pipeline::finish() {
     if (!impl_->router_carry.empty()) {
       // Trailing partial record of the shard-less overload: it belongs to
       // the shard the round-robin cursor owes it to.
-      impl_->offer_bytes(impl_->router_next_shard, impl_->router_carry);
+      impl_->lanes->absorb(impl_->router_next_shard, impl_->router_carry);
       impl_->router_carry.clear();
     }
-    impl_->flush();
+    impl_->lanes->finish();
     for (std::size_t shard = 0; shard < impl_->streams.size(); ++shard)
       impl_->stage_decisions(shard);
     gates.clear();
@@ -1085,9 +959,7 @@ std::vector<core::query_id> pipeline::query_ids() const {
 
 expected<std::vector<system::shard_stats>> pipeline::stats() const {
   try {
-    if (impl_->sharded) return impl_->sharded->report().shards;
-    std::lock_guard<std::mutex> gate(impl_->streams.front()->gate);
-    return std::vector<system::shard_stats>{impl_->direct_stats()};
+    return impl_->lanes->report().shards;
   } catch (const std::exception& e) {
     return unexpected(error_info::from(e));
   }
@@ -1265,11 +1137,6 @@ pipeline_builder& pipeline_builder::simd(std::string_view level) {
   return *this;
 }
 
-pipeline_builder& pipeline_builder::options(pipeline_options o) {
-  state_->opts = std::move(o);
-  return *this;
-}
-
 pipeline_builder& pipeline_builder::input(std::string_view buffer) {
   input_spec in;
   in.k = input_spec::kind::view;
@@ -1354,8 +1221,8 @@ expected<pipeline> pipeline_builder::build() {
                       "raw_filter");
   if (s.opts.dma_burst_bytes == 0)
     return unexpected("pipeline: dma_burst_bytes must be non-zero");
-  if (s.opts.clock_mhz <= 0.0)
-    return unexpected("pipeline: clock_mhz must be positive");
+  if (s.opts.lane_fifo_bytes == 0)
+    return unexpected("pipeline: lane_fifo_bytes must be non-zero");
   if (s.opts.block < 0)
     return unexpected("pipeline: negative block length");
   if (s.bad_simd)
@@ -1371,9 +1238,6 @@ expected<pipeline> pipeline_builder::build() {
       return unexpected(i == 0 ? "pipeline: raw_filter(null expression)"
                                : "pipeline: add_raw_filter(null expression)");
   if (s.opts.backend == backend_kind::sharded) {
-    if (s.opts.lane_fifo_bytes == 0)
-      return unexpected("pipeline: the sharded backend needs a non-zero "
-                        "lane FIFO");
     if (s.inputs.empty() && s.opts.shards == 0)
       return unexpected("pipeline: the sharded backend needs shards >= 1 "
                         "(or bound inputs, one shard each)");
@@ -1386,11 +1250,14 @@ expected<pipeline> pipeline_builder::build() {
   }
 
   // --- backend resolution: the one place backend_kind is consulted. The
-  // result is an engine kind, a sharded stream count (0 = one direct
-  // engine) and the Figure-4 lanes the system backend models.
+  // result is an engine kind, a stream count with its worker threads, and
+  // the Figure-4 lanes the system backend models. Every backend but
+  // sharded is one stream, pumped on the calling thread.
   core::engine_kind engine = s.opts.engine;
-  std::size_t shards = 0;
+  std::size_t shards = 1;
+  std::size_t workers = 0;
   int model_lanes = 0;
+  bool shard_per_input = false;
   switch (s.opts.backend) {
     case backend_kind::scalar:
       engine = core::engine_kind::scalar;
@@ -1403,6 +1270,8 @@ expected<pipeline> pipeline_builder::build() {
       break;
     case backend_kind::sharded:
       shards = s.inputs.empty() ? s.opts.shards : s.inputs.size();
+      workers = s.opts.worker_threads;
+      shard_per_input = true;
       break;
   }
 
@@ -1433,6 +1302,7 @@ expected<pipeline> pipeline_builder::build() {
   impl->sink = s.sink;
   impl->vsink = s.vsink;
   impl->inputs = std::move(s.inputs);
+  impl->shard_per_input = shard_per_input;
   impl->engine_kind = engine;
   try {
     // The resident query set in id order (the primary source is query 0).
@@ -1489,7 +1359,7 @@ expected<pipeline> pipeline_builder::build() {
     // worker pool belong to build(), so run()/offer() spend their time on
     // steady-state filtering only (the wall-clock benches time run()
     // alone, matching a pre-constructed filter_system).
-    impl->bring_up(shards, model_lanes);
+    impl->bring_up(shards, workers, model_lanes);
   } catch (const std::exception& e) {
     s.inputs = std::move(impl->inputs);
     const auto* pe = dynamic_cast<const parse_error*>(&e);

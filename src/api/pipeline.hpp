@@ -25,27 +25,30 @@
 // resident queries compile into ONE shared evaluation plan (single bitmap
 // pass and framing walk per ingest buffer, primitive engines interned by
 // spec key), each record gets a per-query decision bitmap, and the
-// any-match decision keeps its single-query meaning. Backends select the
-// execution layer the decisions are byte-identical to:
+// any-match decision keeps its single-query meaning. Every backend runs
+// on one system::sharded_filter_system - one lane (bounded FIFO + engine)
+// per stream - and the backend picks the engine, the stream count and the
+// report; decisions are byte-identical across all four:
 //
-//   scalar  - one core::filter_engine(scalar): the paper-faithful
+//   scalar  - one lane of core::filter_engine(scalar): the paper-faithful
 //             byte-per-cycle reference path,
-//   chunked - one core::filter_engine(chunked): the batched hot path,
-//   system  - one core::filter_engine(opts.engine) with
+//   chunked - one lane of core::filter_engine(chunked): the batched hot
+//             path,
+//   system  - one lane of core::filter_engine(engine) with
 //             system::filter_system's decisions and Figure-4 report: the
-//             engine's record sizes are dealt round-robin over `lanes`
+//             lane's record sizes are dealt round-robin over `lanes`
 //             modelled replicated lanes,
-//   sharded - system::sharded_filter_system + concurrent_runner: one lane
-//             per input stream, bounded FIFOs, optional worker pool.
+//   sharded - `shards` lanes (one per bound input in batch mode), an
+//             optional worker pool, and concurrent_runner driving run().
 //
 // The API boundary is non-throwing: build(), run(), offer(), try_offer(),
 // pump() and finish() return jrf::expected, preserving parse_error byte
 // offsets. Batch mode binds inputs up front and calls run() once;
-// streaming mode pushes bytes with offer() (blocking under backpressure
-// until absorbed) or try_offer() (non-blocking: reports how many bytes
-// the shard took, never drains in-line) and collects the tail with
-// finish(). A decision sink registered with on_decision() receives every
-// per-record verdict as lanes drain, so push producers can consume
+// streaming mode pushes bytes with offer() (blocking: drains the lane and
+// scans the bytes in place) or try_offer() (non-blocking: bounded by the
+// lane's free FIFO space, never drains in-line) and collects the tail
+// with finish(). A decision sink registered with on_decision() receives
+// every per-record verdict as lanes drain, so push producers can consume
 // matches without buffering them.
 //
 // Concurrency contract of the streaming surface: calls on DIFFERENT
@@ -112,17 +115,18 @@ using verdict_sink = std::function<void(
 using projection_sink =
     std::function<void(std::size_t, const project::column_batch&)>;
 
+/// The builder's option block: every field is set through its
+/// pipeline_builder setter and defaults to the value shown.
 struct pipeline_options {
   backend_kind backend = backend_kind::system;
 
-  // Execution.
+  // Execution. The modelled clock and DMA setup cost are the
+  // system::system_options defaults (200 MHz, 12 cycles).
   int lanes = 7;                   // system backend: modelled lanes
   std::size_t shards = 1;          // sharded streaming: lane/FIFO count
   std::size_t worker_threads = 0;  // sharded: pool pumping the lanes
-  std::size_t lane_fifo_bytes = 8192;
+  std::size_t lane_fifo_bytes = 8192;  // every stream's lane FIFO
   std::size_t dma_burst_bytes = 4096;
-  double clock_mhz = 200.0;
-  int dma_setup_cycles = 12;
   core::engine_kind engine = core::engine_kind::chunked;  // system/sharded
 
   // Projection: accepted records per columnar batch. A registered
@@ -197,8 +201,6 @@ class pipeline_builder {
   /// Same, by name ("automatic", "scalar", "sse2", "avx2", "avx512");
   /// unknown names surface as api::error at build().
   pipeline_builder& simd(std::string_view level);
-  /// Replace the whole option block (setters called afterwards still win).
-  pipeline_builder& options(pipeline_options o);
 
   // --- inputs (sharded: one shard per input; other backends: sequential
   // segments of the single stream) ---
@@ -267,10 +269,9 @@ class pipeline {
   expected<run_result> run();
 
   /// Streaming push into `shard` (sharded backend) or the single stream
-  /// (other backends, shard 0). Blocks until the whole view is absorbed -
-  /// a full lane FIFO is drained in-line, pumping only this shard's lane -
-  /// and returns the bytes taken. Errors (instead of spinning) if a round
-  /// of drain-then-offer makes no forward progress.
+  /// (other backends, shard 0). Absorbs the whole view and returns its
+  /// size: the shard's lane FIFO drains first (only this shard's lane),
+  /// then the bytes are scanned in place, never copied through the FIFO.
   expected<std::uint64_t> offer(std::size_t shard, std::string_view bytes);
 
   /// Convenience overload without a shard. Single-stream pipelines feed
@@ -287,12 +288,12 @@ class pipeline {
   expected<std::uint64_t> offer(std::string_view bytes);
 
   /// Non-blocking push: absorb at most what `shard` can take right now
-  /// and return the byte count. On the sharded backend this is bounded by
-  /// the lane's free FIFO space - 0 means hard backpressure (counted in
-  /// that shard's hard_backpressure_events); the caller re-offers the
-  /// rest after pump(shard), throttles, or sheds. try_offer() never
-  /// drains a FIFO in-line. Single-engine backends have no FIFO: the
-  /// engine itself absorbs the bytes, so the whole view is taken.
+  /// and return the byte count - on every backend, the lane's free FIFO
+  /// space (lane_fifo_bytes). 0 means hard backpressure (counted in that
+  /// shard's hard_backpressure_events); the caller re-offers the rest
+  /// after pump(shard), throttles, or sheds. try_offer() never drains a
+  /// FIFO in-line, so its bytes decide at the next pump() / offer() /
+  /// finish() on that shard.
   expected<std::uint64_t> try_offer(std::size_t shard,
                                     std::string_view bytes);
 
@@ -346,7 +347,6 @@ class pipeline {
   /// The parsed query when built from text or query::query (for exact
   /// ground-truth cross-checks); nullptr when built from a raw expr.
   const query::query* parsed_query() const noexcept;
-  const pipeline_options& options() const noexcept;
   /// Streams this pipeline executes: bound inputs (batch) or the
   /// configured shard count (streaming).
   std::size_t shard_count() const noexcept;

@@ -221,9 +221,10 @@ class filter_engine {
   /// Opt-in framing telemetry: when enabled, both engines append the byte
   /// length of every record they decide - the bytes since the previous
   /// boundary, separator excluded (parallel to decisions(), same
-  /// skip-empty-records rule). The api layer's system backend deals these
-  /// sizes round-robin over its modelled Figure-4 lanes instead of
-  /// re-framing the stream itself.
+  /// skip-empty-records rule). Every system::sharded_filter_system lane
+  /// enables it; the api layer's system backend deals these sizes
+  /// round-robin over its modelled Figure-4 lanes instead of re-framing
+  /// the stream itself.
   void collect_record_sizes(bool on) {
     sizes_enabled_ = on;
     record_sizes_.clear();

@@ -25,29 +25,6 @@ std::string sharded_report::to_string() const {
   return buffer;
 }
 
-sharded_filter_system::sharded_filter_system(core::expr_ptr expr,
-                                             std::size_t shards,
-                                             system_options options)
-    : options_(options), expr_(std::move(expr)) {
-  if (shards < 1) throw error("sharded system: need at least one shard");
-  if (options_.lane_fifo_bytes == 0)
-    throw error("sharded system: zero lane FIFO size");
-  if (options_.dma_burst_bytes == 0)
-    throw error("sharded system: zero DMA burst size");
-  lanes_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s)
-    lanes_.push_back(std::make_unique<lane>());
-  // One compile, N-1 clones: the lanes share DFA tables and gram sets.
-  lanes_.front()->engine =
-      core::make_filter_engine(options_.engine, expr_, options_.filter);
-  for (std::size_t s = 1; s < shards; ++s)
-    lanes_[s]->engine = lanes_.front()->engine->clone();
-  // 0 and 1 both mean "the calling thread pumps": a one-worker pool would
-  // only add handoff latency to an identical execution order.
-  if (options_.worker_threads > 1)
-    pool_ = std::make_unique<util::thread_pool>(options_.worker_threads);
-}
-
 sharded_filter_system::sharded_filter_system(
     std::vector<core::expr_ptr> queries, std::size_t shards,
     system_options options)
@@ -60,12 +37,15 @@ sharded_filter_system::sharded_filter_system(
   lanes_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s)
     lanes_.push_back(std::make_unique<lane>());
-  // One shared multi-query compile, then cheap clones per shard.
+  // One compile, N-1 clones: the lanes share DFA tables and gram sets.
   lanes_.front()->engine = core::make_filter_engine(
       options_.engine, std::move(queries), options_.filter);
   expr_ = lanes_.front()->engine->expression();
   for (std::size_t s = 1; s < shards; ++s)
     lanes_[s]->engine = lanes_.front()->engine->clone();
+  for (auto& l : lanes_) l->engine->collect_record_sizes(true);
+  // 0 and 1 both mean "the calling thread pumps": a one-worker pool would
+  // only add handoff latency to an identical execution order.
   if (options_.worker_threads > 1)
     pool_ = std::make_unique<util::thread_pool>(options_.worker_threads);
 }
@@ -105,6 +85,18 @@ std::size_t sharded_filter_system::offer(std::size_t shard,
   return take;
 }
 
+void sharded_filter_system::absorb(std::size_t shard,
+                                   std::string_view bytes) {
+  lane& l = checked(shard);
+  if (bytes.empty()) return;
+  std::lock_guard<std::mutex> lock(l.mutex);
+  // FIFO bytes were offered first, so they are scanned first.
+  drain_locked(l, 0);
+  l.stats.offered += bytes.size();
+  scan_locked(l, {reinterpret_cast<const unsigned char*>(bytes.data()),
+                  bytes.size()});
+}
+
 void sharded_filter_system::pump_lane(lane& l, std::size_t budget) {
   std::lock_guard<std::mutex> lock(l.mutex);
   drain_locked(l, budget);
@@ -115,19 +107,8 @@ void sharded_filter_system::drain_locked(lane& l, std::size_t budget) {
   const std::size_t buffered = l.buffered();
   if (buffered == 0) return;
   const std::size_t take = budget == 0 ? buffered : std::min(budget, buffered);
-  const std::size_t before = l.engine->decisions().size();
-  l.engine->scan_chunk(
-      std::span<const unsigned char>{l.fifo.data() + l.head, take});
+  scan_locked(l, {l.fifo.data() + l.head, take});
   l.head += take;
-  l.stats.bytes += take;
-  // Count newly accepted records without rescanning the decision vector.
-  // Both counters update incrementally: decisions() is a consume stream
-  // once take_decisions / swap_shard are in play, so its size is not the
-  // lane's lifetime record count.
-  const auto& decisions = l.engine->decisions();
-  for (std::size_t i = before; i < decisions.size(); ++i)
-    if (decisions[i]) ++l.stats.accepted;
-  l.stats.records += decisions.size() - before;
   if (l.head == l.fifo.size()) {
     l.fifo.clear();
     l.head = 0;
@@ -136,6 +117,27 @@ void sharded_filter_system::drain_locked(lane& l, std::size_t budget) {
                  l.fifo.begin() + static_cast<std::ptrdiff_t>(l.head));
     l.head = 0;
   }
+}
+
+// Caller holds l.mutex.
+void sharded_filter_system::scan_locked(lane& l,
+                                        std::span<const unsigned char> bytes) {
+  const std::size_t before = l.engine->decisions().size();
+  l.engine->scan_chunk(bytes);
+  l.stats.bytes += bytes.size();
+  count_decisions(l, before);
+}
+
+// Caller holds l.mutex. Counts the records decided since decisions() held
+// `before` entries without rescanning the vector: both counters update
+// incrementally, because decisions() is a consume stream once
+// take_decisions / swap_shard are in play, so its size is not the lane's
+// lifetime record count.
+void sharded_filter_system::count_decisions(lane& l, std::size_t before) {
+  const auto& decisions = l.engine->decisions();
+  for (std::size_t i = before; i < decisions.size(); ++i)
+    if (decisions[i]) ++l.stats.accepted;
+  l.stats.records += decisions.size() - before;
 }
 
 void sharded_filter_system::for_each_lane(
@@ -169,44 +171,48 @@ void sharded_filter_system::finish() {
     drain_locked(l, 0);
     const std::size_t before = l.engine->decisions().size();
     l.engine->finish();
-    const auto& decisions = l.engine->decisions();
-    for (std::size_t i = before; i < decisions.size(); ++i)
-      if (decisions[i]) ++l.stats.accepted;
-    l.stats.records += decisions.size() - before;
+    count_decisions(l, before);
     l.engine->reset();
   });
+}
+
+// Caller holds l.mutex.
+sharded_filter_system::taken_decisions sharded_filter_system::take_locked(
+    lane& l) {
+  taken_decisions out;
+  out.any = l.engine->take_decisions();
+  out.words = l.engine->take_decision_words();
+  out.sizes = l.engine->take_record_sizes();
+  return out;
 }
 
 sharded_filter_system::taken_decisions sharded_filter_system::take_decisions(
     std::size_t shard) {
   lane& l = checked(shard);
   std::lock_guard<std::mutex> lock(l.mutex);
-  taken_decisions out;
-  out.any = l.engine->take_decisions();
-  out.words = l.engine->take_decision_words();
-  return out;
+  return take_locked(l);
 }
 
 sharded_filter_system::taken_decisions sharded_filter_system::swap_shard(
-    std::size_t shard, const core::filter_engine& prototype) {
+    std::size_t shard, std::unique_ptr<core::filter_engine> fresh) {
   lane& l = checked(shard);
   std::lock_guard<std::mutex> lock(l.mutex);
   // Everything buffered decides under the OUTGOING query set: those bytes
   // were accepted into this epoch's stream.
   drain_locked(l, 0);
-  taken_decisions out;
-  out.any = l.engine->take_decisions();
-  out.words = l.engine->take_decision_words();
+  taken_decisions out = take_locked(l);
   // The in-flight partial record replays into the fresh engine: a record
   // always starts from the power-on automaton state, so re-scanning its
   // bytes reproduces the exact stream position (no boundary is inside a
   // carry by construction, so no decision can fall out of the re-scan).
   std::vector<unsigned char> carry = l.engine->take_carry();
   core::filter_engine::accepted_hook hook = l.engine->accepted_record_hook();
-  l.engine = prototype.clone();
-  // The projection hook survives the swap. Installed BEFORE the carry
-  // replay - which emits no decisions (no boundary is inside a carry) -
-  // so the fresh engine's record ordinals start at zero either way.
+  l.engine = std::move(fresh);
+  // The lane's hook and record-size telemetry survive the swap. Both are
+  // installed BEFORE the carry replay - which emits no decisions (no
+  // boundary is inside a carry) - so the fresh engine's record ordinals
+  // start at zero and the replayed bytes count toward the record's size.
+  l.engine->collect_record_sizes(true);
   if (hook) l.engine->set_accepted_hook(std::move(hook));
   if (!carry.empty())
     l.engine->scan_chunk(std::span<const unsigned char>{carry.data(),

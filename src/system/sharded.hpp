@@ -13,7 +13,10 @@
 //     unbounded ingress (the lane's engine still assembles one in-flight
 //     record at a time, so memory per lane is FIFO + longest record),
 //   * pump() drains the FIFOs through the lanes' chunked scan path;
-//     decisions accumulate per shard and merge into one report,
+//     decisions accumulate per shard and merge into one report. absorb()
+//     is the blocking alternative to offer(): it drains the lane and then
+//     scans the producer's bytes in place, so a producer that may wait
+//     never copies its buffer through the FIFO,
 //   * with options.worker_threads > 1 the lanes drain on a util::thread_pool
 //     - one task per lane per pump/finish - which is where the model stops
 //     being a simulation and becomes a usable service core. Every lane
@@ -28,10 +31,10 @@
 //     wall time, so lane imbalance shows up as stall cycles exactly as in
 //     the paper-reproduction path.
 //
-// Thread-safety contract: offer(), pump(), finish() and report() may be
-// called from any thread, concurrently. decisions() returns a reference
-// into a lane's engine and therefore requires quiescence: call it only
-// when no pump()/finish() is in flight (run() returns quiescent).
+// Thread-safety contract: offer(), absorb(), pump(), finish() and report()
+// may be called from any thread, concurrently. decisions() returns a
+// reference into a lane's engine and therefore requires quiescence: call
+// it only when no pump()/finish() is in flight (run() returns quiescent).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +44,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/expr.hpp"
@@ -83,7 +87,9 @@ class sharded_filter_system {
   /// binding is 1:1 in sharded mode). options.worker_threads > 1 starts a
   /// pool that pump()/finish() fan the lanes out over.
   sharded_filter_system(core::expr_ptr expr, std::size_t shards,
-                        system_options options = {});
+                        system_options options = {})
+      : sharded_filter_system(std::vector<core::expr_ptr>{std::move(expr)},
+                              shards, options) {}
 
   /// Multi-tenant lanes: every shard runs one shared engine layout
   /// evaluating all N queries per record. Decision bitmaps ride along with
@@ -102,6 +108,12 @@ class sharded_filter_system {
   /// empty view is a no-op and changes no counters. Safe to call from any
   /// producer thread.
   std::size_t offer(std::size_t shard, std::string_view bytes);
+
+  /// Blocking in-place intake: under the lane lock, drain the FIFO, then
+  /// scan `bytes` directly from the caller's buffer - no FIFO copy and no
+  /// backpressure, so a producer that may block never loops on offer().
+  /// Counted as offered and filtered bytes of `shard`.
+  void absorb(std::size_t shard, std::string_view bytes);
 
   /// Drain every lane FIFO through its filter engine, at most
   /// `budget_per_lane` bytes each (0 = drain fully). Lanes drain on the
@@ -123,35 +135,38 @@ class sharded_filter_system {
 
   /// One consume batch of a shard's decision stream: the any-match
   /// decisions plus (multi-query lanes only) the parallel bitmap words,
-  /// words-per-record each. Taken under the lane lock, so a concurrent
-  /// pump appends either wholly before or wholly after the batch; stats
-  /// keep accumulating across takes.
+  /// words-per-record each, and every record's byte length (separator
+  /// excluded; see core::filter_engine::collect_record_sizes - every lane
+  /// collects them). Taken under the lane lock, so a concurrent pump
+  /// appends either wholly before or wholly after the batch; stats keep
+  /// accumulating across takes.
   struct taken_decisions {
     std::vector<bool> any;
     std::vector<std::uint64_t> words;  // empty for single-query lanes
+    std::vector<std::uint32_t> sizes;  // parallel to any
   };
   taken_decisions take_decisions(std::size_t shard);
 
-  /// Live-swap one shard's engine for a clone of `prototype` (a
-  /// differently-compiled query set) WITHOUT losing stream position: the
+  /// Live-swap one shard's engine for `fresh` (a differently-compiled
+  /// query set, owned from here on) WITHOUT losing stream position: the
   /// FIFO drains through the old engine, the old engine surrenders its
   /// in-flight partial record (take_carry - chunked engines only), the
-  /// fresh clone re-scans those bytes (reproducing the framing state
+  /// fresh engine re-scans those bytes (reproducing the framing state
   /// exactly, since a record always starts from the power-on state), and
   /// the old engine's remaining decisions are returned for the caller to
   /// pair with the outgoing query-set epoch. Offers racing the swap land
   /// wholly in the old or wholly in the new engine.
   taken_decisions swap_shard(std::size_t shard,
-                             const core::filter_engine& prototype);
+                             std::unique_ptr<core::filter_engine> fresh);
 
   /// Install (or clear, with an empty function) the accepted-record hook
   /// on one shard's engine - the projection surface of the lane (see
   /// core::filter_engine::set_accepted_hook). The hook fires under the
   /// lane mutex from whichever thread drains the lane, so it must not
-  /// call back into this system. swap_shard carries the hook over to the
-  /// fresh engine (installed before the carry replay, which emits no
-  /// decisions, so the hook's record ordinals restart at zero with the
-  /// clone's decision stream).
+  /// call back into this system. swap_shard carries the hook (and the
+  /// record-size telemetry) over to the fresh engine, installed before
+  /// the carry replay, which emits no decisions, so the hook's record
+  /// ordinals restart at zero with the fresh engine's decision stream.
   void set_accepted_hook(std::size_t shard,
                          core::filter_engine::accepted_hook hook);
 
@@ -185,6 +200,9 @@ class sharded_filter_system {
   lane& checked(std::size_t shard);
   void pump_lane(lane& l, std::size_t budget);
   void drain_locked(lane& l, std::size_t budget);
+  void scan_locked(lane& l, std::span<const unsigned char> bytes);
+  static void count_decisions(lane& l, std::size_t before);
+  static taken_decisions take_locked(lane& l);
   void for_each_lane(const std::function<void(lane&)>& fn);
 
   system_options options_;

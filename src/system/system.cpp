@@ -58,31 +58,18 @@ throughput_report model_report(const system_options& options,
   return report;
 }
 
-filter_system::filter_system(core::expr_ptr expr, system_options options)
-    : options_(options), expr_(std::move(expr)) {
-  if (options_.lanes < 1) throw error("filter system: need at least one lane");
-  if (options_.dma_burst_bytes == 0)
-    throw error("filter system: zero DMA burst size");
-  // Compile the query once; every further lane clones the first, sharing
-  // the immutable compile artifacts instead of re-running DFA construction.
-  lanes_.push_back(
-      core::make_filter_engine(options_.engine, expr_, options_.filter));
-  for (int lane = 1; lane < options_.lanes; ++lane)
-    lanes_.push_back(lanes_.front()->clone());
-}
-
 filter_system::filter_system(std::vector<core::expr_ptr> queries,
                              system_options options)
     : options_(options) {
   if (options_.lanes < 1) throw error("filter system: need at least one lane");
   if (options_.dma_burst_bytes == 0)
     throw error("filter system: zero DMA burst size");
-  // One shared multi-query compile (engines interned by spec key), then
-  // cheap clones - exactly the single-query sharing story, N queries wide.
+  // Compile the query set once (engines interned by spec key); every
+  // further lane clones the first, sharing the immutable compile artifacts
+  // instead of re-running DFA construction.
   lanes_.push_back(
       core::make_filter_engine(options_.engine, std::move(queries),
                                options_.filter));
-  expr_ = lanes_.front()->expression();
   for (int lane = 1; lane < options_.lanes; ++lane)
     lanes_.push_back(lanes_.front()->clone());
 }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/expr.hpp"
@@ -108,7 +109,9 @@ class lane_ledger {
 /// compiled artifacts (DFA tables, gram sets).
 class filter_system {
  public:
-  filter_system(core::expr_ptr expr, system_options options = {});
+  filter_system(core::expr_ptr expr, system_options options = {})
+      : filter_system(std::vector<core::expr_ptr>{std::move(expr)},
+                      options) {}
 
   /// Multi-tenant deployment: every lane runs ONE shared engine layout
   /// evaluating all N queries per record (engines interned by spec key).
@@ -142,7 +145,6 @@ class filter_system {
 
  private:
   system_options options_;
-  core::expr_ptr expr_;
   std::vector<std::unique_ptr<core::filter_engine>> lanes_;
   std::vector<bool> decisions_;
   std::vector<std::uint64_t> decision_words_;

@@ -423,6 +423,44 @@ TEST(ApiPipelineStreaming, TryOfferMatchesOfferDecisions) {
                   blocking_result->shard_decisions[s])
             << w.name << " workers=" << workers << " shard=" << s;
     }
+    // The single-stream backends run one lane with the same bounded FIFO:
+    // try_offer takes at most its free space there too.
+    for (const backend_kind kind : {backend_kind::chunked,
+                                    backend_kind::system,
+                                    backend_kind::scalar}) {
+      auto make = [&] {
+        return pipeline::make()
+            .from_query(w.q)
+            .backend(kind)
+            .lane_fifo_bytes(512)
+            .build();
+      };
+      auto blocking = make();
+      auto nonblocking = make();
+      ASSERT_TRUE(blocking.has_value()) << blocking.error().message;
+      ASSERT_TRUE(nonblocking.has_value()) << nonblocking.error().message;
+      ASSERT_TRUE(blocking->offer(0, w.stream).has_value());
+      std::string_view rest = w.stream;
+      while (!rest.empty()) {
+        auto taken = nonblocking->try_offer(0, rest);
+        ASSERT_TRUE(taken.has_value()) << taken.error().message;
+        EXPECT_LE(*taken, 512u) << w.name << " " << to_string(kind);
+        if (*taken == 0) {
+          ASSERT_TRUE(nonblocking->pump(0).has_value());
+          continue;
+        }
+        rest.remove_prefix(*taken);
+      }
+      auto blocking_result = blocking->finish();
+      auto nonblocking_result = nonblocking->finish();
+      ASSERT_TRUE(blocking_result.has_value());
+      ASSERT_TRUE(nonblocking_result.has_value());
+      EXPECT_EQ(nonblocking_result->decisions, blocking_result->decisions)
+          << w.name << " " << to_string(kind);
+      EXPECT_EQ(nonblocking_result->report.cycles,
+                blocking_result->report.cycles)
+          << w.name << " " << to_string(kind);
+    }
   }
 }
 

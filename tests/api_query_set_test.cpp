@@ -23,6 +23,7 @@
 #include "data/stream.hpp"
 #include "query/compile.hpp"
 #include "query/riotbench.hpp"
+#include "system/system.hpp"
 
 namespace {
 
@@ -335,6 +336,17 @@ TEST(ApiQuerySet, RuntimeMutationOnSystemBackend) {
   EXPECT_EQ(a->decisions, col_a);
   EXPECT_EQ(b->first_record, kSwapRecord);
   EXPECT_EQ(b->decisions, slice(col_b, kSwapRecord));
+
+  // The Figure-4 report deals record sizes across the swap: it equals the
+  // modelled system at the same lane count over the same stream.
+  system::system_options so;
+  so.lanes = 3;
+  system::filter_system reference(primary_expr(), so);
+  const system::throughput_report expected = reference.run(stream);
+  EXPECT_EQ(result->report.bytes, expected.bytes);
+  EXPECT_EQ(result->report.records, expected.records);
+  EXPECT_EQ(result->report.cycles, expected.cycles);
+  EXPECT_EQ(result->report.stall_cycles, expected.stall_cycles);
 }
 
 TEST(ApiQuerySet, ShardedWorkersWithConcurrentProducers) {

@@ -351,7 +351,10 @@ TEST(ProjectTape, SenmlClaimsInnermostCompletionAndLastV) {
   EXPECT_EQ(std::string_view(rec.data() + refs[0].offset, refs[0].length),
             "3");
   // The DOM reference agrees - the semantics are shared, not coincidental.
-  const json::value* ref = find_senml(json::parse(rec), "temperature");
+  // find_senml returns a pointer into the document, so the parsed value
+  // must outlive it.
+  const json::value doc = json::parse(rec);
+  const json::value* ref = find_senml(doc, "temperature");
   ASSERT_NE(ref, nullptr);
   EXPECT_EQ(ref->as_number(), util::decimal::parse("3"));
 }
