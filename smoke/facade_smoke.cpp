@@ -1,9 +1,11 @@
 // Facade smoke: one translation unit compiled against the umbrella header
 // alone - no internal module includes. Proves an embedding application can
 // drive the whole flow (query text -> compiled raw filter -> sharded
-// concurrent execution -> decisions) through jrf::pipeline and jrf.hpp
-// only. Runs in CI next to the examples.
+// concurrent execution -> decisions, and a two-query fleet's verdict
+// matrix) through jrf::pipeline and jrf.hpp only. Runs in CI next to the
+// examples.
 #include <cstdio>
+#include <optional>
 
 #include "jrf.hpp"
 
@@ -49,5 +51,37 @@ int main() {
     std::fprintf(stderr, "unexpected result shape\n");
     return 1;
   }
+
+  // The same feeds under a two-query fleet: the primary query's column on
+  // shard 0, read from the verdict matrix, equals the single-query run.
+  auto fleet =
+      pipeline::make()
+          .jsonpath(R"($.e[?(@.n=="temperature" & @.v >= 0.7 & @.v <= 35.1)])")
+          .add_filter_expression(R"((20 <= "humidity" <= 60))")
+          .backend(backend_kind::sharded)
+          .worker_threads(2)
+          .input(feed_a)
+          .input(feed_b)
+          .build();
+  if (!fleet) {
+    std::fprintf(stderr, "fleet build failed: %s\n",
+                 fleet.error().message.c_str());
+    return 1;
+  }
+  auto fleet_result = fleet->run();
+  if (!fleet_result) {
+    std::fprintf(stderr, "fleet run failed: %s\n",
+                 fleet_result.error().message.c_str());
+    return 1;
+  }
+  const std::optional<query_column> column =
+      fleet_result->verdicts.column(0, fleet->query_ids().front());
+  if (!column || column->first_record != 0 ||
+      column->decisions != result->shard_decisions[0]) {
+    std::fprintf(stderr, "fleet column differs from the single-query run\n");
+    return 1;
+  }
+  std::printf("facade smoke: fleet column matches (%zu records)\n",
+              column->decisions.size());
   return 0;
 }

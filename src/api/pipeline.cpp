@@ -5,7 +5,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "core/bitmaps.hpp"
@@ -122,7 +121,7 @@ struct pipeline::impl {
   // query compiles under a stream gate - the whole point of the epoch
   // scheme is that live traffic keeps flowing during the compile.
   struct query_registry {
-    std::vector<core::query_id> ids;          // dense order
+    std::vector<core::query_id> ids;          // dense order, ascending
     std::vector<decision_sink> query_sinks;   // parallel to ids; may be null
     /// Ordinals of the queries with a non-null sink: the flush loop visits
     /// only these instead of probing every resident query per record.
@@ -160,18 +159,12 @@ struct pipeline::impl {
     registry_ptr reg;
 
     // Every decision taken off the engine: the any-match column feeds
-    // collect()'s decisions, and the per-epoch segments expand into the
-    // per-query columns at the end. A one-query epoch stores no words -
-    // its column IS the any-match column - so a single-query stream keeps
-    // one bit per record.
-    struct segment {
-      registry_ptr reg;
-      std::uint64_t first_record = 0;  // per-shard ordinal of row 0
-      std::uint64_t records = 0;
-      std::vector<std::uint64_t> words;  // reg->wpr() per row, or empty
-    };
-    std::vector<bool> any;
-    std::vector<segment> segments;
+    // collect()'s decisions, and the per-epoch segments of verdict words
+    // move into run_result::verdicts at the end. The last segment is always
+    // the resident epoch's. A one-query epoch stores no words - its column
+    // IS the any-match column - so a single-query stream keeps one bit per
+    // record.
+    verdict_matrix::history history;
 
     // One taken batch awaiting delivery, with the epoch it decided under
     // (carried once per batch, not per row).
@@ -179,7 +172,7 @@ struct pipeline::impl {
       registry_ptr reg;
       std::uint64_t first = 0;  // per-shard index of any[0]
       std::vector<bool> any;
-      std::vector<std::uint64_t> words;  // as segment::words
+      std::vector<std::uint64_t> words;  // as verdict_matrix::segment
     };
     std::mutex sink_mutex;          // guards the delivery fields below
     std::deque<staged_batch> staged;
@@ -278,6 +271,7 @@ struct pipeline::impl {
     for (std::size_t shard = 0; shard < shards; ++shard) {
       streams.push_back(std::make_unique<stream_state>());
       streams.back()->reg = reg;
+      open_segment(*streams.back());
       if (!project_enabled) continue;
       projection.push_back(
           std::make_unique<projection_state>(paths, opts.filter.simd));
@@ -296,13 +290,23 @@ struct pipeline::impl {
     return sink || vsink || !r.sink_ordinals.empty();
   }
 
-  /// Append one taken decision batch to the shard's history and stage it
-  /// for delivery when any sink wants it. Caller holds the gate; `taken`
-  /// is the lane's consume-stream batch (words only when the epoch has
-  /// more than one query), `epoch` the set those records decided under.
-  /// Returns the batch's record count.
+  /// Open the resident epoch's segment at the stream's next record - even
+  /// if the epoch then decides no record here, so every query ever
+  /// resident has a column. The ids alias the registry snapshot.
+  static void open_segment(stream_state& st) {
+    st.history.segments.push_back(
+        {std::shared_ptr<const std::vector<core::query_id>>(st.reg,
+                                                            &st.reg->ids),
+         st.history.any.size(), 0, {}});
+  }
+
+  /// Append one taken decision batch to the shard's history (the resident
+  /// epoch's segment) and stage it for delivery when any sink wants it.
+  /// Caller holds the gate; `taken` is the lane's consume-stream batch
+  /// (words only when the epoch has more than one query). Returns the
+  /// batch's record count.
   std::uint64_t archive_batch(
-      std::size_t shard, const registry_ptr& epoch,
+      std::size_t shard,
       system::sharded_filter_system::taken_decisions&& taken) {
     if (ledger)
       for (const std::uint32_t n : taken.sizes) ledger->deal(n);
@@ -310,17 +314,15 @@ struct pipeline::impl {
     const std::size_t n = any.size();
     if (n == 0) return 0;
     stream_state& st = *streams[shard];
-    const std::uint64_t first = st.any.size();
-    st.any.insert(st.any.end(), any.begin(), any.end());
-    if (st.segments.empty() || st.segments.back().reg != epoch)
-      st.segments.push_back({epoch, first, 0, {}});
-    stream_state::segment& seg = st.segments.back();
+    const std::uint64_t first = st.history.any.size();
+    st.history.any.insert(st.history.any.end(), any.begin(), any.end());
+    verdict_matrix::segment& seg = st.history.segments.back();
     seg.records += n;
     seg.words.insert(seg.words.end(), taken.words.begin(), taken.words.end());
-    if (sinks_for(*epoch)) {
+    if (sinks_for(*st.reg)) {
       std::lock_guard<std::mutex> lock(st.sink_mutex);
       st.staged.push_back(
-          {epoch, first, std::move(any), std::move(taken.words)});
+          {st.reg, first, std::move(any), std::move(taken.words)});
     }
     return n;
   }
@@ -330,8 +332,7 @@ struct pipeline::impl {
   /// invoked here - flush_decisions does that with no lock held. Returns
   /// how many new decisions were taken.
   std::uint64_t stage_decisions(std::size_t shard) {
-    return archive_batch(shard, streams[shard]->reg,
-                         lanes->take_decisions(shard));
+    return archive_batch(shard, lanes->take_decisions(shard));
   }
 
   /// Hand staged decisions to the sinks, in record order, outside every
@@ -412,46 +413,6 @@ struct pipeline::impl {
     return batches;
   }
 
-  /// Expand the per-epoch segments into one decision column per query ever
-  /// resident on each shard. Ids are never reused, so every query's
-  /// residency is one contiguous span and consecutive segments containing
-  /// the same id concatenate in record order.
-  std::vector<std::vector<query_column>> expand_columns() const {
-    std::vector<std::vector<query_column>> out(streams.size());
-    for (std::size_t shard = 0; shard < streams.size(); ++shard) {
-      const stream_state& st = *streams[shard];
-      std::vector<query_column>& cols = out[shard];
-      // id -> column slot, so a 10k-query epoch costs one hash probe per
-      // query instead of a linear rescan of every column per query.
-      std::unordered_map<core::query_id, std::size_t> slot_of;
-      for (const stream_state::segment& seg : st.segments) {
-        const std::size_t wpr = seg.reg->wpr();
-        const std::size_t rows = static_cast<std::size_t>(seg.records);
-        for (std::size_t qi = 0; qi < seg.reg->ids.size(); ++qi) {
-          const core::query_id id = seg.reg->ids[qi];
-          const auto [it, fresh] = slot_of.try_emplace(id, cols.size());
-          if (fresh) cols.push_back({id, seg.first_record, {}});
-          std::vector<bool>& column = cols[it->second].decisions;
-          if (seg.words.empty()) {  // one-query epoch: the any column
-            const auto from =
-                st.any.begin() + static_cast<std::ptrdiff_t>(seg.first_record);
-            column.insert(column.end(), from,
-                          from + static_cast<std::ptrdiff_t>(rows));
-            continue;
-          }
-          // Transpose the segment one whole word stride at a time: the
-          // query's (word, shift) address is fixed across the segment.
-          const std::uint64_t* word = seg.words.data() + qi / 64;
-          const unsigned shift = static_cast<unsigned>(qi % 64);
-          column.reserve(column.size() + rows);
-          for (std::size_t r = 0; r < rows; ++r, word += wpr)
-            column.push_back(((*word >> shift) & 1u) != 0);
-        }
-      }
-    }
-    return out;
-  }
-
   run_result collect() {
     run_result result;
     const system::sharded_report sr = lanes->report();
@@ -473,17 +434,20 @@ struct pipeline::impl {
       result.report.gbytes_per_second = sr.gbytes_per_second;
       result.report.theoretical_gbps = sr.theoretical_gbps;
     }
-    // Multi-tenant pipelines (more than one resident query, a verdict or
-    // per-query sink, or any runtime add/remove) also report per-query
-    // columns.
-    if (vsink || reg->ids.size() > 1 || reg->epoch > 0) {
-      result.query_ids = reg->ids;
-      result.shard_query_columns = expand_columns();
-    }
+    // Multi-tenant pipelines (more than one resident query, a verdict
+    // sink, or any epoch swap) also report their verdict words: each
+    // stream's history moves into the result as staged.
+    const bool multi = vsink || reg->ids.size() > 1 || reg->epoch > 0;
+    std::vector<verdict_matrix::history> histories;
     for (const auto& st : streams) {
-      result.shard_decisions.push_back(st->any);
-      result.decisions.insert(result.decisions.end(), st->any.begin(),
-                              st->any.end());
+      const std::vector<bool>& any = st->history.any;
+      result.shard_decisions.push_back(any);
+      result.decisions.insert(result.decisions.end(), any.begin(), any.end());
+      if (multi) histories.push_back(std::move(st->history));
+    }
+    if (multi) {
+      result.query_ids = reg->ids;
+      result.verdicts = verdict_matrix(std::move(histories));
     }
     if (project_enabled) {
       // Quiescent by contract (run()/finish() exclusivity): flush each
@@ -593,7 +557,7 @@ struct pipeline::impl {
         // prototype itself, so a one-stream swap clones nothing.
         // swap_shard drains the FIFO through the OLD engine first; its
         // tail decisions belong to the outgoing epoch.
-        archive_batch(shard, st.reg,
+        archive_batch(shard,
                       lanes->swap_shard(shard, shard + 1 < streams.size()
                                                    ? proto->clone()
                                                    : std::move(proto)));
@@ -602,9 +566,10 @@ struct pipeline::impl {
         // record numbering continues at the history's length. The
         // projected path set stays frozen - runtime adds decide normally
         // but do not extend it.
-        if (project_enabled) projection[shard]->base = st.any.size();
+        if (project_enabled) projection[shard]->base = st.history.any.size();
       }
       st.reg = nreg;
+      open_segment(st);
     }
     reg = std::move(nreg);
     for (std::size_t shard = 0; shard < streams.size(); ++shard)

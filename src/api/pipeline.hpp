@@ -218,7 +218,7 @@ class pipeline_builder {
   pipeline_builder& on_decision(decision_sink sink);
   /// Per-record decision bitmap (multi-tenant). With one resident query
   /// the bitmap is one word holding the any-match bit; registering it
-  /// also makes run_result report per-query columns.
+  /// also makes run_result report its verdict matrix.
   pipeline_builder& on_verdict(verdict_sink sink);
 
   // --- projection (src/project/: structural-tape field extraction) ---

@@ -4,11 +4,16 @@
 // same run_result: the merged cycle-quantized throughput_report of the
 // Figure-4 model, per-shard service stats, and the per-record decisions
 // both merged (shard order) and split per shard. Single-stream backends
-// report exactly one shard.
+// report exactly one shard. Multi-tenant pipelines add the verdict words
+// of every resident query, read one query column at a time.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/query_set.hpp"
@@ -19,14 +24,55 @@
 namespace jrf {
 
 /// One resident query's decision column on one shard of a multi-tenant
-/// pipeline. Ids are never reused, so every query has exactly one
-/// contiguous residency span: decisions[k] is the verdict of per-shard
-/// record first_record + k, from the record the query became resident
-/// until it was removed (or the stream ended).
+/// pipeline, as verdict_matrix::column() builds it. Ids are never reused,
+/// so every query has exactly one contiguous residency span: decisions[k]
+/// is the verdict of per-shard record first_record + k, from the record
+/// the query became resident until it was removed (or the stream ended).
 struct query_column {
   core::query_id id = 0;
   std::uint64_t first_record = 0;
   std::vector<bool> decisions;
+};
+
+/// The per-query verdicts of a multi-tenant run, kept as the verdict words
+/// the streams staged them in: per shard, the any-match column and one
+/// segment per epoch. Nothing is transposed up front; column() builds one
+/// query's residency span when a caller asks for it.
+class verdict_matrix {
+ public:
+  /// One epoch's stretch of a shard's records.
+  struct segment {
+    /// The query ids resident during the epoch, dense order == bit order.
+    /// Ascending: ids are monotone and never reused.
+    std::shared_ptr<const std::vector<core::query_id>> ids;
+    std::uint64_t first_record = 0;  // per-shard ordinal of row 0
+    std::uint64_t records = 0;
+    /// ceil(ids/64) little-endian words per row. Empty for a one-query
+    /// epoch, whose verdicts are the shard's any-match column.
+    std::vector<std::uint64_t> words;
+  };
+  /// One shard's staged history: every record's any-match verdict, and
+  /// one segment per epoch the shard ran under, in record order.
+  struct history {
+    std::vector<bool> any;
+    std::vector<segment> segments;
+  };
+
+  verdict_matrix() = default;
+  explicit verdict_matrix(std::vector<history> shards)
+      : shards_(std::move(shards)) {}
+
+  /// True for plain single-query pipelines, which report no matrix.
+  bool empty() const noexcept { return shards_.empty(); }
+  std::size_t shards() const noexcept { return shards_.size(); }
+
+  /// Query `id`'s residency span on `shard`, or nullopt when the query was
+  /// never resident there. Costs O(records of the span).
+  std::optional<query_column> column(std::size_t shard,
+                                     core::query_id id) const;
+
+ private:
+  std::vector<history> shards_;
 };
 
 struct run_result {
@@ -52,11 +98,12 @@ struct run_result {
   /// Empty for plain single-query pipelines.
   std::vector<core::query_id> query_ids;
 
-  /// Per shard, one decision column per query ever resident on that
-  /// stream (including queries removed mid-stream), in order of first
-  /// residency. Parallel to shard_decisions: column bit k of query q is
-  /// that query's verdict on per-shard record q.first_record + k.
-  std::vector<std::vector<query_column>> shard_query_columns;
+  /// Multi-tenant pipelines only: every shard's verdict words, moved out
+  /// of the streams' history. verdicts.column(shard, id) answers for every
+  /// query ever resident on that shard (including queries removed
+  /// mid-stream); its bit k is that query's verdict on per-shard record
+  /// first_record + k. Empty for plain single-query pipelines.
+  verdict_matrix verdicts;
 
   /// Projecting pipelines without an on_projection sink: the columnar
   /// batches of every accepted record's extracted paths, in shard order

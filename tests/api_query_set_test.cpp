@@ -1,16 +1,18 @@
 // Multi-tenant surface of the jrf::pipeline facade (PR 8 tentpole):
-// builder-time query fleets, per-query decision columns in run_result,
-// verdict-bitmap sinks, and the runtime add_query()/remove_query() epoch
-// swap exercised mid-stream - on the chunked backend deterministically
-// (exact first_record accounting, including a swap landing inside a
-// record, which forces the carry replay) and on the sharded backend with
-// worker threads plus concurrent producers (the TSan target). Every
-// column is held byte-identical to running that query alone.
+// builder-time query fleets, per-query decision columns read from
+// run_result's verdict matrix, verdict-bitmap sinks, and the runtime
+// add_query()/remove_query() epoch swap exercised mid-stream - on the
+// chunked backend deterministically (exact first_record accounting,
+// including a swap landing inside a record, which forces the carry
+// replay) and on the sharded backend with worker threads plus concurrent
+// producers (the TSan target). Every column is held byte-identical to
+// running that query alone.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
 #include <cstddef>
+#include <map>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -63,13 +65,6 @@ std::size_t record_boundary(std::string_view stream, std::size_t count) {
   return offset;
 }
 
-const query_column* find_column(const std::vector<query_column>& columns,
-                                core::query_id id) {
-  for (const query_column& column : columns)
-    if (column.id == id) return &column;
-  return nullptr;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -87,7 +82,7 @@ TEST(ApiQuerySet, BuilderFleetColumnsMatchStandaloneRuns) {
   ASSERT_TRUE(single_run.has_value()) << single_run.error().message;
   // Plain single-query pipelines carry no fleet bookkeeping at all.
   EXPECT_TRUE(single_run->query_ids.empty());
-  EXPECT_TRUE(single_run->shard_query_columns.empty());
+  EXPECT_TRUE(single_run->verdicts.empty());
 
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())
@@ -104,9 +99,9 @@ TEST(ApiQuerySet, BuilderFleetColumnsMatchStandaloneRuns) {
   auto result = built->run();
   ASSERT_TRUE(result.has_value()) << result.error().message;
   EXPECT_EQ(result->query_ids, ids);
-  ASSERT_EQ(result->shard_query_columns.size(), 1u);
-  const auto& columns = result->shard_query_columns[0];
-  ASSERT_EQ(columns.size(), 3u);
+  ASSERT_EQ(result->verdicts.shards(), 1u);
+  // Exactly the three resident queries have a column.
+  ASSERT_FALSE(result->verdicts.column(0, ids.back() + 1).has_value());
 
   const std::vector<std::vector<bool>> expected{
       standalone(primary_expr(), telemetry()),
@@ -114,8 +109,8 @@ TEST(ApiQuerySet, BuilderFleetColumnsMatchStandaloneRuns) {
       single_run->decisions,
   };
   for (std::size_t q = 0; q < 3; ++q) {
-    const query_column* column = find_column(columns, ids[q]);
-    ASSERT_NE(column, nullptr) << "query " << q;
+    const auto column = result->verdicts.column(0, ids[q]);
+    ASSERT_TRUE(column.has_value()) << "query " << q;
     EXPECT_EQ(column->first_record, 0u);
     EXPECT_EQ(column->decisions, expected[q]) << "query " << q;
   }
@@ -201,12 +196,11 @@ TEST(ApiQuerySet, RuntimeAddMidStreamOnChunkedBackend) {
 
   // The primary decision stream is unbroken across the swap; the added
   // query's column starts exactly at the swap record.
-  ASSERT_EQ(result->shard_query_columns.size(), 1u);
-  const auto& columns = result->shard_query_columns[0];
-  const query_column* a = find_column(columns, 1);
-  const query_column* b = find_column(columns, *added);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(result->verdicts.shards(), 1u);
+  const auto a = result->verdicts.column(0, 1);
+  const auto b = result->verdicts.column(0, *added);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->first_record, 0u);
   EXPECT_EQ(a->decisions, col_a);
   EXPECT_EQ(b->first_record, kSwapRecord);
@@ -248,11 +242,10 @@ TEST(ApiQuerySet, RuntimeAddInsideARecordReplaysTheCarry) {
   auto result = built->finish();
   ASSERT_TRUE(result.has_value()) << result.error().message;
 
-  const auto& columns = result->shard_query_columns.at(0);
-  const query_column* a = find_column(columns, 1);
-  const query_column* b = find_column(columns, *added);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
+  const auto a = result->verdicts.column(0, 1);
+  const auto b = result->verdicts.column(0, *added);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->decisions, col_a);
   // Only kSwapRecord records were complete at the swap; the straddler
   // belongs to the new epoch.
@@ -284,11 +277,10 @@ TEST(ApiQuerySet, RuntimeRemoveMidStreamEndsTheColumn) {
   ASSERT_TRUE(result.has_value()) << result.error().message;
 
   EXPECT_EQ(result->query_ids, (std::vector<core::query_id>{1}));
-  const auto& columns = result->shard_query_columns.at(0);
-  const query_column* a = find_column(columns, 1);
-  const query_column* b = find_column(columns, 2);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
+  const auto a = result->verdicts.column(0, 1);
+  const auto b = result->verdicts.column(0, 2);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->decisions, col_a);
   EXPECT_EQ(b->first_record, 0u);
   ASSERT_EQ(b->decisions.size(), kRemoveRecord);
@@ -301,6 +293,59 @@ TEST(ApiQuerySet, RuntimeRemoveMidStreamEndsTheColumn) {
     EXPECT_EQ(result->decisions[r],
               r < kRemoveRecord ? (col_a[r] || col_b[r]) : col_a[r])
         << "record " << r;
+}
+
+TEST(ApiQuerySet, QueryResidentWithoutRecordsHasEmptyColumn) {
+  // A query whose residency decides no record still has a column: empty,
+  // starting at the records decided before it became resident. Two ways
+  // to get there: an add right before finish(), and an add/remove pair
+  // with no record between them.
+  const std::string& stream = telemetry();
+  constexpr std::size_t kSwapRecord = 2;
+  const std::size_t cut = record_boundary(stream, kSwapRecord);
+  const char* const temperature = R"((0.7 <= "temperature" <= 35.1))";
+
+  auto added_last = pipeline::make()
+                        .from_query(query::riotbench::qs0())
+                        .add_raw_filter(second_expr())
+                        .backend(backend_kind::chunked)
+                        .build();
+  ASSERT_TRUE(added_last.has_value()) << added_last.error().message;
+  ASSERT_TRUE(added_last->offer(std::string_view(stream).substr(0, cut))
+                  .has_value());
+  auto third = added_last->add_query(temperature);
+  ASSERT_TRUE(third.has_value()) << third.error().message;
+  auto result = added_last->finish();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  EXPECT_EQ(result->query_ids, (std::vector<core::query_id>{1, 2, *third}));
+  for (const core::query_id id : result->query_ids)
+    EXPECT_TRUE(result->verdicts.column(0, id).has_value()) << "query " << id;
+  auto column = result->verdicts.column(0, *third);
+  ASSERT_TRUE(column.has_value());
+  EXPECT_EQ(column->first_record, kSwapRecord);
+  EXPECT_TRUE(column->decisions.empty());
+
+  auto add_remove = pipeline::make()
+                        .from_query(query::riotbench::qs0())
+                        .backend(backend_kind::chunked)
+                        .build();
+  ASSERT_TRUE(add_remove.has_value()) << add_remove.error().message;
+  ASSERT_TRUE(add_remove->offer(std::string_view(stream).substr(0, cut))
+                  .has_value());
+  auto transient = add_remove->add_query(second_expr());
+  ASSERT_TRUE(transient.has_value()) << transient.error().message;
+  ASSERT_TRUE(add_remove->remove_query(*transient).has_value());
+  ASSERT_TRUE(add_remove->offer(std::string_view(stream).substr(cut))
+                  .has_value());
+  result = add_remove->finish();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  column = result->verdicts.column(0, *transient);
+  ASSERT_TRUE(column.has_value());
+  EXPECT_EQ(column->first_record, kSwapRecord);
+  EXPECT_TRUE(column->decisions.empty());
+  const auto primary = result->verdicts.column(0, 1);
+  ASSERT_TRUE(primary.has_value());
+  EXPECT_EQ(primary->decisions, standalone(primary_expr(), stream));
 }
 
 TEST(ApiQuerySet, RuntimeMutationOnSystemBackend) {
@@ -328,11 +373,10 @@ TEST(ApiQuerySet, RuntimeMutationOnSystemBackend) {
   auto result = built->finish();
   ASSERT_TRUE(result.has_value()) << result.error().message;
 
-  const auto& columns = result->shard_query_columns.at(0);
-  const query_column* a = find_column(columns, 1);
-  const query_column* b = find_column(columns, *added);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
+  const auto a = result->verdicts.column(0, 1);
+  const auto b = result->verdicts.column(0, *added);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->decisions, col_a);
   EXPECT_EQ(b->first_record, kSwapRecord);
   EXPECT_EQ(b->decisions, slice(col_b, kSwapRecord));
@@ -409,15 +453,14 @@ TEST(ApiQuerySet, ShardedWorkersWithConcurrentProducers) {
   auto result = built->finish();
   ASSERT_TRUE(result.has_value()) << result.error().message;
 
-  ASSERT_EQ(result->shard_query_columns.size(), shards.size());
+  ASSERT_EQ(result->verdicts.shards(), shards.size());
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const std::vector<bool> col_a = standalone(primary_expr(), shards[s]);
     const std::vector<bool> col_b = standalone(second_expr(), shards[s]);
-    const auto& columns = result->shard_query_columns[s];
-    const query_column* a = find_column(columns, 1);
-    const query_column* b = find_column(columns, added_id.load());
-    ASSERT_NE(a, nullptr) << "shard " << s;
-    ASSERT_NE(b, nullptr) << "shard " << s;
+    const auto a = result->verdicts.column(s, 1);
+    const auto b = result->verdicts.column(s, added_id.load());
+    ASSERT_TRUE(a.has_value()) << "shard " << s;
+    ASSERT_TRUE(b.has_value()) << "shard " << s;
     EXPECT_EQ(a->first_record, 0u);
     EXPECT_EQ(a->decisions, col_a) << "shard " << s;
     // The swap happened after `half_records` complete records were
@@ -427,6 +470,79 @@ TEST(ApiQuerySet, ShardedWorkersWithConcurrentProducers) {
     EXPECT_EQ(b->first_record + b->decisions.size(), col_b.size())
         << "shard " << s;
     EXPECT_EQ(b->decisions, slice(col_b, b->first_record)) << "shard " << s;
+  }
+}
+
+TEST(ApiQuerySet, VerdictColumnsMatchVerdictWords) {
+  // Pins the verdict matrix to the delivery path: every column equals the
+  // bits the on_verdict sink delivered for that query on that shard. The
+  // build-time set has one query, so its first epoch stores no words and
+  // reads its column from the any-match history.
+  data::smartcity_generator gen_a(0xA11CE), gen_b(0xB0B);
+  const std::vector<std::string> shards{gen_a.stream(200), gen_b.stream(200)};
+  struct delivered {
+    std::uint64_t first = 0;
+    std::vector<bool> bits;
+  };
+  // One map per shard: query id -> the rows the sink saw for it.
+  std::vector<std::map<core::query_id, delivered>> seen(shards.size());
+  std::vector<std::uint64_t> rows(shards.size(), 0);
+  auto built =
+      pipeline::make()
+          .from_query(query::riotbench::qs0())
+          .backend(backend_kind::sharded)
+          .shards(shards.size())
+          .on_verdict([&](std::size_t shard, std::uint64_t index,
+                          std::span<const core::query_id> ids,
+                          std::span<const std::uint64_t> words) {
+            EXPECT_EQ(index, rows[shard]++) << "shard " << shard;
+            for (std::size_t qi = 0; qi < ids.size(); ++qi) {
+              const auto [it, fresh] = seen[shard].try_emplace(ids[qi]);
+              if (fresh) it->second.first = index;
+              EXPECT_EQ(it->second.first + it->second.bits.size(), index)
+                  << "query " << ids[qi] << " skipped a row";
+              const std::uint64_t bit = (words[qi / 64] >> (qi % 64)) & 1u;
+              it->second.bits.push_back(bit != 0);
+            }
+          })
+          .build();
+  ASSERT_TRUE(built.has_value()) << built.error().message;
+
+  // Offer every shard's stream in four quarters; the set changes between
+  // them: add, add, then remove the first added query.
+  const auto offer_quarter = [&](std::size_t q) {
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      const std::size_t from = record_boundary(shards[s], q * 50);
+      const std::size_t to = record_boundary(shards[s], (q + 1) * 50);
+      ASSERT_TRUE(
+          built->offer(s, std::string_view(shards[s]).substr(from, to - from))
+              .has_value());
+    }
+  };
+  offer_quarter(0);
+  auto first_added = built->add_query(second_expr());
+  ASSERT_TRUE(first_added.has_value()) << first_added.error().message;
+  offer_quarter(1);
+  auto second_added = built->add_query(R"((0.7 <= "temperature" <= 35.1))");
+  ASSERT_TRUE(second_added.has_value()) << second_added.error().message;
+  offer_quarter(2);
+  ASSERT_TRUE(built->remove_query(*first_added).has_value());
+  offer_quarter(3);
+  auto result = built->finish();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+
+  ASSERT_EQ(result->verdicts.shards(), shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    EXPECT_EQ(rows[s], 200u) << "shard " << s;
+    EXPECT_EQ(seen[s].size(), 3u) << "shard " << s;
+    for (const auto& [id, sink] : seen[s]) {
+      const auto column = result->verdicts.column(s, id);
+      ASSERT_TRUE(column.has_value()) << "shard " << s << " query " << id;
+      EXPECT_EQ(column->first_record, sink.first)
+          << "shard " << s << " query " << id;
+      EXPECT_EQ(column->decisions, sink.bits)
+          << "shard " << s << " query " << id;
+    }
   }
 }
 
@@ -643,11 +759,10 @@ TEST(ApiQuerySet, RuntimeJsonpathAndTextCompile) {
   // Each runtime-compiled query's column equals a single-query pipeline
   // built from the same source text, starting at record 0 (nothing
   // streamed before the adds).
-  const auto& columns = result->shard_query_columns.at(0);
-  const query_column* text_column = find_column(columns, *by_text);
-  const query_column* path_column = find_column(columns, *by_path);
-  ASSERT_NE(text_column, nullptr);
-  ASSERT_NE(path_column, nullptr);
+  const auto text_column = result->verdicts.column(0, *by_text);
+  const auto path_column = result->verdicts.column(0, *by_path);
+  ASSERT_TRUE(text_column.has_value());
+  ASSERT_TRUE(path_column.has_value());
   EXPECT_EQ(text_column->first_record, 0u);
   EXPECT_EQ(path_column->first_record, 0u);
 

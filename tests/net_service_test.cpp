@@ -377,6 +377,16 @@ TEST(NetService, QueryBitmapEchoOneLinePerRecord) {
   }
   EXPECT_EQ(echoed, expected);
   EXPECT_EQ(result->records(), col0.size());
+
+  // The drain's verdict matrix holds the same bits the echo rendered.
+  const auto first = result->verdicts.column(0, 1);
+  const auto second = result->verdicts.column(0, 2);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(first->first_record, 0u);
+  EXPECT_EQ(second->first_record, 0u);
+  EXPECT_EQ(first->decisions, col0);
+  EXPECT_EQ(second->decisions, col1);
 }
 
 namespace {
