@@ -172,7 +172,7 @@ struct pipeline::impl {
       registry_ptr reg;
       std::uint64_t first = 0;  // per-shard index of any[0]
       std::vector<bool> any;
-      std::vector<std::uint64_t> words;  // as verdict_matrix::segment
+      std::vector<std::uint64_t> words;  // wpr() per row, or empty
     };
     std::mutex sink_mutex;          // guards the delivery fields below
     std::deque<staged_batch> staged;
@@ -318,7 +318,7 @@ struct pipeline::impl {
     st.history.any.insert(st.history.any.end(), any.begin(), any.end());
     verdict_matrix::segment& seg = st.history.segments.back();
     seg.records += n;
-    seg.words.insert(seg.words.end(), taken.words.begin(), taken.words.end());
+    seg.append(taken.words, st.reg->wpr());
     if (sinks_for(*st.reg)) {
       std::lock_guard<std::mutex> lock(st.sink_mutex);
       st.staged.push_back(

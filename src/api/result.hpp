@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,9 +48,15 @@ class verdict_matrix {
     std::shared_ptr<const std::vector<core::query_id>> ids;
     std::uint64_t first_record = 0;  // per-shard ordinal of row 0
     std::uint64_t records = 0;
-    /// ceil(ids/64) little-endian words per row. Empty for a one-query
-    /// epoch, whose verdicts are the shard's any-match column.
-    std::vector<std::uint64_t> words;
+    /// ceil(ids/64) little-endian words per row, in blocks of whole rows.
+    /// A block never grows past the capacity it was made with, so a long
+    /// history adds one block at a time and never reallocates (and, for
+    /// the copy, briefly doubles) one ever larger buffer. Empty for a
+    /// one-query epoch, whose verdicts are the shard's any-match column.
+    std::vector<std::vector<std::uint64_t>> blocks;
+
+    /// Append whole rows of `wpr` words each.
+    void append(std::span<const std::uint64_t> words, std::size_t wpr);
   };
   /// One shard's staged history: every record's any-match verdict, and
   /// one segment per epoch the shard ran under, in record order.

@@ -12,7 +12,10 @@
 #include <atomic>
 #include <barrier>
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -785,4 +788,61 @@ TEST(ApiQuerySet, RuntimeJsonpathAndTextCompile) {
   ASSERT_TRUE(path_run.has_value()) << path_run.error().message;
   EXPECT_EQ(text_column->decisions, text_run->decisions);
   EXPECT_EQ(path_column->decisions, path_run->decisions);
+}
+
+TEST(ApiQuerySet, VerdictSegmentBlocksNeverMove) {
+  // A long multi-query epoch stores its rows in blocks that are never
+  // reallocated, each holding whole rows; column() reads them back in
+  // record order across every block boundary.
+  constexpr std::size_t kIds = 130;  // three words per row
+  constexpr std::size_t wpr = (kIds + 63) / 64;
+  constexpr std::size_t kRows = 12'000;
+  std::vector<core::query_id> ids(kIds);
+  for (std::size_t i = 0; i < kIds; ++i)
+    ids[i] = static_cast<core::query_id>(i + 1);
+  std::vector<std::uint64_t> words(kRows * wpr);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (std::uint64_t& w : words) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    w = x;
+  }
+
+  verdict_matrix::history h;
+  h.any.assign(kRows, true);
+  h.segments.push_back(
+      {std::make_shared<const std::vector<core::query_id>>(ids), 0, kRows,
+       {}});
+  verdict_matrix::segment& seg = h.segments.back();
+  std::vector<const std::uint64_t*> placed;
+  std::size_t row = 0;
+  for (const std::size_t batch : {1u, 7u, 500u, 3001u, 64u, 8427u}) {
+    seg.append(std::span(words).subspan(row * wpr, batch * wpr), wpr);
+    row += batch;
+    for (std::size_t b = 0; b < placed.size(); ++b)
+      EXPECT_EQ(seg.blocks[b].data(), placed[b]) << "block " << b << " moved";
+    for (std::size_t b = placed.size(); b < seg.blocks.size(); ++b)
+      placed.push_back(seg.blocks[b].data());
+  }
+  ASSERT_EQ(row, kRows);
+  EXPECT_GT(seg.blocks.size(), 2u);
+  std::size_t stored = 0;
+  for (const std::vector<std::uint64_t>& block : seg.blocks) {
+    EXPECT_EQ(block.size() % wpr, 0u);
+    stored += block.size();
+  }
+  EXPECT_EQ(stored, words.size());
+
+  const verdict_matrix matrix(std::vector<verdict_matrix::history>{h});
+  for (const std::size_t qi : {std::size_t{0}, std::size_t{63},
+                               std::size_t{64}, std::size_t{129}}) {
+    const auto column = matrix.column(0, ids[qi]);
+    ASSERT_TRUE(column.has_value()) << "query " << ids[qi];
+    EXPECT_EQ(column->first_record, 0u);
+    std::vector<bool> expected(kRows);
+    for (std::size_t r = 0; r < kRows; ++r)
+      expected[r] = ((words[r * wpr + qi / 64] >> (qi % 64)) & 1u) != 0;
+    EXPECT_EQ(column->decisions, expected) << "query " << ids[qi];
+  }
 }
