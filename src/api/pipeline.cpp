@@ -1192,7 +1192,7 @@ expected<pipeline> pipeline_builder::build() {
     return unexpected("pipeline: negative block length");
   if (s.bad_simd)
     return unexpected("pipeline: unknown simd level \"" + *s.bad_simd +
-                      "\" - one of automatic / scalar / sse2 / avx2 / avx512");
+                      "\" - one of auto / scalar / sse2 / avx2 / avx512");
   if (s.opts.backend == backend_kind::system && s.opts.lanes < 1)
     return unexpected("pipeline: the system backend needs at least one lane");
   for (const input_spec& in : s.inputs)

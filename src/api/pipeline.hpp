@@ -198,7 +198,7 @@ class pipeline_builder {
   /// dispatch clamped by JRF_FORCE_SCALAR / JRF_SIMD_LEVEL). Decisions are
   /// identical at every level; only wall-clock differs.
   pipeline_builder& simd(core::simd::simd_level level);
-  /// Same, by name ("automatic", "scalar", "sse2", "avx2", "avx512");
+  /// Same, by name ("auto", "scalar", "sse2", "avx2", "avx512");
   /// unknown names surface as api::error at build().
   pipeline_builder& simd(std::string_view level);
 

@@ -69,8 +69,8 @@ void collect_bits(std::span<const std::uint64_t> words, std::size_t begin,
 
 /// Maximal runs of set bits in [begin, end), replacing `out` with runs
 /// relative to `begin` (run positions are begin-relative so a record's
-/// bit range yields record-relative token runs). Matches
-/// simd::token_runs over the same byte class.
+/// bit range yields record-relative token runs). Over the bitmap pass's
+/// token map these are the record's maximal numeric-token runs.
 void bit_runs_in(std::span<const std::uint64_t> words, std::size_t begin,
                  std::size_t end, std::vector<simd::token_run>& out);
 

@@ -156,48 +156,13 @@ filter_circuit elaborate_filter(network& net, const expr_ptr& expr,
   connect_string_mask(net, mask, out.record_boundary);
   const node_id reset = out.record_boundary;
 
-  // One shared structure tracker when any group needs it. Its string mask
-  // is the one already built (structural hashing dedupes the gates; the
-  // registers are shared explicitly by elaborating depth/boundary signals
-  // here instead of calling elaborate_structure, which would duplicate the
-  // in-string registers).
+  // One shared structure tracker when any group needs it, on the string
+  // mask built above.
   structure_circuit sc;
   const bool need_structure = has_group(*expr);
-  if (need_structure) {
-    sc.masked = mask.masked;
-    const node_id unmasked = net.not_gate(mask.masked);
-    const node_id open_ch =
-        net.or_gate(netlist::eq_const(net, out.byte, '{'),
-                    netlist::eq_const(net, out.byte, '['));
-    const node_id close_ch =
-        net.or_gate(netlist::eq_const(net, out.byte, '}'),
-                    netlist::eq_const(net, out.byte, ']'));
-    sc.scope_open = net.and_gate(unmasked, open_ch);
-    sc.scope_close = net.and_gate(unmasked, close_ch);
-    sc.pair_boundary = net.or_gate(
-        sc.scope_close,
-        net.and_gate(unmasked, netlist::eq_const(net, out.byte, ',')));
-
-    const bus depth =
-        netlist::dff_bus(net, prefix + ".depth", options.depth_bits);
-    const std::uint64_t max_code =
-        (std::uint64_t{1} << options.depth_bits) - 1;
-    const node_id at_max = netlist::eq_const(net, depth, max_code);
-    const node_id at_zero = netlist::eq_const(net, depth, 0);
-    const bus inc = netlist::increment(net, depth);
-    const bus dec = netlist::decrement(net, depth);
-    const node_id do_inc = net.and_gate(sc.scope_open, net.not_gate(at_max));
-    const node_id do_dec = net.and_gate(sc.scope_close, net.not_gate(at_zero));
-    bus depth_after;
-    depth_after.reserve(depth.size());
-    for (std::size_t i = 0; i < depth.size(); ++i)
-      depth_after.push_back(
-          net.mux(do_inc, inc[i], net.mux(do_dec, dec[i], depth[i])));
-    for (std::size_t i = 0; i < depth.size(); ++i)
-      net.connect_dff(depth[i], depth_after[i], reset);
-    sc.depth = depth_after;
-    sc.depth_before = depth;
-  }
+  if (need_structure)
+    sc = elaborate_structure(net, out.byte, mask.masked, reset,
+                             options.depth_bits, prefix);
 
   tree_builder builder{net,      out.byte,
                        reset,    out.record_boundary,

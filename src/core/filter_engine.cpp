@@ -660,9 +660,11 @@ class chunked_filter_engine final : public filter_engine {
     run_slot_.reserve(layout_.engines.size());
     std::size_t slots = 0;
     for (const auto& engine : layout_.engines) {
-      // Engines past the 64-bit verdict mask fall back to the generic
-      // bulk paths (a query would need >64 value primitives to get there).
-      const bool capable = engine->supports_token_runs() && slots < 64;
+      // Engines past the 64-bit run verdict mask fall back to the generic
+      // bulk paths. Slots count run-capable value engines across the whole
+      // resident fleet after spec dedup, so the 65th distinct one falls
+      // back.
+      const bool capable = engine->run_capable() && slots < 64;
       run_capable_.push_back(capable ? 1 : 0);
       run_slot_.push_back(capable ? slots++ : 0);
       if (capable) has_run_capable_ = true;
@@ -884,7 +886,7 @@ class chunked_filter_engine final : public filter_engine {
   /// run-capable value engine. Extracted from the ingest pass's token
   /// bitmap (word ops over cached classification) instead of
   /// re-classifying the record's bytes.
-  void ensure_token_runs(std::span<const unsigned char> record) {
+  void ensure_runs(std::span<const unsigned char> record) {
     if (runs_ready_) return;
     bit_runs_in(cur_pass_->token(), cur_offset_, cur_offset_ + record.size(),
                 runs_);
@@ -914,7 +916,7 @@ class chunked_filter_engine final : public filter_engine {
   /// tag; a double collision just recomputes.
   void ensure_run_verdicts(std::span<const unsigned char> record) {
     if (verdicts_ready_) return;
-    ensure_token_runs(record);
+    ensure_runs(record);
     const std::size_t n = runs_.size();
     run_masks_.clear();
     any_mask_ = 0;

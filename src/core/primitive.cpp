@@ -57,45 +57,6 @@ std::string spec_key(const primitive_spec& spec) {
   return out;
 }
 
-bool primitive_engine::fires_in(std::span<const unsigned char> record,
-                                unsigned char terminator) {
-  reset();
-  for (const unsigned char byte : record) {
-    if (step(byte)) {
-      reset();
-      return true;
-    }
-  }
-  const bool fire = step(terminator);
-  reset();
-  return fire;
-}
-
-void primitive_engine::fire_positions(std::span<const unsigned char> record,
-                                      unsigned char terminator,
-                                      std::vector<std::uint32_t>& out) {
-  reset();
-  for (std::size_t i = 0; i < record.size(); ++i)
-    if (step(record[i])) out.push_back(static_cast<std::uint32_t>(i));
-  if (step(terminator)) out.push_back(static_cast<std::uint32_t>(record.size()));
-  reset();
-}
-
-void primitive_engine::scan_fires(std::span<const unsigned char> record,
-                                  unsigned char terminator, fire_sink sink,
-                                  void* ctx) {
-  std::vector<std::uint32_t> fires;
-  fire_positions(record, terminator, fires);
-  for (const std::uint32_t pos : fires)
-    if (!sink(ctx, pos)) return;
-}
-
-void primitive_engine::fire_positions_over_runs(
-    std::span<const unsigned char>, unsigned char,
-    std::span<const simd::token_run>, std::vector<std::uint32_t>&) {
-  throw error("primitive engine: token-run bulk path not supported");
-}
-
 bool primitive_engine::fires_in_any_run(std::span<const unsigned char>,
                                         unsigned char,
                                         std::span<const simd::token_run>) {
@@ -610,16 +571,8 @@ class value_engine final : public primitive_engine {
   // walk ends accepting, so walking precomputed runs reproduces scan()
   // exactly; an accepting start state would also pulse on every non-token
   // byte, which runs alone cannot express, hence the guard.
-  bool supports_token_runs() const override {
+  bool run_capable() const override {
     return !compiled_->start_accepting;
-  }
-
-  void fire_positions_over_runs(std::span<const unsigned char> record,
-                                unsigned char terminator,
-                                std::span<const simd::token_run> runs,
-                                std::vector<std::uint32_t>& out) override {
-    for (const simd::token_run& run : runs)
-      if (run_accepts(record, terminator, run)) out.push_back(run.end);
   }
 
   bool fires_in_any_run(std::span<const unsigned char> record,

@@ -90,9 +90,9 @@ struct elaborated_primitive {
 /// path (fires_in / fire_positions) used by the chunked filter engine
 /// (core/filter_engine.hpp): both report the fire pulses the scalar path
 /// would emit stepping from the power-on state over `record` followed by the
-/// one `terminator` byte the record protocol appends. The base-class
-/// defaults replay step(); engines override them with scanning loops that
-/// skip irrelevant bytes but are pulse-identical by construction.
+/// one `terminator` byte the record protocol appends. Every engine
+/// implements them with scanning loops that skip irrelevant bytes but are
+/// pulse-identical to step() by construction.
 class primitive_engine {
  public:
   virtual ~primitive_engine() = default;
@@ -111,14 +111,14 @@ class primitive_engine {
   /// `record` then `terminator` from the power-on state. May clobber and
   /// leaves the engine in the power-on state.
   virtual bool fires_in(std::span<const unsigned char> record,
-                        unsigned char terminator);
+                        unsigned char terminator) = 0;
 
   /// Bulk path: append the 0-based position of every fire pulse stepping
   /// over `record` then `terminator` (position record.size() means the pulse
   /// occurred on the terminator byte). Same state contract as fires_in.
   virtual void fire_positions(std::span<const unsigned char> record,
                               unsigned char terminator,
-                              std::vector<std::uint32_t>& out);
+                              std::vector<std::uint32_t>& out) = 0;
 
   /// Callback for scan_fires; return false to stop the scan early.
   using fire_sink = bool (*)(void* ctx, std::uint32_t pos);
@@ -127,29 +127,22 @@ class primitive_engine {
   /// record.size() = the terminator byte) into `sink` until it returns
   /// false. Lets a caller stop mid-record once a pulse decided the
   /// outcome - the early-exit shape fires_in has, but with positions.
-  /// Engines with native early-exit scans override this; the default
-  /// materialises fire_positions first.
   virtual void scan_fires(std::span<const unsigned char> record,
-                          unsigned char terminator, fire_sink sink, void* ctx);
+                          unsigned char terminator, fire_sink sink,
+                          void* ctx) = 0;
 
   /// True when this engine's pulses are a pure function of the maximal
-  /// numeric-token runs of the record (simd::token_runs), letting one
-  /// shared segmentation replace the engine's own boundary scans. Value
-  /// engines whose DFA rejects the empty token qualify; everything else
-  /// answers false and the run-based bulk paths below must not be called.
-  virtual bool supports_token_runs() const { return false; }
-
-  /// Run-based fire_positions: identical pulses, but the caller supplies
-  /// the record's maximal token runs. Precondition: supports_token_runs()
-  /// and `runs` == simd::token_runs(record).
-  virtual void fire_positions_over_runs(std::span<const unsigned char> record,
-                                        unsigned char terminator,
-                                        std::span<const simd::token_run> runs,
-                                        std::vector<std::uint32_t>& out);
+  /// numeric-token runs of the record (core::bit_runs_in over the bitmap
+  /// pass's token map), letting one shared segmentation replace the
+  /// engine's own boundary scans. Value engines whose DFA rejects the
+  /// empty token qualify; everything else answers false and
+  /// fires_in_any_run must not be called.
+  virtual bool run_capable() const { return false; }
 
   /// True when at least one pulse occurs whose position falls at the end
   /// of one of `runs` (any subrange of the record's maximal token runs).
-  /// Same precondition as fire_positions_over_runs.
+  /// Precondition: run_capable() and `runs` are maximal token runs
+  /// of `record`, as bit_runs_in yields them.
   virtual bool fires_in_any_run(std::span<const unsigned char> record,
                                 unsigned char terminator,
                                 std::span<const simd::token_run> runs);

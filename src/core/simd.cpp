@@ -166,11 +166,6 @@ constexpr bool is_token_scalar(unsigned char b) noexcept {
   return numrange::is_token_byte(b);
 }
 
-/// The structure tracker's candidate set outside a string literal.
-constexpr bool is_structural_scalar(unsigned char b) noexcept {
-  return b == '"' || b == '{' || b == '}' || b == '[' || b == ']' || b == ',';
-}
-
 std::uint64_t match_mask_scalar(const unsigned char* data, std::size_t size,
                                 const byte_set& set) noexcept {
   std::uint64_t mask = 0;
@@ -187,22 +182,6 @@ std::size_t find_byte_scalar(const unsigned char* data, std::size_t size,
              ? npos
              : static_cast<std::size_t>(static_cast<const unsigned char*>(hit) -
                                         data);
-}
-
-std::size_t find_first_of2_scalar(const unsigned char* data, std::size_t size,
-                                  unsigned char a, unsigned char b) noexcept {
-  for (std::size_t i = 0; i < size; ++i)
-    if (data[i] == a || data[i] == b) return i;
-  return npos;
-}
-
-std::uint64_t structural_mask_scalar(const unsigned char* data,
-                                     std::size_t size) noexcept {
-  std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < size; ++i)
-    if (is_structural_scalar(data[i]) || data[i] == '\\')
-      mask |= std::uint64_t{1} << i;
-  return mask;
 }
 
 block_class classify_block_scalar(const unsigned char* data, std::size_t size,
@@ -244,14 +223,6 @@ std::size_t find_non_token_scalar(const unsigned char* data,
   return npos;
 }
 
-std::uint64_t token_chunk_scalar(const unsigned char* data,
-                                 std::size_t size) noexcept {
-  std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < size; ++i)
-    if (is_token_scalar(data[i])) mask |= std::uint64_t{1} << i;
-  return mask;
-}
-
 std::size_t find_substring_scalar(const unsigned char* hay, std::size_t n,
                                   const unsigned char* needle,
                                   std::size_t m) noexcept {
@@ -291,6 +262,8 @@ __attribute__((target("sse2"))) std::uint64_t match_mask_sse2(
 
 __attribute__((target("sse2"))) __m128i token_mask_sse2(__m128i v) noexcept;
 
+/// ORing 0x20 folds '{'/'[' and '}'/']' onto single compares ('[' | 0x20
+/// == '{', ']' | 0x20 == '}', and no other byte folds onto either).
 __attribute__((target("sse2"))) block_class classify_block_sse2(
     const unsigned char* data, std::size_t size,
     unsigned char separator) noexcept {
@@ -345,43 +318,6 @@ __attribute__((target("sse2"))) std::size_t find_byte_sse2(
   return tail == npos ? npos : i + tail;
 }
 
-__attribute__((target("sse2"))) std::size_t find_first_of2_sse2(
-    const unsigned char* data, std::size_t size, unsigned char a,
-    unsigned char b) noexcept {
-  const __m128i va = _mm_set1_epi8(static_cast<char>(a));
-  const __m128i vb = _mm_set1_epi8(static_cast<char>(b));
-  std::size_t i = 0;
-  for (; i + 16 <= size; i += 16) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    const __m128i hit =
-        _mm_or_si128(_mm_cmpeq_epi8(v, va), _mm_cmpeq_epi8(v, vb));
-    const int mask = _mm_movemask_epi8(hit);
-    if (mask != 0)
-      return i + static_cast<std::size_t>(std::countr_zero(
-                     static_cast<unsigned>(mask)));
-  }
-  const std::size_t tail = find_first_of2_scalar(data + i, size - i, a, b);
-  return tail == npos ? npos : i + tail;
-}
-
-
-/// Structural candidates plus backslash. ORing 0x20 folds '{'/'[' and
-/// '}'/']' onto single compares ('[' | 0x20 == '{', ']' | 0x20 == '}',
-/// and no other byte folds onto either).
-__attribute__((target("sse2"))) std::uint64_t structural_mask_sse2(
-    const unsigned char* data, std::size_t size) noexcept {
-  if (size < 16) return structural_mask_scalar(data, size);
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data));
-  const __m128i folded = _mm_or_si128(v, _mm_set1_epi8(0x20));
-  const __m128i hit = _mm_or_si128(
-      _mm_or_si128(
-          _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8('"')),
-                       _mm_cmpeq_epi8(v, _mm_set1_epi8(','))),
-          _mm_cmpeq_epi8(v, _mm_set1_epi8('\\'))),
-      _mm_or_si128(_mm_cmpeq_epi8(folded, _mm_set1_epi8('{')),
-                   _mm_cmpeq_epi8(folded, _mm_set1_epi8('}'))));
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(hit)) & 0xFFFFu;
-}
 
 /// Numeric-token class mask for one 16-byte vector: digits by signed range
 /// compare (token bytes are all < 0x80, and bytes >= 0x80 read as negative
@@ -425,14 +361,6 @@ __attribute__((target("sse2"))) std::size_t find_non_token_sse2(
   }
   const std::size_t tail = find_non_token_scalar(data + i, size - i);
   return tail == npos ? npos : i + tail;
-}
-
-/// Token-class bitmask of one full 16-byte chunk.
-__attribute__((target("sse2"))) std::uint64_t token_chunk_sse2(
-    const unsigned char* data) noexcept {
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data));
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(token_mask_sse2(v))) &
-         0xFFFFu;
 }
 
 /// First+last byte candidate compare, memcmp confirm (Mula's SIMD-friendly
@@ -562,39 +490,6 @@ __attribute__((target("avx2"))) std::size_t find_byte_avx2(
   return tail == npos ? npos : i + tail;
 }
 
-__attribute__((target("avx2"))) std::size_t find_first_of2_avx2(
-    const unsigned char* data, std::size_t size, unsigned char a,
-    unsigned char b) noexcept {
-  const __m256i va = _mm256_set1_epi8(static_cast<char>(a));
-  const __m256i vb = _mm256_set1_epi8(static_cast<char>(b));
-  std::size_t i = 0;
-  for (; i + 32 <= size; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const auto mask = static_cast<std::uint32_t>(_mm256_movemask_epi8(
-        _mm256_or_si256(_mm256_cmpeq_epi8(v, va), _mm256_cmpeq_epi8(v, vb))));
-    if (mask != 0)
-      return i + static_cast<std::size_t>(std::countr_zero(mask));
-  }
-  const std::size_t tail = find_first_of2_scalar(data + i, size - i, a, b);
-  return tail == npos ? npos : i + tail;
-}
-
-
-__attribute__((target("avx2"))) std::uint64_t structural_mask_avx2(
-    const unsigned char* data, std::size_t size) noexcept {
-  if (size < 32) return structural_mask_scalar(data, size);
-  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data));
-  const __m256i folded = _mm256_or_si256(v, _mm256_set1_epi8(0x20));
-  const __m256i hit = _mm256_or_si256(
-      _mm256_or_si256(
-          _mm256_or_si256(_mm256_cmpeq_epi8(v, _mm256_set1_epi8('"')),
-                          _mm256_cmpeq_epi8(v, _mm256_set1_epi8(','))),
-          _mm256_cmpeq_epi8(v, _mm256_set1_epi8('\\'))),
-      _mm256_or_si256(_mm256_cmpeq_epi8(folded, _mm256_set1_epi8('{')),
-                      _mm256_cmpeq_epi8(folded, _mm256_set1_epi8('}'))));
-  return static_cast<std::uint32_t>(_mm256_movemask_epi8(hit));
-}
 
 __attribute__((target("avx2"))) __m256i token_mask_avx2(__m256i v) noexcept {
   const __m256i digit = _mm256_and_si256(
@@ -638,13 +533,6 @@ __attribute__((target("avx2"))) std::size_t find_non_token_avx2(
   }
   const std::size_t tail = find_non_token_scalar(data + i, size - i);
   return tail == npos ? npos : i + tail;
-}
-
-/// Token-class bitmask of one full 32-byte chunk.
-__attribute__((target("avx2"))) std::uint64_t token_chunk_avx2(
-    const unsigned char* data) noexcept {
-  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data));
-  return static_cast<std::uint32_t>(_mm256_movemask_epi8(token_mask_avx2(v)));
 }
 
 __attribute__((target("avx2"))) std::size_t find_substring_avx2(
@@ -735,36 +623,6 @@ __attribute__((target(JRF_AVX512_TARGET))) std::size_t find_byte_avx512(
   return tail == npos ? npos : i + tail;
 }
 
-__attribute__((target(JRF_AVX512_TARGET))) std::size_t find_first_of2_avx512(
-    const unsigned char* data, std::size_t size, unsigned char a,
-    unsigned char b) noexcept {
-  const __m512i va = _mm512_set1_epi8(static_cast<char>(a));
-  const __m512i vb = _mm512_set1_epi8(static_cast<char>(b));
-  std::size_t i = 0;
-  for (; i + 64 <= size; i += 64) {
-    const __m512i v = _mm512_loadu_si512(data + i);
-    const __mmask64 mask =
-        _mm512_cmpeq_epi8_mask(v, va) | _mm512_cmpeq_epi8_mask(v, vb);
-    if (mask != 0)
-      return i + static_cast<std::size_t>(
-                     std::countr_zero(static_cast<std::uint64_t>(mask)));
-  }
-  const std::size_t tail = find_first_of2_scalar(data + i, size - i, a, b);
-  return tail == npos ? npos : i + tail;
-}
-
-__attribute__((target(JRF_AVX512_TARGET))) std::uint64_t structural_mask_avx512(
-    const unsigned char* data, std::size_t size) noexcept {
-  if (size < 64) return structural_mask_scalar(data, size);
-  const __m512i v = _mm512_loadu_si512(data);
-  const __m512i folded = _mm512_or_si512(v, _mm512_set1_epi8(0x20));
-  return _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8('"')) |
-         _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8(',')) |
-         _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8('\\')) |
-         _mm512_cmpeq_epi8_mask(folded, _mm512_set1_epi8('{')) |
-         _mm512_cmpeq_epi8_mask(folded, _mm512_set1_epi8('}'));
-}
-
 __attribute__((target(JRF_AVX512_TARGET))) __mmask64 token_mask_avx512(
     __m512i v) noexcept;
 
@@ -824,13 +682,6 @@ __attribute__((target(JRF_AVX512_TARGET))) std::size_t find_non_token_avx512(
   }
   const std::size_t tail = find_non_token_scalar(data + i, size - i);
   return tail == npos ? npos : i + tail;
-}
-
-/// Token-class bitmask of one full 64-byte chunk.
-__attribute__((target(JRF_AVX512_TARGET))) std::uint64_t token_chunk_avx512(
-    const unsigned char* data) noexcept {
-  return static_cast<std::uint64_t>(
-      token_mask_avx512(_mm512_loadu_si512(data)));
 }
 
 __attribute__((target(JRF_AVX512_TARGET))) std::size_t find_substring_avx512(
@@ -909,49 +760,6 @@ std::uint64_t match_mask(const unsigned char* data, std::size_t size,
   return match_mask_scalar(data, std::min(size, chunk_width(level)), set);
 }
 
-std::size_t find_byte(const unsigned char* data, std::size_t size,
-                      unsigned char b, simd_level level) noexcept {
-#if JRF_SIMD_X86
-  switch (level) {
-    case simd_level::avx512: return find_byte_avx512(data, size, b);
-    case simd_level::avx2: return find_byte_avx2(data, size, b);
-    case simd_level::sse2: return find_byte_sse2(data, size, b);
-    default: break;
-  }
-#endif
-  (void)level;
-  return find_byte_scalar(data, size, b);
-}
-
-std::size_t find_first_of2(const unsigned char* data, std::size_t size,
-                           unsigned char a, unsigned char b,
-                           simd_level level) noexcept {
-#if JRF_SIMD_X86
-  switch (level) {
-    case simd_level::avx512: return find_first_of2_avx512(data, size, a, b);
-    case simd_level::avx2: return find_first_of2_avx2(data, size, a, b);
-    case simd_level::sse2: return find_first_of2_sse2(data, size, a, b);
-    default: break;
-  }
-#endif
-  (void)level;
-  return find_first_of2_scalar(data, size, a, b);
-}
-
-
-std::uint64_t structural_mask(const unsigned char* data, std::size_t size,
-                              simd_level level) noexcept {
-#if JRF_SIMD_X86
-  switch (level) {
-    case simd_level::avx512: return structural_mask_avx512(data, size);
-    case simd_level::avx2: return structural_mask_avx2(data, size);
-    case simd_level::sse2: return structural_mask_sse2(data, size);
-    default: break;
-  }
-#endif
-  return structural_mask_scalar(data, std::min(size, chunk_width(level)));
-}
-
 block_class classify_block(const unsigned char* data, std::size_t size,
                            unsigned char separator,
                            simd_level level) noexcept {
@@ -1005,58 +813,6 @@ std::size_t find_non_token(const unsigned char* data, std::size_t size,
 #endif
   (void)level;
   return find_non_token_scalar(data, size);
-}
-
-void token_runs(const unsigned char* data, std::size_t size, simd_level level,
-                std::vector<token_run>& out) {
-  out.clear();
-  const std::size_t width = chunk_width(level);
-  bool open = false;
-  std::uint32_t start = 0;
-  for (std::size_t off = 0; off < size; off += width) {
-    const std::size_t valid = std::min(width, size - off);
-    std::uint64_t mask;
-    if (valid < width) {
-      mask = token_chunk_scalar(data + off, valid);
-    } else {
-#if JRF_SIMD_X86
-      switch (level) {
-        case simd_level::avx512: mask = token_chunk_avx512(data + off); break;
-        case simd_level::avx2: mask = token_chunk_avx2(data + off); break;
-        case simd_level::sse2: mask = token_chunk_sse2(data + off); break;
-        default: mask = token_chunk_scalar(data + off, valid); break;
-      }
-#else
-      mask = token_chunk_scalar(data + off, valid);
-#endif
-    }
-    // Run-length walk of the chunk mask. Bits >= valid are zero, so a run
-    // reaching the end of a partial chunk closes via the trailing flush.
-    std::size_t pos = 0;
-    while (pos < valid) {
-      if (!open) {
-        const std::uint64_t rest = mask >> pos;
-        if (rest == 0) break;
-        pos += static_cast<std::size_t>(std::countr_zero(rest));
-        start = static_cast<std::uint32_t>(off + pos);
-        open = true;
-      } else {
-        // countr_zero(~mask >> pos) == 64 - pos when every remaining bit
-        // is set: the run continues into the next chunk.
-        const std::uint64_t inv = ~mask >> pos;
-        const std::size_t gap =
-            pos + static_cast<std::size_t>(std::countr_zero(inv));
-        if (gap >= valid) {
-          pos = valid;
-          break;
-        }
-        out.push_back({start, static_cast<std::uint32_t>(off + gap)});
-        open = false;
-        pos = gap;
-      }
-    }
-  }
-  if (open) out.push_back({start, static_cast<std::uint32_t>(size)});
 }
 
 std::size_t find_substring(const unsigned char* hay, std::size_t n,

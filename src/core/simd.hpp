@@ -5,9 +5,8 @@
 // instruction. This header exposes the small set of byte-scanning kernels
 // the chunked filter engine and the primitive bulk scans are built from:
 //
-//   find_byte / find_first_of2  - memchr-style scans for one or two bytes,
-//   structural_mask             - per-chunk bitmask of the bytes the
-//                                 structure tracker can react to,
+//   classify_block              - per-class bitmasks of one 64-byte block
+//                                 (the raw material of core/bitmaps.hpp),
 //   find_token / find_non_token - numeric-token boundary scans
 //                                 (numrange::is_token_byte's fixed class),
 //   find_substring              - exact substring search (first+last byte
@@ -125,23 +124,6 @@ std::size_t chunk_width(simd_level level) noexcept;
 std::uint64_t match_mask(const unsigned char* data, std::size_t size,
                          const byte_set& set, simd_level level) noexcept;
 
-/// Index of the first occurrence of `b`, or npos.
-std::size_t find_byte(const unsigned char* data, std::size_t size,
-                      unsigned char b, simd_level level) noexcept;
-
-/// Index of the first occurrence of `a` or `b`, or npos.
-std::size_t find_first_of2(const unsigned char* data, std::size_t size,
-                           unsigned char a, unsigned char b,
-                           simd_level level) noexcept;
-
-/// Bitmask over the first min(size, chunk_width(level)) bytes of every
-/// byte the structure tracker can react to in either automaton state: the
-/// six structural candidates plus '\\' (the escape arm). One vector
-/// classification per chunk - the profitable shape when structural bytes
-/// are dense (real JSON: one per ~7 bytes).
-std::uint64_t structural_mask(const unsigned char* data, std::size_t size,
-                              simd_level level) noexcept;
-
 /// Per-class bitmasks of one <= 64-byte block, the raw material of the
 /// bitmap pass (core/bitmaps.hpp). Bit i of each mask refers to data[i];
 /// bits >= size are zero in every mask. `structural` covers the four
@@ -177,19 +159,12 @@ std::size_t find_non_token(const unsigned char* data, std::size_t size,
                            simd_level level) noexcept;
 
 /// One maximal run of consecutive numeric-token-class bytes: half-open
-/// positions [begin, end) into the scanned buffer.
+/// positions [begin, end) into the scanned buffer. bit_runs_in
+/// (core/bitmaps.hpp) extracts them from the bitmap pass's token map.
 struct token_run {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
 };
-
-/// All maximal numeric-token runs of data[0..size), ascending, replacing
-/// `out`. One vector classification per chunk instead of one find_token /
-/// find_non_token dispatch per run boundary - the shape that lets every
-/// value engine of a query share a single segmentation of the record.
-/// Runs are identical at every tier.
-void token_runs(const unsigned char* data, std::size_t size,
-                simd_level level, std::vector<token_run>& out);
 
 /// Index of the first occurrence of needle[0..m) in hay[0..n), or npos.
 /// Exact search (no false positives/negatives at any tier). m == 0

@@ -51,16 +51,14 @@ void connect_string_mask(network& net, const string_mask_circuit& mask,
 }
 
 structure_circuit elaborate_structure(network& net, const bus& byte,
-                                      node_id record_reset, int depth_bits,
+                                      node_id masked, node_id record_reset,
+                                      int depth_bits,
                                       const std::string& prefix) {
   if (depth_bits < 1 || depth_bits > 16)
     throw error("structure tracker: depth_bits out of range");
 
-  const string_mask_circuit mask = build_string_mask(net, byte, prefix);
-  connect_string_mask(net, mask, record_reset);
-
   structure_circuit out;
-  out.masked = mask.masked;
+  out.masked = masked;
   const node_id unmasked = net.not_gate(out.masked);
 
   const node_id open_ch = net.or_gate(netlist::eq_const(net, byte, '{'),

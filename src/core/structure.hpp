@@ -127,7 +127,9 @@ void connect_string_mask(netlist::network& net, const string_mask_circuit& mask,
                          netlist::node_id record_reset);
 
 /// Elaborated tracker: one instance is shared by all structural groups of a
-/// composed filter.
+/// composed filter. It reuses the filter's string mask (`masked`, from
+/// build_string_mask) rather than building a second set of in-string
+/// registers.
 struct structure_circuit {
   netlist::node_id masked = netlist::no_node;
   netlist::node_id scope_open = netlist::no_node;
@@ -139,6 +141,7 @@ struct structure_circuit {
 
 structure_circuit elaborate_structure(netlist::network& net,
                                       const netlist::bus& byte,
+                                      netlist::node_id masked,
                                       netlist::node_id record_reset,
                                       int depth_bits,
                                       const std::string& prefix);

@@ -302,7 +302,15 @@ filter_service::~filter_service() {
 }
 
 filter_service::filter_service(filter_service&&) noexcept = default;
-filter_service& filter_service::operator=(filter_service&&) noexcept = default;
+// The replaced service drains first, as on destruction: dropping a live
+// impl would destroy its joinable acceptor thread.
+filter_service& filter_service::operator=(filter_service&& other) noexcept {
+  if (this != &other) {
+    if (impl_) (void)impl_->drain();
+    impl_ = std::move(other.impl_);
+  }
+  return *this;
+}
 
 expected<filter_service> filter_service::open(pipeline_builder builder,
                                               service_options options) {

@@ -432,10 +432,6 @@ bool tape::number(const tape_entry& e, double& out) const {
   return true;
 }
 
-std::size_t tape::byte_size() const noexcept {
-  return bytes_.size() + entries_.size() * sizeof(tape_entry);
-}
-
 void tape::clear() {
   entries_.clear();
   bytes_.clear();

@@ -167,9 +167,6 @@ class tape {
   /// Returns false when the field has no numeric reading.
   bool number(const tape_entry& e, double& out) const;
 
-  /// Arena + entry footprint in bytes (batch-flush sizing).
-  std::size_t byte_size() const noexcept;
-
   void clear();
 
  private:

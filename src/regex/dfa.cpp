@@ -388,12 +388,4 @@ nfa to_nfa(const dfa& d) {
   return out;
 }
 
-dfa union_all(const std::vector<dfa>& parts) {
-  if (parts.empty()) return compile(never());
-  dfa acc = parts.front();
-  for (std::size_t i = 1; i < parts.size(); ++i)
-    acc = dfa::product(acc, parts[i], [](bool x, bool y) { return x || y; });
-  return acc.minimized();
-}
-
 }  // namespace jrf::regex

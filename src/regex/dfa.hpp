@@ -85,7 +85,4 @@ dfa compile(std::string_view pattern);
 /// into Thompson compositions before a final determinize+minimize.
 nfa to_nfa(const dfa& d);
 
-/// Language union of arbitrarily many automata.
-dfa union_all(const std::vector<dfa>& parts);
-
 }  // namespace jrf::regex

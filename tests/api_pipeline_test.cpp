@@ -12,16 +12,23 @@
 //     input files) are diagnosed without aborting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/pipeline.hpp"
 #include "core/filter_engine.hpp"
+#include "core/raw_filter.hpp"
+#include "core/simd.hpp"
 #include "data/smartcity.hpp"
 #include "data/stream.hpp"
 #include "data/taxi.hpp"
+#include "numrange/range_spec.hpp"
+#include "project/paths.hpp"
 #include "query/compile.hpp"
 #include "query/eval.hpp"
 #include "query/parse.hpp"
@@ -191,6 +198,168 @@ TEST(ApiPipelineEquivalence, ShardedBackendMatchesShardedSystem) {
       ASSERT_EQ(result->shards.size(), reference_report.shards.size());
       for (std::size_t s = 0; s < views.size(); ++s)
         EXPECT_EQ(result->shards[s].bytes, reference_report.shards[s].bytes);
+    }
+  }
+}
+
+TEST(ApiPipelineEquivalence, ShardedDfaGroupMembersMatchStandalone) {
+  // DFA string primitives (technique (i)) as group members on a 2-shard
+  // pipeline: every shard runs a clone of the compiled engines, and the
+  // pair group streams its non-anchor members' fire lists.
+  const auto substring = [](int block, const char* text) {
+    return core::primitive_spec{
+        core::string_spec{core::string_technique::substring, block, text}};
+  };
+  const auto dfa = [](const char* text) {
+    return core::primitive_spec{
+        core::string_spec{core::string_technique::dfa, 1, text}};
+  };
+  const core::expr_ptr expr = core::conj(
+      {core::make_group(core::group_kind::pair,
+                        {substring(3, "temp"), dfa("temperature")}),
+       core::make_group(
+           core::group_kind::scope,
+           {dfa("humidity"),
+            core::primitive_spec{core::value_spec{
+                numrange::range_spec::real_range("30", "40"), {}}}})});
+  const auto shards =
+      data::shard_records(data::smartcity_generator().stream(300), 2);
+
+  auto builder = pipeline::make();
+  builder.raw_filter(expr).backend(backend_kind::sharded).worker_threads(2);
+  for (const std::string& shard : shards) builder.input(shard);
+  auto built = builder.build();
+  ASSERT_TRUE(built.has_value()) << built.error().message;
+  auto result = built->run();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  ASSERT_EQ(result->shard_decisions.size(), 2u);
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const auto expected = core::raw_filter(expr).filter_stream(shards[s]);
+    EXPECT_EQ(result->shard_decisions[s], expected) << "shard " << s;
+    EXPECT_NE(std::count(expected.begin(), expected.end(), true), 0);
+    EXPECT_NE(std::count(expected.begin(), expected.end(), false), 0);
+  }
+}
+
+TEST(ApiPipelineEquivalence, BuilderSettersReachThePipeline) {
+  const workload& w = workloads().front();
+  const auto baseline = facade_decisions(w, backend_kind::chunked);
+  const auto decide = [&](pipeline_builder& builder) {
+    auto built = builder.build();
+    EXPECT_TRUE(built.has_value()) << (built ? "" : built.error().message);
+    if (!built) return std::vector<bool>{};
+    auto result = built->run();
+    EXPECT_TRUE(result.has_value()) << (result ? "" : result.error().message);
+    return result ? result->decisions : std::vector<bool>{};
+  };
+
+  EXPECT_STREQ(to_string(backend_kind::scalar), "scalar");
+  EXPECT_STREQ(to_string(backend_kind::chunked), "chunked");
+  EXPECT_STREQ(to_string(backend_kind::system), "system");
+  EXPECT_STREQ(to_string(backend_kind::sharded), "sharded");
+
+  // A pinned vector tier, by enum or by name, never changes a decision.
+  std::vector<std::string> names{"auto"};
+  for (const core::simd::simd_level level : core::simd::available_levels()) {
+    names.emplace_back(core::simd::to_string(level));
+    auto builder = pipeline::make();
+    builder.from_query(w.q).backend(backend_kind::chunked).simd(level).input(
+        w.stream);
+    EXPECT_EQ(decide(builder), baseline) << core::simd::to_string(level);
+  }
+  for (const std::string& name : names) {
+    auto builder = pipeline::make();
+    builder.from_query(w.q).backend(backend_kind::chunked).simd(name).input(
+        w.stream);
+    EXPECT_EQ(decide(builder), baseline) << name;
+  }
+
+  // A pipeline-owned copy of the input, or the same bytes from a file,
+  // decide like the borrowed view: streamed into one lane, or bound as a
+  // shard's source.
+  const std::string path = ::testing::TempDir() + "jrf-api-input.ndjson";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << w.stream;
+  }
+  for (const backend_kind kind : {backend_kind::chunked, backend_kind::sharded}) {
+    auto by_text = pipeline::make();
+    by_text.from_query(w.q).backend(kind).input_text(std::string(w.stream));
+    EXPECT_EQ(decide(by_text), baseline) << to_string(kind);
+    auto by_file = pipeline::make();
+    by_file.from_query(w.q).backend(kind).input_file(path);
+    EXPECT_EQ(decide(by_file), baseline) << to_string(kind);
+  }
+  std::remove(path.c_str());
+
+  // The group-kind override reaches query compilation (the two kinds
+  // decide this stream differently).
+  std::vector<std::vector<bool>> by_group;
+  for (const core::group_kind kind :
+       {core::group_kind::scope, core::group_kind::pair}) {
+    query::compile_options options;
+    options.group = kind;
+    by_group.push_back(
+        core::raw_filter(query::compile_default(w.q, 2, options))
+            .filter_stream(w.stream));
+    auto builder = pipeline::make();
+    builder.from_query(w.q).block(2).group(kind).backend(
+        backend_kind::chunked).input(w.stream);
+    EXPECT_EQ(decide(builder), by_group.back())
+        << (kind == core::group_kind::scope ? "scope" : "pair");
+  }
+  EXPECT_NE(by_group[0], by_group[1]);
+
+  // Move assignment hands over the builder's and the pipeline's state.
+  auto builder = pipeline::make();
+  builder = pipeline::make();
+  builder.from_query(w.q).backend(backend_kind::chunked).input(w.stream);
+  auto first = builder.build();
+  ASSERT_TRUE(first.has_value()) << first.error().message;
+  auto second = pipeline::make()
+                    .from_query(w.q)
+                    .backend(backend_kind::scalar)
+                    .input(w.stream)
+                    .build();
+  ASSERT_TRUE(second.has_value()) << second.error().message;
+  pipeline moved = std::move(*second);
+  moved = std::move(*first);
+  auto result = moved.run();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  EXPECT_EQ(result->decisions, baseline);
+}
+
+TEST(ApiPipelineEquivalence, ExplicitProjectionPathsMatchDerivedPaths) {
+  // project(path_set) names the targets itself, so it also serves a raw
+  // expression, whose paths cannot be derived.
+  const workload& w = workloads().front();
+  const auto project_run = [&](pipeline_builder& builder) {
+    builder.backend(backend_kind::chunked).input(w.stream);
+    auto built = builder.build();
+    EXPECT_TRUE(built.has_value()) << (built ? "" : built.error().message);
+    if (!built) return std::vector<project::column_batch>{};
+    auto result = built->run();
+    EXPECT_TRUE(result.has_value()) << (result ? "" : result.error().message);
+    if (!result) return std::vector<project::column_batch>{};
+    return std::move(result->projection);
+  };
+  auto derived_builder = pipeline::make();
+  derived_builder.from_query(w.q).project();
+  const auto derived = project_run(derived_builder);
+  auto named_builder = pipeline::make();
+  named_builder.raw_filter(query::compile_default(w.q))
+      .project(project::derive_paths({w.q}));
+  const auto named = project_run(named_builder);
+
+  ASSERT_FALSE(derived.empty());
+  ASSERT_EQ(named.size(), derived.size());
+  for (std::size_t b = 0; b < derived.size(); ++b) {
+    EXPECT_EQ(named[b].records, derived[b].records) << "batch " << b;
+    ASSERT_EQ(named[b].columns.size(), derived[b].columns.size());
+    for (std::size_t c = 0; c < derived[b].columns.size(); ++c) {
+      EXPECT_EQ(named[b].columns[c].name, derived[b].columns[c].name);
+      EXPECT_EQ(named[b].columns[c].types, derived[b].columns[c].types);
+      EXPECT_EQ(named[b].columns[c].text, derived[b].columns[c].text);
     }
   }
 }
@@ -665,6 +834,32 @@ TEST(ApiPipelineErrors, ConfigurationValidation) {
   auto zero_burst =
       pipeline::make().from_query(q).dma_burst_bytes(0).build();
   ASSERT_FALSE(zero_burst.has_value());
+
+  // Unknown SIMD level name; the diagnosis lists the valid ones.
+  auto bad_simd = pipeline::make().from_query(q).simd("altivec").build();
+  ASSERT_FALSE(bad_simd.has_value());
+  EXPECT_NE(bad_simd.error().message.find("auto / scalar"), std::string::npos)
+      << bad_simd.error().message;
+
+  // Negative block length; null raw expressions.
+  ASSERT_FALSE(pipeline::make().from_query(q).block(-1).build().has_value());
+  ASSERT_FALSE(pipeline::make().raw_filter(nullptr).build().has_value());
+  ASSERT_FALSE(
+      pipeline::make().from_query(q).add_raw_filter(nullptr).build().has_value());
+
+  // Projection without usable paths, or with a structural separator.
+  ASSERT_FALSE(pipeline::make()
+                   .from_query(q)
+                   .project(project::path_set{})
+                   .build()
+                   .has_value());
+  ASSERT_FALSE(pipeline::make()
+                   .raw_filter(query::compile_default(q))
+                   .project()
+                   .build()
+                   .has_value());
+  ASSERT_FALSE(
+      pipeline::make().from_query(q).separator(',').project().build().has_value());
 }
 
 TEST(ApiPipelineErrors, SurfaceMisuseIsDiagnosed) {

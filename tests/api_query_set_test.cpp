@@ -788,6 +788,23 @@ TEST(ApiQuerySet, RuntimeJsonpathAndTextCompile) {
   ASSERT_TRUE(path_run.has_value()) << path_run.error().message;
   EXPECT_EQ(text_column->decisions, text_run->decisions);
   EXPECT_EQ(path_column->decisions, path_run->decisions);
+
+  // The same JSONPath added at build time instead of at runtime.
+  auto fleet =
+      pipeline::make()
+          .from_query(query::riotbench::qs0())
+          .add_jsonpath(R"($.e[?(@.n=="temperature" & @.v >= 0.7 & @.v <= 35.1)])")
+          .backend(backend_kind::chunked)
+          .input(telemetry())
+          .build();
+  ASSERT_TRUE(fleet.has_value()) << fleet.error().message;
+  ASSERT_EQ(fleet->query_ids().size(), 2u);
+  auto fleet_run = fleet->run();
+  ASSERT_TRUE(fleet_run.has_value()) << fleet_run.error().message;
+  const auto built_path_column =
+      fleet_run->verdicts.column(0, fleet->query_ids()[1]);
+  ASSERT_TRUE(built_path_column.has_value());
+  EXPECT_EQ(built_path_column->decisions, path_run->decisions);
 }
 
 TEST(ApiQuerySet, VerdictSegmentBlocksNeverMove) {

@@ -6,6 +6,7 @@
 // scans must cause zero decision drift at any level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -37,12 +38,13 @@ std::vector<query::query> riotbench_queries() {
 
 void expect_identical_decisions(const core::expr_ptr& expr,
                                 const std::string& stream,
-                                const std::string& label) {
-  core::raw_filter reference(expr);
+                                const std::string& label,
+                                const core::filter_options& base = {}) {
+  core::raw_filter reference(expr, base);
   const std::vector<bool> expected = reference.filter_stream(stream);
 
   for (const core::simd::simd_level level : core::simd::available_levels()) {
-    core::filter_options options;
+    core::filter_options options = base;
     options.simd = level;
     auto chunked =
         core::make_filter_engine(core::engine_kind::chunked, expr, options);
@@ -116,6 +118,45 @@ TEST(ChunkedEquivalence, DfaTechniqueAndFullCompare) {
       expect_identical_decisions(expr, streams[s],
                                  std::string(dfa ? "dfa" : "full") +
                                      " stream=" + std::to_string(s));
+  }
+}
+
+TEST(ChunkedEquivalence, PulsesOnAPrintableSeparator) {
+  // The record protocol appends the separator byte, so with a printable
+  // separator a string primitive can pulse on it: a gram or DFA text
+  // ending in the separator fires when the record ends with the rest.
+  core::filter_options options;
+  options.separator = '|';
+  const auto substring = [](int block, const char* text) {
+    return core::primitive_spec{
+        core::string_spec{core::string_technique::substring, block, text}};
+  };
+  const auto dfa = [](const char* text) {
+    return core::primitive_spec{
+        core::string_spec{core::string_technique::dfa, 1, text}};
+  };
+  const std::string stream =
+      "{\"k\":\"a|b\"}|{\"k\":1}|x}|}|{\"k\":[2]}|{\"k}|\":0}|k|{}|";
+  const std::vector<core::expr_ptr> exprs{
+      core::leaf(substring(2, "}|")),
+      core::leaf(substring(1, "}|")),
+      core::leaf(dfa("}|")),
+      core::leaf(dfa("xyz}|")),
+      core::disj({core::leaf(substring(2, "]}|")), core::leaf(dfa("1}|"))}),
+      core::make_group(core::group_kind::scope,
+                       {dfa("}|"), substring(1, "k")}),
+      core::make_group(core::group_kind::pair,
+                       {substring(1, "k"), dfa("}|")}),
+  };
+  for (std::size_t e = 0; e < exprs.size(); ++e) {
+    const auto decisions =
+        core::raw_filter(exprs[e], options).filter_stream(stream);
+    if (e != 3) {  // "xyz}|" is longer than every record it could end
+      EXPECT_NE(std::count(decisions.begin(), decisions.end(), true), 0)
+          << "expr " << e;
+    }
+    expect_identical_decisions(exprs[e], stream,
+                               "expr " + std::to_string(e), options);
   }
 }
 

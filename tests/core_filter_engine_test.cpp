@@ -281,6 +281,15 @@ TEST(FilterEngine, RawFilterCopyIsIndependent) {
   EXPECT_TRUE(copy.accepts("{\"temperature\":5.0}"));
   EXPECT_FALSE(copy.accepts("{\"temperature\":99.0}"));
   EXPECT_TRUE(original.accepts("{\"temperature\":5.0}"));
+  // A moved-to filter keeps the compiled query.
+  raw_filter moved(std::move(copy));
+  EXPECT_TRUE(moved.accepts("{\"temperature\":5.0}"));
+  EXPECT_FALSE(moved.accepts("{\"temperature\":99.0}"));
+}
+
+TEST(FilterEngine, EngineKindNames) {
+  EXPECT_STREQ(to_string(engine_kind::scalar), "scalar");
+  EXPECT_STREQ(to_string(engine_kind::chunked), "chunked");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 // records where zero engines fire (the short-circuit path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "data/stream.hpp"
 #include "data/taxi.hpp"
 #include "data/twitter.hpp"
+#include "numrange/range_spec.hpp"
 #include "query/compile.hpp"
 #include "query/riotbench.hpp"
 #include "util/error.hpp"
@@ -422,6 +424,111 @@ TEST(QuerySet, ShortCircuitWhenZeroEnginesFire) {
   EXPECT_TRUE(trie->accepts_bits("{\"temperature\":0,\"humidity\":0}",
                                  &words));
   EXPECT_EQ(words, 7u);
+}
+
+TEST(QuerySet, TrieMatchesFlatPlanPastSixtyFourValueEngines) {
+  // The chunked engine gives each run-capable value engine one bit of a
+  // 64-bit run verdict mask, counted across the whole resident fleet after
+  // spec dedup. A fleet with more distinct value primitives than that
+  // sends the rest through the engines' own bulk scans: fires_in for bare
+  // leaves, scan_fires and fire_positions for group members. Those must
+  // decide exactly like the run path, the flat plan and standalone runs.
+  core::query_set set;
+  for (int i = 0; i < 66; ++i)
+    set.add(core::value_leaf(numrange::range_spec::real_range(
+        std::to_string(3 * i), std::to_string(3 * i + 10))));
+  const auto value = [](const char* lo, const char* hi) {
+    return core::primitive_spec{
+        core::value_spec{numrange::range_spec::real_range(lo, hi), {}}};
+  };
+  set.add(core::make_group(core::group_kind::pair,
+                           {value("20", "22"), value("21", "25")}));
+  set.add(core::make_group(
+      core::group_kind::scope,
+      {core::string_spec{core::string_technique::substring, 2, "temperature"},
+       value("19", "21")}));
+  const core::compiled_layout layout = set.compile();
+  std::size_t run_capable = 0;
+  for (const auto& engine : layout.engines) run_capable += engine->run_capable();
+  ASSERT_GT(run_capable, 64u);
+
+  for (const std::string& stream : evaluation_streams(60)) {
+    std::vector<std::vector<bool>> expected;
+    for (const core::expr_ptr& q : set.queries())
+      expected.push_back(core::raw_filter(q).filter_stream(stream));
+
+    for (const core::simd::simd_level level :
+         core::simd::available_levels()) {
+      core::filter_options options;
+      options.simd = level;
+      auto flat = set.make_engine(core::engine_kind::scalar, options);
+      auto trie = set.make_engine(core::engine_kind::chunked, options);
+      ASSERT_EQ(trie->filter_stream(stream), flat->filter_stream(stream))
+          << "simd=" << core::simd::to_string(level);
+      ASSERT_EQ(trie->decision_words(), flat->decision_words())
+          << "simd=" << core::simd::to_string(level);
+      for (std::size_t q = 0; q < set.size(); ++q)
+        ASSERT_EQ(trie->decision_column(q), expected[q])
+            << "query " << q << " simd=" << core::simd::to_string(level);
+    }
+  }
+}
+
+TEST(QuerySet, PairGroupsOfValueMembersMatchStandaloneRuns) {
+  // Pair groups whose members are all run-capable value primitives take
+  // the segment walk over the shared token runs alone (no anchor scan).
+  // Overlapping ranges fire on the same numeral; disjoint ones never share
+  // a pair.
+  const auto value = [](const char* lo, const char* hi) {
+    return core::primitive_spec{
+        core::value_spec{numrange::range_spec::real_range(lo, hi), {}}};
+  };
+  const std::vector<core::expr_ptr> groups{
+      core::make_group(core::group_kind::pair,
+                       {value("20", "22"), value("20.5", "25")}),
+      core::make_group(core::group_kind::pair,
+                       {value("30", "40"), value("35", "70"), value("0", "99")}),
+      core::make_group(core::group_kind::pair,
+                       {value("0", "50"), value("1000", "1100")}),
+      // A disjunction is a non-pure trie conjunct: its leaves and groups
+      // evaluate through the plan walk.
+      core::disj({core::make_group(core::group_kind::pair,
+                                   {value("20", "22"), value("20.5", "25")}),
+                  core::leaf(value("1038", "1038"))}),
+  };
+  const std::string stream = data::smartcity_generator().stream(150);
+  std::vector<std::vector<bool>> expected;
+  for (const core::expr_ptr& g : groups)
+    expected.push_back(core::raw_filter(g).filter_stream(stream));
+  // The overlapping groups accept some records and reject others.
+  for (std::size_t q = 0; q < 2; ++q) {
+    EXPECT_NE(std::count(expected[q].begin(), expected[q].end(), true), 0)
+        << "group " << q;
+    EXPECT_NE(std::count(expected[q].begin(), expected[q].end(), false), 0)
+        << "group " << q;
+  }
+
+  for (const core::simd::simd_level level : core::simd::available_levels()) {
+    core::filter_options options;
+    options.simd = level;
+    for (std::size_t q = 0; q < groups.size(); ++q) {
+      core::query_set one;
+      one.add(groups[q]);
+      EXPECT_EQ(one.make_engine(core::engine_kind::chunked, options)
+                    ->filter_stream(stream),
+                expected[q])
+          << "group " << q << " simd=" << core::simd::to_string(level);
+    }
+    core::query_set fleet;
+    for (const core::expr_ptr& g : groups) fleet.add(g);
+    auto flat = fleet.make_engine(core::engine_kind::scalar, options);
+    auto trie = fleet.make_engine(core::engine_kind::chunked, options);
+    ASSERT_EQ(trie->filter_stream(stream), flat->filter_stream(stream));
+    ASSERT_EQ(trie->decision_words(), flat->decision_words());
+    for (std::size_t q = 0; q < groups.size(); ++q)
+      EXPECT_EQ(trie->decision_column(q), expected[q])
+          << "group " << q << " simd=" << core::simd::to_string(level);
+  }
 }
 
 }  // namespace

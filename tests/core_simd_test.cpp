@@ -33,16 +33,10 @@ std::vector<unsigned char> random_bytes(std::size_t n, unsigned seed) {
   return out;
 }
 
-// References: the token class delegates to its single definition
+// Reference: the token class delegates to its single definition
 // (numrange::is_token_byte) so the vector tiers are pinned to the byte
-// class the value engine actually samples with; the structural class is
-// restated from the structure_tracker spec.
+// class the value engine actually samples with.
 bool ref_token(unsigned char b) { return numrange::is_token_byte(b); }
-
-bool ref_structural_or_escape(unsigned char b) {
-  return b == '"' || b == '{' || b == '}' || b == '[' || b == ']' ||
-         b == ',' || b == '\\';
-}
 
 TEST(SimdDispatch, DetectedLevelIsConcreteAndOrdered) {
   const simd_level detected = detected_level();
@@ -90,50 +84,7 @@ TEST(SimdDispatch, RequiredLevelIsDetected) {
       << " but the runner promises " << required;
 }
 
-TEST(SimdKernels, FindByteMatchesScalarAtEveryLevel) {
-  for (const std::size_t n : boundary_sizes()) {
-    auto data = random_bytes(n, 17u + static_cast<unsigned>(n));
-    // Plant the needle at every chunk-straddling offset that fits.
-    for (const std::size_t at : {std::size_t{0}, std::size_t{15},
-                                 std::size_t{16}, std::size_t{31},
-                                 std::size_t{32}, n - 1}) {
-      if (at >= n) continue;
-      auto planted = data;
-      planted[at] = 0xA7;
-      const std::size_t expected =
-          find_byte(planted.data(), n, 0xA7, simd_level::scalar);
-      for (const simd_level level : available_levels())
-        EXPECT_EQ(find_byte(planted.data(), n, 0xA7, level), expected)
-            << "n=" << n << " at=" << at << " level=" << to_string(level);
-    }
-    // And the no-match case.
-    std::vector<unsigned char> blank(n, 'x');
-    for (const simd_level level : available_levels())
-      EXPECT_EQ(find_byte(blank.data(), n, 'y', level), npos) << n;
-  }
-}
-
-TEST(SimdKernels, FindFirstOf2MatchesScalarAtEveryLevel) {
-  for (const std::size_t n : boundary_sizes()) {
-    auto data = random_bytes(n, 99u + static_cast<unsigned>(n));
-    const std::size_t expected =
-        find_first_of2(data.data(), n, '"', '\\', simd_level::scalar);
-    for (const simd_level level : available_levels())
-      EXPECT_EQ(find_first_of2(data.data(), n, '"', '\\', level), expected)
-          << "n=" << n << " level=" << to_string(level);
-  }
-  // A backslash exactly on the 32-byte chunk edge.
-  std::vector<unsigned char> buf(70, 'a');
-  buf[32] = '\\';
-  buf[33] = '"';
-  for (const simd_level level : available_levels()) {
-    EXPECT_EQ(find_first_of2(buf.data(), buf.size(), '"', '\\', level), 32u);
-    EXPECT_EQ(find_first_of2(buf.data() + 33, buf.size() - 33, '"', '\\', level),
-              0u);
-  }
-}
-
-TEST(SimdKernels, StructuralMaskAndTokenClassesMatchScalar) {
+TEST(SimdKernels, TokenClassesMatchScalar) {
   for (const std::size_t n : boundary_sizes()) {
     auto data = random_bytes(n, 7u + static_cast<unsigned>(n));
     for (std::size_t from = 0; from < n; from += 13) {
@@ -145,28 +96,16 @@ TEST(SimdKernels, StructuralMaskAndTokenClassesMatchScalar) {
         EXPECT_EQ(find_token(data.data() + from, n - from, level), want_token);
         EXPECT_EQ(find_non_token(data.data() + from, n - from, level),
                   want_non);
-        // structural_mask against the restated spec, chunk by chunk.
-        const std::size_t width = chunk_width(level);
-        std::uint64_t expected = 0;
-        for (std::size_t i = 0; i < std::min(n - from, width); ++i)
-          if (ref_structural_or_escape(data[from + i]))
-            expected |= std::uint64_t{1} << i;
-        EXPECT_EQ(structural_mask(data.data() + from, n - from, level),
-                  expected)
-            << "n=" << n << " from=" << from << " level=" << to_string(level);
       }
     }
   }
-  // Cross-check the classifiers byte for byte: the token scans against the
-  // class's single definition, the structural mask against its spec.
+  // Cross-check the token scans byte for byte against the class's single
+  // definition.
   for (int b = 0; b < 256; ++b) {
     const unsigned char byte = static_cast<unsigned char>(b);
     for (const simd_level level : available_levels()) {
       EXPECT_EQ(find_token(&byte, 1, level) == 0, ref_token(byte)) << b;
       EXPECT_EQ(find_non_token(&byte, 1, level) == 0, !ref_token(byte)) << b;
-      EXPECT_EQ(structural_mask(&byte, 1, level) == 1,
-                ref_structural_or_escape(byte))
-          << b;
     }
   }
 }
@@ -287,6 +226,32 @@ TEST(SimdKernels, FindSubstringMatchesScalarAtEveryLevel) {
       EXPECT_EQ(find_substring(hay, hay_text.size(), nd, needle.size(), level),
                 expected)
           << needle << " @" << to_string(level);
+  }
+  // One-byte needles take each tier's single-byte scan: random haystacks
+  // at the width-boundary sizes, the byte planted at every chunk-straddling
+  // offset that fits, plus the no-match case.
+  const unsigned char planted_byte = 0xA7;
+  for (const std::size_t n : boundary_sizes()) {
+    const auto data = random_bytes(n, 17u + static_cast<unsigned>(n));
+    for (const std::size_t at : {std::size_t{0}, std::size_t{15},
+                                 std::size_t{16}, std::size_t{31},
+                                 std::size_t{32}, std::size_t{63},
+                                 std::size_t{64}, n - 1}) {
+      if (at >= n) continue;
+      auto planted = data;
+      planted[at] = planted_byte;
+      const std::size_t expected = find_substring(
+          planted.data(), n, &planted_byte, 1, simd_level::scalar);
+      EXPECT_LE(expected, at);
+      for (const simd_level level : available_levels())
+        EXPECT_EQ(find_substring(planted.data(), n, &planted_byte, 1, level),
+                  expected)
+            << "n=" << n << " at=" << at << " level=" << to_string(level);
+    }
+    const std::vector<unsigned char> blank(n, 'x');
+    const unsigned char absent = 'y';
+    for (const simd_level level : available_levels())
+      EXPECT_EQ(find_substring(blank.data(), n, &absent, 1, level), npos) << n;
   }
 }
 

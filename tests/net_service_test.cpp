@@ -590,6 +590,63 @@ TEST(NetService, StatsSnapshotFiresWhileStreaming) {
   while (snapshots.load() < 2 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_GE(snapshots.load(), 2u) << "stats thread never fired";
+
+  // The same accounting on demand, one entry per shard.
+  auto live = service->stats();
+  ASSERT_TRUE(live.has_value()) << live.error().message;
+  ASSERT_EQ(live->size(), service->shard_count());
+  std::uint64_t live_records = 0;
+  for (const auto& s : *live) live_records += s.records;
+
   client.shutdown_write();
-  ASSERT_TRUE(service->shutdown().has_value());
+  auto result = service->shutdown();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  EXPECT_LE(live_records, result->records());
+}
+
+TEST(NetService, OpenFailuresComeBackAsErrors) {
+  // A builder that cannot build.
+  net::service_options options;
+  options.listen = unique_unix_endpoint();
+  auto no_query = net::filter_service::open(pipeline::make(), options);
+  ASSERT_FALSE(no_query.has_value());
+  EXPECT_FALSE(no_query.error().message.empty());
+
+  // A socket path that cannot be bound names the endpoint.
+  options.listen.unix_path = "/nonexistent-jrf-dir/service.sock";
+  auto unbound = net::filter_service::open(sharded_builder(1, 0), options);
+  ASSERT_FALSE(unbound.has_value());
+  EXPECT_NE(unbound.error().message.find("unix:/nonexistent-jrf-dir"),
+            std::string::npos)
+      << unbound.error().message;
+}
+
+TEST(NetService, MoveAssignmentDrainsTheReplacedService) {
+  net::service_options first_options;
+  first_options.listen = unique_unix_endpoint();
+  auto first = net::filter_service::open(sharded_builder(1, 0), first_options);
+  ASSERT_TRUE(first.has_value()) << first.error().message;
+  net::service_options second_options;
+  second_options.listen = unique_unix_endpoint();
+  auto second =
+      net::filter_service::open(sharded_builder(1, 0), second_options);
+  ASSERT_TRUE(second.has_value()) << second.error().message;
+
+  {
+    net::socket_fd client = connect_and_wait(*first, 1);
+    net::write_all(client, telemetry());
+    client.shutdown_write();
+    // The replaced service drains like a destroyed one: its acceptor and
+    // producer threads are joined, its socket path unlinked.
+    *first = std::move(*second);
+  }
+  EXPECT_NE(::access(first_options.listen.unix_path.c_str(), F_OK), 0);
+  EXPECT_EQ(first->where().unix_path, second_options.listen.unix_path);
+
+  net::socket_fd client = connect_and_wait(*first, 1);
+  net::write_all(client, telemetry());
+  client.shutdown_write();
+  auto result = first->shutdown();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  EXPECT_EQ(result->records(), 300u);
 }

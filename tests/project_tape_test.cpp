@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/pipeline.hpp"
@@ -261,6 +262,17 @@ TEST(ProjectTape, MatchesParserOnRiotbenchWorkloads) {
       }
     }
   }
+}
+
+TEST(ProjectTape, ValueTypeNames) {
+  using project::value_type;
+  const std::pair<value_type, const char*> names[] = {
+      {value_type::missing, "missing"}, {value_type::null, "null"},
+      {value_type::boolean, "boolean"}, {value_type::number, "number"},
+      {value_type::string, "string"},   {value_type::array, "array"},
+      {value_type::object, "object"}};
+  for (const auto& [type, name] : names)
+    EXPECT_STREQ(project::to_string(type), name);
 }
 
 TEST(ProjectTape, EscapedStringsUnescapeLikeParser) {
