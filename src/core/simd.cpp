@@ -43,15 +43,20 @@ int rank(simd_level level) noexcept { return static_cast<int>(level); }
 simd_level probe_cpu() noexcept {
 #if JRF_SIMD_X86 && defined(__GNUC__)
   __builtin_cpu_init();
+  // Lowest tier first, so every line but the avx512 one runs on any x86
+  // host.
+  simd_level level = simd_level::scalar;
+  if (__builtin_cpu_supports("sse2")) level = simd_level::sse2;
+  if (__builtin_cpu_supports("avx2")) level = simd_level::avx2;
   // The avx512 tier needs byte compares into mask registers (BW) and the
   // 128/256-bit forms (VL) on top of the foundation.
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512vl"))
-    return simd_level::avx512;
-  if (__builtin_cpu_supports("avx2")) return simd_level::avx2;
-  if (__builtin_cpu_supports("sse2")) return simd_level::sse2;
-#endif
+    level = simd_level::avx512;
+  return level;
+#else
   return simd_level::scalar;
+#endif
 }
 
 /// vpcompressb needs AVX-512 VBMI2 on top of the tier's baseline; probed
@@ -778,10 +783,8 @@ block_class classify_block(const unsigned char* data, std::size_t size,
 void expand_bits(std::uint64_t mask, std::uint32_t base,
                  std::vector<std::uint32_t>& out, simd_level level) {
 #if JRF_SIMD_X86
-  if (level == simd_level::avx512 && has_vbmi2()) {
-    expand_bits_vbmi2(mask, base, out);
-    return;
-  }
+  if (level == simd_level::avx512 && has_vbmi2())
+    return expand_bits_vbmi2(mask, base, out);
 #endif
   (void)level;
   expand_bits_scalar(mask, base, out);

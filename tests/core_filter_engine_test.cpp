@@ -123,6 +123,8 @@ TEST(FilterEngine, AcceptsMatchesRawFilter) {
   const expr_ptr expr = temperature_filter();
   raw_filter reference(expr);
   for (const engine_kind kind : {engine_kind::scalar, engine_kind::chunked}) {
+    EXPECT_STREQ(to_string(kind),
+                 kind == engine_kind::scalar ? "scalar" : "chunked");
     auto engine = make_filter_engine(kind, expr);
     for (const std::string& record :
          {std::string{"{\"temperature\":5.0}"},
@@ -285,11 +287,6 @@ TEST(FilterEngine, RawFilterCopyIsIndependent) {
   raw_filter moved(std::move(copy));
   EXPECT_TRUE(moved.accepts("{\"temperature\":5.0}"));
   EXPECT_FALSE(moved.accepts("{\"temperature\":99.0}"));
-}
-
-TEST(FilterEngine, EngineKindNames) {
-  EXPECT_STREQ(to_string(engine_kind::scalar), "scalar");
-  EXPECT_STREQ(to_string(engine_kind::chunked), "chunked");
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "project/columns.hpp"
 #include "project/paths.hpp"
 #include "project/tape.hpp"
+#include "query/parse.hpp"
 #include "query/riotbench.hpp"
 #include "util/decimal.hpp"
 
@@ -111,25 +112,33 @@ void expect_row_matches(const project::tape& t, std::size_t row,
         std::to_string(row);
     if (ref == nullptr) {
       EXPECT_EQ(e.type, project::value_type::missing) << ctx;
+      EXPECT_STREQ(project::to_string(e.type), "missing") << ctx;
       EXPECT_TRUE(t.raw(e).empty()) << ctx;
       continue;
     }
     ASSERT_EQ(e.type, expected_type(*ref)) << ctx;
     switch (e.type) {
       case project::value_type::string:
+        EXPECT_STREQ(project::to_string(e.type), "string") << ctx;
         EXPECT_EQ(t.text(e), ref->as_string()) << ctx;
         break;
       case project::value_type::number:
+        EXPECT_STREQ(project::to_string(e.type), "number") << ctx;
         EXPECT_EQ(util::decimal::parse(t.raw(e)), ref->as_number()) << ctx;
         break;
       case project::value_type::boolean:
+        EXPECT_STREQ(project::to_string(e.type), "boolean") << ctx;
         EXPECT_EQ(t.raw(e) == "true", ref->as_bool()) << ctx;
         break;
       case project::value_type::null:
+        EXPECT_STREQ(project::to_string(e.type), "null") << ctx;
         EXPECT_EQ(t.raw(e), "null") << ctx;
         break;
       case project::value_type::array:
       case project::value_type::object:
+        EXPECT_STREQ(project::to_string(e.type),
+                     ref->is_array() ? "array" : "object")
+            << ctx;
         EXPECT_EQ(json::parse(t.raw(e)), *ref) << ctx;
         break;
       case project::value_type::missing:
@@ -172,6 +181,13 @@ const std::vector<workload>& workloads() {
     out.push_back({"qs1_smartcity", query::riotbench::qs1(), city.stream(300)});
     data::taxi_generator taxi;
     out.push_back({"qt_taxi", query::riotbench::qt(), taxi.stream(300)});
+    // Every value type at a projected path, plus missing attributes.
+    out.push_back({"value_types",
+                   query::parse_filter_expression(
+                       R"(("a" >= 1) AND ("b" >= 1) AND ("c" >= 1))"),
+                   "{\"a\":null,\"b\":true,\"c\":[1,{\"d\":2}]}\n"
+                   "{\"a\":{\"x\":false},\"b\":\"s\",\"c\":3.5}\n"
+                   "{\"b\":false}\n"});
     return out;
   }();
   return cases;
@@ -262,17 +278,6 @@ TEST(ProjectTape, MatchesParserOnRiotbenchWorkloads) {
       }
     }
   }
-}
-
-TEST(ProjectTape, ValueTypeNames) {
-  using project::value_type;
-  const std::pair<value_type, const char*> names[] = {
-      {value_type::missing, "missing"}, {value_type::null, "null"},
-      {value_type::boolean, "boolean"}, {value_type::number, "number"},
-      {value_type::string, "string"},   {value_type::array, "array"},
-      {value_type::object, "object"}};
-  for (const auto& [type, name] : names)
-    EXPECT_STREQ(project::to_string(type), name);
 }
 
 TEST(ProjectTape, EscapedStringsUnescapeLikeParser) {
