@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/bitmaps.hpp"
+#include "core/framer.hpp"
 #include "project/tape.hpp"
 #include "query/compile.hpp"
 #include "query/parse.hpp"
@@ -181,14 +182,10 @@ struct pipeline::impl {
   std::vector<std::unique_ptr<stream_state>> streams;
 
   // Record router behind the shard-less offer(bytes) overload on a
-  // multi-stream pipeline: deals complete records round-robin, carrying a
-  // record split across calls until its boundary arrives. Mirrors the
-  // engines' framing automaton (a separator inside a JSON string literal
-  // never ends a record; a '"' separator is always masked).
+  // multi-stream pipeline: the engines' record framer plus round-robin
+  // dealing of the complete records it frames.
   std::mutex router_mutex;
-  core::framing_state router_state;  // string/escape carry across offers
-  core::bitmap_pass router_pass;     // reused buffer-at-a-time sweep
-  std::string router_carry;          // partial record, no boundary yet
+  core::record_framer router;
   std::size_t router_next_shard = 0;
 
   // Execution: one sharded-system lane per stream (FIFO, engine, stats).
@@ -268,6 +265,7 @@ struct pipeline::impl {
     lanes = std::make_unique<system::sharded_filter_system>(qset.queries(),
                                                             shards, so);
     if (model_lanes > 0) ledger.emplace(model_lanes);
+    router = core::record_framer(opts.filter.separator, opts.filter.simd);
     for (std::size_t shard = 0; shard < shards; ++shard) {
       streams.push_back(std::make_unique<stream_state>());
       streams.back()->reg = reg;
@@ -380,36 +378,18 @@ struct pipeline::impl {
   }
 
   /// Deal `bytes` into per-shard batches of complete records (round-robin,
-  /// separator re-appended per record), advancing the framing automaton.
-  /// Caller holds router_mutex; the trailing partial record stays in
-  /// router_carry until a later call (or finish) completes it.
+  /// separator re-appended per record). Caller holds router_mutex; the
+  /// trailing partial record stays in the framer until a later call (or
+  /// finish) completes it.
   std::vector<std::string> route_records(std::string_view bytes) {
     std::vector<std::string> batches(streams.size());
-    const char sep = static_cast<char>(opts.filter.separator);
-    // One vectored sweep materialises the boundary bitmap for the whole
-    // offer; dealing is then a ctz walk of set bits instead of a byte
-    // loop. A '"' separator yields zero boundaries (always masked), so
-    // everything lands in router_carry - same as the byte automaton.
-    router_pass.compute(reinterpret_cast<const unsigned char*>(bytes.data()),
-                        bytes.size(), opts.filter.separator, router_state,
-                        core::simd::resolve(opts.filter.simd));
-    std::size_t start = 0;
-    for (std::size_t b = router_pass.next_boundary(0); b != core::simd::npos;
-         b = router_pass.next_boundary(b + 1)) {
-      // Empty records (consecutive separators) deal no bytes: they
-      // produce no decision on any path.
-      if (!router_carry.empty() || b > start) {
-        std::string& batch = batches[router_next_shard];
-        batch.append(router_carry);
-        batch.append(bytes.substr(start, b - start));
-        batch.push_back(sep);
-        router_carry.clear();
-        router_next_shard = (router_next_shard + 1) % streams.size();
-      }
-      start = b + 1;
-    }
-    router_carry.append(bytes.substr(start));
-    router_state = router_pass.end_state();
+    router.feed(bytes, [&](std::span<const unsigned char> record,
+                           const auto&...) {
+      std::string& batch = batches[router_next_shard];
+      batch.append(reinterpret_cast<const char*>(record.data()), record.size());
+      batch.push_back(static_cast<char>(opts.filter.separator));
+      router_next_shard = (router_next_shard + 1) % streams.size();
+    });
     return batches;
   }
 
@@ -465,16 +445,13 @@ struct pipeline::impl {
     return result;
   }
 
-  /// Pull `in` dry into the one stream: in-memory inputs in one scan,
-  /// other sources one DMA burst per round.
+  /// Pull `in` dry into the one stream, absorbing whatever the source
+  /// holds each round: an in-memory input in one scan, a file per source
+  /// chunk.
   void feed(input_spec& in) {
-    if (in.k == input_spec::kind::view || in.k == input_spec::kind::text) {
-      lanes->absorb(0, in.k == input_spec::kind::view ? in.view : in.text);
-      return;
-    }
     const std::unique_ptr<system::ingest_source> source = open_source(in);
     while (!source->exhausted()) {
-      const std::string_view chunk = source->peek(opts.dma_burst_bytes);
+      const std::string_view chunk = source->peek(0);
       if (chunk.empty()) {
         // Throttled source, nothing this round: give the producer's clock
         // a chance to advance instead of pegging a core on the poll.
@@ -832,12 +809,12 @@ expected<run_result> pipeline::finish() {
     std::vector<std::unique_lock<std::mutex>> gates;
     gates.reserve(impl_->streams.size());
     for (auto& st : impl_->streams) gates.emplace_back(st->gate);
-    if (!impl_->router_carry.empty()) {
-      // Trailing partial record of the shard-less overload: it belongs to
-      // the shard the round-robin cursor owes it to.
-      impl_->lanes->absorb(impl_->router_next_shard, impl_->router_carry);
-      impl_->router_carry.clear();
-    }
+    // Trailing partial record of the shard-less overload: it belongs to
+    // the shard the round-robin cursor owes it to.
+    const std::vector<unsigned char> tail = impl_->router.take_carry();
+    impl_->lanes->absorb(
+        impl_->router_next_shard,
+        {reinterpret_cast<const char*>(tail.data()), tail.size()});
     impl_->lanes->finish();
     for (std::size_t shard = 0; shard < impl_->streams.size(); ++shard)
       impl_->stage_decisions(shard);

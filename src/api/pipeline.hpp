@@ -277,14 +277,14 @@ class pipeline {
   /// Convenience overload without a shard. Single-stream pipelines feed
   /// shard 0. A multi-shard sharded pipeline deals complete records
   /// round-robin across its shards (record k of the merged input goes to
-  /// shard k % shard_count() at per-shard index k / shard_count(),
-  /// matching data::shard_records): framing follows the engines'
-  /// escape-aware separator rules, a record split across offer() calls is
-  /// carried until its boundary arrives (finish() flushes a trailing
-  /// partial record to the shard it was destined for), and empty records
-  /// are skipped - they produce no decision on any path. Decision order
-  /// is per shard; interleave shard_decisions round-robin to recover the
-  /// merged input order.
+  /// shard k % shard_count() at per-shard index k / shard_count()), framed
+  /// by the engines' core::record_framer: a separator inside a string
+  /// literal ends no record (data::shard_records splits there). A record
+  /// split across offer() calls is carried until its boundary arrives
+  /// (finish() flushes a trailing partial record to the shard it was
+  /// destined for); empty records decide nothing. Decision order is per
+  /// shard; interleave shard_decisions round-robin to recover the merged
+  /// input order.
   expected<std::uint64_t> offer(std::string_view bytes);
 
   /// Non-blocking push: absorb at most what `shard` can take right now

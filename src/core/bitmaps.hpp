@@ -113,9 +113,6 @@ class bitmap_pass {
   std::size_t next_boundary(std::size_t from) const noexcept {
     return next_bit(boundary_, from, size_);
   }
-  std::size_t next_structural(std::size_t from) const noexcept {
-    return next_bit(structural_, from, size_);
-  }
 
   /// Words recomputed by the scalar fallback (backslash outside any
   /// string literal); exposed for tests and diagnostics.

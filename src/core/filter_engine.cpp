@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "core/bitmaps.hpp"
+#include "core/framer.hpp"
 #include "core/raw_filter.hpp"
 #include "core/structure.hpp"
 #include "numrange/builder.hpp"
@@ -268,12 +269,6 @@ compiled_layout compiled_layout::clone() const {
   return copy;
 }
 
-filter_engine::filter_engine(expr_ptr expr, filter_options options)
-    : expr_(std::move(expr)), options_(options) {
-  if (!expr_) throw error("filter engine: null expression");
-  queries_ = {expr_};
-}
-
 filter_engine::filter_engine(std::vector<expr_ptr> queries,
                              filter_options options)
     : queries_(std::move(queries)), options_(options) {
@@ -440,7 +435,7 @@ class scalar_filter_engine final : public filter_engine {
 // mask, the record boundaries and the structural events as bitmaps
 // (core/bitmaps.hpp); everything downstream is a bit-scan walk:
 //
-//   framing      = ctz walk of the boundary bitmap,
+//   framing      = core::record_framer's ctz walk of the boundary bitmap,
 //   group events = expand of the structural bitmap restricted to the
 //                  record's bit range (positions already unmasked, so the
 //                  per-event structure_state is a pure depth automaton),
@@ -450,14 +445,10 @@ class scalar_filter_engine final : public filter_engine {
 //
 // Decision-identity with the scalar path rests on three observations:
 //
-//  1. Framing. A byte is a record boundary iff it equals the separator and
-//     is not masked by the JSON string-literal automaton; the bitmap pass
-//     computes exactly that automaton (speculatively per 64-byte block,
-//     with a scalar per-word fallback for non-JSON backslash placement),
-//     so the boundary bitmap holds exactly the boundaries push() would
-//     find. A record assembled across buffers (carry) starts right after a
-//     boundary, so its record-local pass starts from the fresh state and
-//     reproduces the stream automaton exactly.
+//  1. Framing. core::record_framer's boundaries are the unmasked
+//     separators of the bitmap pass, which computes push()'s string-literal
+//     automaton exactly (core/bitmaps.hpp); a record completed from the
+//     carry gets a fresh-state pass of its own.
 //
 //  2. Bare leaves. The record decision samples sticky per-record latches,
 //     so a bare leaf contributes exactly "did the engine pulse anywhere in
@@ -478,109 +469,38 @@ class scalar_filter_engine final : public filter_engine {
 
 class chunked_filter_engine final : public filter_engine {
  public:
-  chunked_filter_engine(expr_ptr expr, filter_options options)
-      : filter_engine(std::move(expr), options),
-        level_(simd::resolve(options.simd)),
-        layout_(compiled_layout::compile(*expr_, options.simd)),
-        max_depth_(structure_tracker(options.depth_bits).max_depth()) {
-    init();
-  }
-
-  /// Multi-tenant lane: N > 1 queries interned into one shared layout
-  /// (engines and groups dedup'd by spec key); a one-element set compiles
-  /// through the single-query path above, byte-identical to it.
+  /// N > 1 queries intern into one shared layout (engines and groups
+  /// dedup'd by spec key); a one-element set compiles the single-query
+  /// layout, byte- and performance-identical to the pre-multi-tenant
+  /// engine.
   chunked_filter_engine(std::vector<expr_ptr> queries, filter_options options)
       : filter_engine(std::move(queries), options),
         level_(simd::resolve(options.simd)),
         layout_(queries_.size() == 1
                     ? compiled_layout::compile(*queries_.front(), options.simd)
                     : compiled_layout::compile_set(queries_, options.simd)),
-        max_depth_(structure_tracker(options.depth_bits).max_depth()) {
+        max_depth_(structure_tracker(options.depth_bits).max_depth()),
+        framer_(options.separator, level_) {
     init();
   }
 
-  void reset() override {
-    state_ = {};
-    carry_.clear();
-  }
+  void reset() override { framer_.reset(); }
 
   void scan_chunk(std::span<const unsigned char> chunk) override {
-    if (chunk.empty()) return;
-    pass_.compute(chunk.data(), chunk.size(), options_.separator, state_,
-                  level_);
-    std::size_t pos = 0;
-    std::size_t boundary = pass_.next_boundary(0);
-    while (boundary != npos) {
-      if (!carry_.empty()) {
-        carry_.insert(carry_.end(),
-                      chunk.begin() + static_cast<std::ptrdiff_t>(pos),
-                      chunk.begin() + static_cast<std::ptrdiff_t>(boundary));
-        const bool accepted = evaluate_carry(next_words());
-        decisions_.push_back(accepted);
-        if (sizes_enabled_)
-          record_sizes_.push_back(static_cast<std::uint32_t>(carry_.size()));
-        // evaluate_carry computed record_pass_ over exactly the carried
-        // bytes, so the carried record projects off that pass at bit 0.
-        if (accepted && hook_)
-          hook_(ordinal_, {carry_.data(), carry_.size()}, record_pass_, 0);
-        ++ordinal_;
-        carry_.clear();
-      } else if (boundary > pos) {
-        const std::span<const unsigned char> record =
-            chunk.subspan(pos, boundary - pos);
-        const bool accepted = evaluate_record(record, pass_, pos, next_words());
-        decisions_.push_back(accepted);
-        if (sizes_enabled_)
-          record_sizes_.push_back(static_cast<std::uint32_t>(boundary - pos));
-        // In-chunk accepted records DEFER their hook (pass_ outlives the
-        // loop): running the projection walks back-to-back in small
-        // groups instead of interleaved per record keeps the walk's code
-        // and branch state warm, while flushing every few dozen records
-        // keeps the group's record bytes within the cache footprint the
-        // evaluation loop just touched. Every fire still lands inside
-        // this scan_chunk call, before take_decisions() - the ordering
-        // the facade relies on is unchanged.
-        if (accepted && hook_) {
-          deferred_hooks_.push_back({ordinal_, pos, boundary - pos});
-          if (deferred_hooks_.size() >= deferred_batch)
-            fire_deferred(chunk);
-        }
-        ++ordinal_;
-      }
-      // Empty records (consecutive separators) produce no decision, exactly
-      // like filter_stream's pending-byte bookkeeping.
-      pos = boundary + 1;
-      boundary = pass_.next_boundary(pos);
-    }
-    if (pos < chunk.size())
-      carry_.insert(carry_.end(),
-                    chunk.begin() + static_cast<std::ptrdiff_t>(pos),
-                    chunk.end());
-    state_ = pass_.end_state();
-    fire_deferred(chunk);
+    framer_.feed(chunk, [this](const auto&... r) { decide(r...); });
+    fire_deferred();
   }
 
   void finish() override {
-    if (carry_.empty()) return;
-    // The scalar path flushes by pushing one synthesized separator; when
-    // the trailing record left the string automaton open (or the separator
-    // is the quote byte itself) that separator is masked, no boundary
-    // occurs, and the flushed decision is unconditionally false.
-    const bool masked = state_.in_string || options_.separator == '"';
-    if (masked) {
-      (void)next_words();  // zeroed bitmap row: no query accepts
-      decisions_.push_back(false);
-    } else {
-      const bool accepted = evaluate_carry(next_words());
-      decisions_.push_back(accepted);
-      if (accepted && hook_)
-        hook_(ordinal_, {carry_.data(), carry_.size()}, record_pass_, 0);
-    }
-    ++ordinal_;
-    if (sizes_enabled_)
-      record_sizes_.push_back(static_cast<std::uint32_t>(carry_.size()));
-    carry_.clear();
-    state_ = {};
+    framer_.flush(
+        [this](const auto&... r) { decide(r...); },
+        [this](std::span<const unsigned char> tail) {
+          (void)next_words();  // zeroed bitmap row: no query accepts
+          decisions_.push_back(false);
+          if (sizes_enabled_)
+            record_sizes_.push_back(static_cast<std::uint32_t>(tail.size()));
+          ++ordinal_;
+        });
   }
 
   bool accepts(std::string_view record) override {
@@ -597,7 +517,7 @@ class chunked_filter_engine final : public filter_engine {
     const std::size_t n = record.size();
     record_pass_.compute(data, n, options_.separator, {}, level_);
     std::size_t last_start = 0;
-    for (std::size_t b = record_pass_.next_boundary(0); b != npos;
+    for (std::size_t b = record_pass_.next_boundary(0); b != simd::npos;
          b = record_pass_.next_boundary(b + 1))
       last_start = b + 1;
     const bool masked =
@@ -615,10 +535,7 @@ class chunked_filter_engine final : public filter_engine {
   }
 
   std::vector<unsigned char> take_carry() override {
-    std::vector<unsigned char> out;
-    out.swap(carry_);
-    state_ = {};
-    return out;
+    return framer_.take_carry();
   }
 
   /// Projection surface: fires synchronously from the stream-decision
@@ -630,8 +547,6 @@ class chunked_filter_engine final : public filter_engine {
   }
 
  private:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
   chunked_filter_engine(const chunked_filter_engine& other)
       : filter_engine(other.queries_, other.options_),
         level_(other.level_),
@@ -640,6 +555,7 @@ class chunked_filter_engine final : public filter_engine {
         multi_(other.multi_),
         run_capable_(other.run_capable_),
         run_slot_(other.run_slot_),
+        framer_(other.options_.separator, other.level_),
         fire_cursor_(other.fire_cursor_.size()),
         fire_lists_(other.fire_lists_.size()),
         has_run_capable_(other.has_run_capable_),
@@ -687,14 +603,30 @@ class chunked_filter_engine final : public filter_engine {
     return decision_words_.data() + (decision_words_.size() - wpr);
   }
 
-  /// A carried record always starts right after a boundary (or the stream
-  /// start), so its record-local bitmap pass starts from the fresh state
-  /// and reproduces the stream automaton over those bytes exactly.
-  bool evaluate_carry(std::uint64_t* words = nullptr) {
-    record_pass_.compute(carry_.data(), carry_.size(), options_.separator,
-                         framing_state{}, level_);
-    return evaluate_record({carry_.data(), carry_.size()}, record_pass_, 0,
-                           words);
+  /// Decide one framed record: evaluate it, log its size and fire its
+  /// accepted-record hook. A record inside the framer's buffer pass DEFERS
+  /// its hook (that pass outlives the record): running the projection
+  /// walks back-to-back in small groups instead of interleaved per record
+  /// keeps the walk's code and branch state warm, while flushing every few
+  /// dozen records keeps the group's bytes within the cache footprint the
+  /// evaluation just touched. A record completed from the carry fires at
+  /// once - its bytes and pass die with the callback. Every fire still
+  /// lands inside the scan_chunk()/finish() call, before take_decisions().
+  void decide(std::span<const unsigned char> record, const bitmap_pass& pass,
+              std::size_t offset) {
+    const bool accepted = evaluate_record(record, pass, offset, next_words());
+    decisions_.push_back(accepted);
+    if (sizes_enabled_)
+      record_sizes_.push_back(static_cast<std::uint32_t>(record.size()));
+    if (accepted && hook_) {
+      if (&pass != &framer_.pass()) {
+        hook_(ordinal_, record, pass, offset);
+      } else {
+        deferred_hooks_.push_back({ordinal_, record, offset});
+        if (deferred_hooks_.size() >= deferred_batch) fire_deferred();
+      }
+    }
+    ++ordinal_;
   }
 
   /// Evaluate one record against the bitmaps of the pass that framed it;
@@ -1297,31 +1229,26 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<char> run_capable_;        // engine order: token-run bulk path
   std::vector<std::size_t> run_slot_;    // engine order: verdict-mask bit
 
-  // Framing state (persists across scan_chunk calls).
-  framing_state state_;
-  std::vector<unsigned char> carry_;  // partial record awaiting its boundary
-  std::uint64_t ordinal_ = 0;         // stream records decided (hook index)
+  record_framer framer_;        // stream framing (persists across chunks)
+  std::uint64_t ordinal_ = 0;   // stream records decided (hook index)
 
-  // Accepted in-chunk records whose hook fire is deferred into small
-  // batched groups (never survives past its scan_chunk; see scan_chunk).
+  // Accepted in-buffer records whose hook fire is deferred into small
+  // batched groups (never survives past its scan_chunk; see decide).
   struct deferred_hook {
     std::uint64_t ordinal;
-    std::size_t pos, len;
+    std::span<const unsigned char> record;
+    std::size_t offset;
   };
   static constexpr std::size_t deferred_batch = 64;
   std::vector<deferred_hook> deferred_hooks_;
 
-  void fire_deferred(std::span<const unsigned char> chunk) {
-    if (deferred_hooks_.empty()) return;
+  void fire_deferred() {
     for (const deferred_hook& h : deferred_hooks_)
-      hook_(h.ordinal, chunk.subspan(h.pos, h.len), pass_, h.pos);
+      hook_(h.ordinal, h.record, framer_.pass(), h.offset);
     deferred_hooks_.clear();
   }
 
-  // Bitmap passes: one per ingest buffer, one per carried/standalone
-  // record. Both reuse their word storage across compute() calls.
-  bitmap_pass pass_;
-  bitmap_pass record_pass_;
+  bitmap_pass record_pass_;  // accepts_bits' standalone record
 
   // Per-record scratch, reused across records.
   const bitmap_pass* cur_pass_ = nullptr;  // pass that framed the record
@@ -1363,20 +1290,13 @@ class chunked_filter_engine final : public filter_engine {
 std::unique_ptr<filter_engine> make_filter_engine(engine_kind kind,
                                                   expr_ptr expr,
                                                   filter_options options) {
-  if (kind == engine_kind::scalar)
-    return std::make_unique<scalar_filter_engine>(
-        std::vector<expr_ptr>{std::move(expr)}, options);
-  return std::make_unique<chunked_filter_engine>(std::move(expr), options);
+  return make_filter_engine(kind, std::vector<expr_ptr>{std::move(expr)},
+                            options);
 }
 
 std::unique_ptr<filter_engine> make_filter_engine(engine_kind kind,
                                                   std::vector<expr_ptr> queries,
                                                   filter_options options) {
-  if (queries.empty()) throw error("filter engine: empty query set");
-  // N=1 compiles to exactly the single-query engine: byte- and
-  // performance-identical to the pre-multi-tenant path by construction.
-  if (queries.size() == 1)
-    return make_filter_engine(kind, std::move(queries.front()), options);
   if (kind == engine_kind::scalar)
     return std::make_unique<scalar_filter_engine>(std::move(queries), options);
   return std::make_unique<chunked_filter_engine>(std::move(queries), options);

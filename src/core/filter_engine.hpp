@@ -20,8 +20,8 @@
 //
 //   scalar  - steps one raw_filter::push() per resident query, byte per
 //             byte, in lockstep; the paper-faithful reference path.
-//   chunked - the batched hot path. Records are framed with memchr-style
-//             separator search (escape-aware, so separator bytes inside
+//   chunked - the batched hot path. Records are framed by
+//             core::record_framer (escape-aware, so separator bytes inside
 //             JSON string literals never split a record), then each record
 //             is evaluated from whole-slice bulk scans of the primitive
 //             engines plus an event-driven replay of the structural group
@@ -206,13 +206,10 @@ class filter_engine {
   virtual std::unique_ptr<filter_engine> clone() const = 0;
 
   /// Live-swap support for runtime query add/remove: surrender the
-  /// buffered bytes of the in-flight record (everything since the last
-  /// boundary) and return to the power-on framing state, KEEPING decisions
-  /// already emitted. Re-scanning the returned bytes through a fresh
-  /// engine reproduces the stream position exactly, because a record
-  /// always starts from the power-on automaton state. Engines that cannot
-  /// export mid-record state (the scalar byte paths, whose primitives hold
-  /// partial-match registers) throw jrf::error.
+  /// in-flight record's bytes (record_framer::take_carry), KEEPING the
+  /// decisions already emitted; re-scanning them through a fresh engine
+  /// reproduces the stream position. The scalar byte paths, whose
+  /// primitives hold partial-match registers, throw jrf::error.
   virtual std::vector<unsigned char> take_carry();
 
   /// reset + scan + finish; identical to raw_filter::filter_stream.
@@ -301,7 +298,6 @@ class filter_engine {
   const filter_options& options() const noexcept { return options_; }
 
  protected:
-  filter_engine(expr_ptr expr, filter_options options);
   filter_engine(std::vector<expr_ptr> queries, filter_options options);
 
   expr_ptr expr_;  // queries_[0]; the whole set for multi-query engines

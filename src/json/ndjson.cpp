@@ -6,11 +6,10 @@ namespace jrf::json {
 
 std::vector<std::string_view> split_records(std::string_view stream,
                                             unsigned char separator) {
-  // Raw, escape-unaware splitting (the documented contract; the engines'
-  // framing automaton handles separators inside string literals). memchr
-  // is the fastest available byte scan - the libc kernel is already
-  // vectorised for whatever the host has - and this loop is squarely on
-  // the system backend's hot path.
+  // Raw, escape-unaware splitting (the documented contract): a separator
+  // inside a string literal splits here, but not in core::record_framer,
+  // which frames every filter path. memchr is the fastest available byte
+  // scan - the libc kernel is already vectorised for whatever the host has.
   std::vector<std::string_view> out;
   std::size_t start = 0;
   while (start < stream.size()) {

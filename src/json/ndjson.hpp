@@ -1,8 +1,8 @@
 // Newline-delimited JSON record framing.
 //
 // The hardware raw filters operate on a byte stream of concatenated records
-// separated by '\n' (the format RiotBench replays). This helper provides the
-// same framing for software-side ground truth and test drivers.
+// separated by '\n' (the format RiotBench replays). This helper splits such
+// streams escape-unaware, for the data generators and test drivers.
 #pragma once
 
 #include <functional>
@@ -14,8 +14,9 @@ namespace jrf::json {
 
 /// Split an NDJSON stream into record views (no copies). A trailing record
 /// without a final separator is included. Empty lines are skipped. The
-/// separator defaults to '\n' (RiotBench framing); the system layers pass
-/// their configured separator byte through.
+/// separator defaults to '\n' (RiotBench framing). Escape-unaware: a
+/// separator inside a string literal splits the record, unlike the
+/// filters' core::record_framer.
 std::vector<std::string_view> split_records(std::string_view stream,
                                             unsigned char separator = '\n');
 

@@ -201,11 +201,9 @@ sharded_filter_system::taken_decisions sharded_filter_system::swap_shard(
   // were accepted into this epoch's stream.
   drain_locked(l, 0);
   taken_decisions out = take_locked(l);
-  // The in-flight partial record replays into the fresh engine: a record
-  // always starts from the power-on automaton state, so re-scanning its
-  // bytes reproduces the exact stream position (no boundary is inside a
-  // carry by construction, so no decision can fall out of the re-scan).
-  std::vector<unsigned char> carry = l.engine->take_carry();
+  // The in-flight partial record replays into the fresh engine, which
+  // reproduces the stream position (core::record_framer::take_carry).
+  const std::vector<unsigned char> carry = l.engine->take_carry();
   core::filter_engine::accepted_hook hook = l.engine->accepted_record_hook();
   l.engine = std::move(fresh);
   // The lane's hook and record-size telemetry survive the swap. Both are
@@ -214,9 +212,7 @@ sharded_filter_system::taken_decisions sharded_filter_system::swap_shard(
   // start at zero and the replayed bytes count toward the record's size.
   l.engine->collect_record_sizes(true);
   if (hook) l.engine->set_accepted_hook(std::move(hook));
-  if (!carry.empty())
-    l.engine->scan_chunk(std::span<const unsigned char>{carry.data(),
-                                                        carry.size()});
+  l.engine->scan_chunk(carry);
   return out;
 }
 

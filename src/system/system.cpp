@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "json/ndjson.hpp"
+#include "core/framer.hpp"
 #include "util/error.hpp"
 
 namespace jrf::system {
@@ -75,8 +75,15 @@ filter_system::filter_system(std::vector<core::expr_ptr> queries,
 }
 
 throughput_report filter_system::run(std::string_view stream) {
-  const auto records =
-      json::split_records(stream, options_.filter.separator);
+  // One feed from the fresh state: every record views `stream`.
+  std::vector<std::string_view> records;
+  const auto keep = [&records](std::span<const unsigned char> r) {
+    records.emplace_back(reinterpret_cast<const char*>(r.data()), r.size());
+  };
+  core::record_framer framer(options_.filter.separator, options_.filter.simd);
+  framer.feed(stream, [&](auto r, const auto&...) { keep(r); });
+  const std::vector<unsigned char> tail = framer.take_carry();
+  if (!tail.empty()) keep(tail);  // accepts() decides it as a flush would
 
   // Whole records are dealt round-robin; each lane consumes one byte per
   // cycle, so the slowest lane sets the filtering time.

@@ -36,6 +36,7 @@
 #include "system/sharded.hpp"
 #include "system/system.hpp"
 #include "util/error.hpp"
+#include "util/prng.hpp"
 
 namespace {
 
@@ -730,6 +731,65 @@ TEST(ApiPipelineStreaming, ConvenienceOfferRoundRobinsAcrossShards) {
       EXPECT_FALSE(result->shard_decisions[s].empty())
           << w.name << ": shard " << s << " never saw a record";
     }
+  }
+}
+
+TEST(ApiPipelineStreaming, ConvenienceOfferDealsTheScalarFilterRecords) {
+  // The records the shard-less offer() deals are the records push()
+  // frames, even where data::shard_records would split: separators and
+  // escaped quotes inside string literals, and a tail still inside an open
+  // literal. Ragged offer() chunks, every SIMD tier.
+  util::prng rng(22);
+  const std::vector<std::string> pieces = {"a\nb", "q\\\"\n", "\\\\",
+                                           "temperature", "x"};
+  std::string stream;
+  for (int r = 0; r < 91; ++r) {
+    stream += "{\"id\":" + std::to_string(r) + ",\"s\":\"";
+    for (std::size_t k = 1 + rng.below(3); k-- > 0;) stream += rng.pick(pieces);
+    stream += "\"}\n";
+    if (rng.chance(0.1)) stream += '\n';  // empty record
+  }
+  stream += "{\"s\":\"temperature\nopen";  // owed to shard 91 % 3 = 1
+  const core::expr_ptr rf = core::string_leaf("temperature", 1);
+
+  // push()'s records dealt round-robin; the tail goes to the shard owed it.
+  constexpr std::size_t kShards = 3;
+  std::vector<std::string> dealt(kShards);
+  core::raw_filter framing(rf);
+  std::string current;
+  std::size_t next = 0;
+  for (const char c : stream) {
+    if (!framing.push(static_cast<unsigned char>(c)).record_boundary) {
+      current += c;
+    } else if (!current.empty()) {
+      dealt[next] += current + '\n';
+      next = (next + 1) % kShards;
+      current.clear();
+    }
+  }
+  dealt[next] += current;
+
+  for (const core::simd::simd_level level : core::simd::available_levels()) {
+    auto built = pipeline::make()
+                     .raw_filter(rf)
+                     .backend(backend_kind::sharded)
+                     .shards(kShards)
+                     .simd(level)
+                     .build();
+    ASSERT_TRUE(built.has_value()) << built.error().message;
+    std::string_view rest = stream;
+    while (!rest.empty()) {
+      const std::size_t step = std::min<std::size_t>(1 + rng.below(100),
+                                                     rest.size());
+      ASSERT_TRUE(built->offer(rest.substr(0, step)).has_value());
+      rest.remove_prefix(step);
+    }
+    auto result = built->finish();
+    ASSERT_TRUE(result.has_value()) << result.error().message;
+    for (std::size_t s = 0; s < kShards; ++s)
+      EXPECT_EQ(result->shard_decisions[s],
+                core::raw_filter(rf).filter_stream(dealt[s]))
+          << "shard=" << s << " simd=" << core::simd::to_string(level);
   }
 }
 

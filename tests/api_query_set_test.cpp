@@ -742,6 +742,44 @@ TEST(ApiQuerySet, MutationErrorPaths) {
   EXPECT_EQ(result->decisions, standalone(primary_expr(), telemetry()));
 }
 
+TEST(ApiQuerySet, FailedRuntimeAddRollsBack) {
+  // A mid-stream add whose compile fails (an empty substring has no
+  // engine) is rolled back: the half-registered query is dropped, and the
+  // rest of the stream decides exactly as in a run without the add.
+  const std::string& stream = telemetry();
+  const std::size_t cut = record_boundary(stream, 100) + 7;  // mid-record
+  const auto run = [&](bool failed_add) {
+    auto built = pipeline::make()
+                     .from_query(query::riotbench::qs0())
+                     .add_raw_filter(second_expr())
+                     .backend(backend_kind::chunked)
+                     .build();
+    EXPECT_TRUE(built.has_value()) << built.error().message;
+    EXPECT_TRUE(built->offer(std::string_view(stream).substr(0, cut))
+                    .has_value());
+    if (failed_add) {
+      EXPECT_FALSE(built->add_query(core::string_leaf("", 1)).has_value());
+      EXPECT_EQ(built->query_ids(), (std::vector<core::query_id>{1, 2}));
+    }
+    EXPECT_TRUE(
+        built->offer(std::string_view(stream).substr(cut)).has_value());
+    auto result = built->finish();
+    EXPECT_TRUE(result.has_value()) << result.error().message;
+    return std::move(*result);
+  };
+  const run_result with = run(true);
+  const run_result without = run(false);
+  EXPECT_EQ(with.decisions, without.decisions);
+  EXPECT_EQ(with.query_ids, without.query_ids);
+  for (const core::query_id id : {core::query_id{1}, core::query_id{2}}) {
+    const auto a = with.verdicts.column(0, id);
+    const auto b = without.verdicts.column(0, id);
+    ASSERT_TRUE(a.has_value() && b.has_value()) << id;
+    EXPECT_EQ(a->first_record, b->first_record) << id;
+    EXPECT_EQ(a->decisions, b->decisions) << id;
+  }
+}
+
 TEST(ApiQuerySet, RuntimeJsonpathAndTextCompile) {
   auto built = pipeline::make()
                    .from_query(query::riotbench::qs0())

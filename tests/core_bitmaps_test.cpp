@@ -5,7 +5,9 @@
 // block-boundary buffer widths where the word-parallel escape and
 // in-string calculations are easiest to get wrong (escape runs straddling
 // a 64-byte block edge, records straddling a buffer edge), and on the
-// riotbench datasets the engines actually filter.
+// riotbench datasets the engines actually filter. The record framer built
+// on the pass must frame exactly the records the byte-per-cycle reference
+// (raw_filter::push) does, wherever the stream is split.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -13,11 +15,14 @@
 #include <vector>
 
 #include "core/bitmaps.hpp"
+#include "core/framer.hpp"
+#include "core/raw_filter.hpp"
 #include "core/simd.hpp"
 #include "core/structure.hpp"
 #include "data/smartcity.hpp"
 #include "data/taxi.hpp"
 #include "data/twitter.hpp"
+#include "util/prng.hpp"
 
 namespace jrf::core {
 namespace {
@@ -251,6 +256,168 @@ TEST(BitmapUtils, CollectBitsHonoursRange) {
     out.clear();
     collect_bits(words, 10, 10, level, out);  // empty range
     EXPECT_TRUE(out.empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// record_framer against the byte-per-cycle reference.
+
+// Seeded adversarial NDJSON-ish stream: string literals holding separators,
+// escape runs of both parities placed across 64-byte word edges, NUL
+// and high bytes, raw backslashes outside any literal and empty records.
+std::string adversarial_stream(util::prng& rng, std::size_t records,
+                               unsigned char sep) {
+  const std::string_view plain = "ab{}[]:,0123456789 ";
+  const std::string_view inner = "xy{},:[] ";
+  std::string s;
+  const auto backslash_run = [&](bool straddle) {
+    const std::size_t run = 1 + rng.below(9);
+    if (straddle)  // centre the run on the next 64-byte word edge
+      while ((s.size() + run / 2) % 64 != 0) s += 'p';
+    s.append(run, '\\');
+    // An odd run escapes the next byte, an even one leaves it plain; with
+    // any separator but '"' the literal stays open either way.
+    s += run % 2 == 1 && rng.chance(0.5) ? '"' : static_cast<char>(sep);
+  };
+  for (std::size_t r = 0; r < records; ++r) {
+    const std::size_t pieces = 1 + rng.below(6);
+    for (std::size_t p = 0; p < pieces; ++p) {
+      switch (rng.below(7)) {
+        case 0:
+        case 1:
+          s += rng.ascii(1 + rng.below(12), plain);
+          break;
+        case 2:
+        case 3:  // literal holding a separator and maybe an escape run
+          s += '"';
+          s += rng.ascii(rng.below(8), inner);
+          s += static_cast<char>(sep);
+          if (rng.chance(0.5)) backslash_run(false);
+          s += rng.ascii(rng.below(8), inner);
+          s += '"';
+          break;
+        case 4:  // literal whose escape run straddles a word edge
+          s += '"';
+          backslash_run(true);
+          s += '"';
+          break;
+        case 5:
+          for (std::size_t k = 1 + rng.below(3); k-- > 0;)
+            s += static_cast<char>(rng.pick(std::vector<int>{0, 0x80, 0xA9,
+                                                             0xC3, 0xFF}));
+          break;
+        default:  // now and then a raw backslash outside any literal
+          s += rng.chance(0.2) ? "\\q" : "z";
+          break;
+      }
+    }
+    s += static_cast<char>(sep);
+    if (rng.chance(0.1)) s += static_cast<char>(sep);  // empty record
+  }
+  return s;
+}
+
+struct framed {
+  std::vector<std::string> records;
+  std::string tail;
+  bool tail_masked = false;
+
+  friend bool operator==(const framed&, const framed&) = default;
+};
+
+// The reference: push() byte by byte; non-empty segments between its
+// record_boundary bytes are the records. The tail is masked when the
+// flush separator push() would append does not end a record.
+framed reference_framing(const std::string& stream, unsigned char sep) {
+  filter_options options;
+  options.separator = sep;
+  raw_filter reference(string_leaf("ab", 1), options);
+  framed out;
+  std::string current;
+  for (const char c : stream) {
+    if (!reference.push(static_cast<unsigned char>(c)).record_boundary) {
+      current += c;
+    } else if (!current.empty()) {
+      out.records.push_back(std::move(current));
+      current.clear();
+    }
+  }
+  out.tail = current;
+  out.tail_masked =
+      !current.empty() && !reference.push(sep).record_boundary;
+  return out;
+}
+
+// Collects what a framer hands out, checking each record's pass: its bits
+// at `offset` must be the bits a fresh pass over the record computes.
+struct collector {
+  unsigned char sep;
+  simd::simd_level level;
+  framed got;
+  bitmap_pass fresh;
+
+  void on_record(std::span<const unsigned char> record,
+                 const bitmap_pass& pass, std::size_t offset) {
+    got.records.emplace_back(record.begin(), record.end());
+    fresh.compute(record.data(), record.size(), sep, {}, level);
+    ASSERT_LE(offset + record.size(), pass.size());
+    for (std::size_t i = 0; i < record.size(); ++i)
+      ASSERT_EQ(pass.masked_at(offset + i), fresh.masked_at(i))
+          << "record " << got.records.size() - 1 << " byte " << i;
+  }
+  auto sink() {
+    return [this](std::span<const unsigned char> record,
+                  const bitmap_pass& pass, std::size_t offset) {
+      on_record(record, pass, offset);
+    };
+  }
+  void flush(record_framer& framer) {
+    framer.flush(
+        [this](std::span<const unsigned char> tail, const bitmap_pass&,
+               std::size_t) { got.tail.assign(tail.begin(), tail.end()); },
+        [this](std::span<const unsigned char> tail) {
+          got.tail.assign(tail.begin(), tail.end());
+          got.tail_masked = true;
+        });
+  }
+};
+
+TEST(RecordFramer, MatchesScalarBoundariesAtEverySplit) {
+  util::prng rng(22);
+  for (const unsigned char sep : {'\n', ',', '"'}) {
+    // No tail, an unterminated record, a tail inside an open literal.
+    for (const std::string_view end : {"", "ab12", "\"open,\n"}) {
+      const std::string stream =
+          adversarial_stream(rng, 12, sep) + std::string(end);
+      const framed expected = reference_framing(stream, sep);
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(stream.data());
+      for (const simd_level level : simd::available_levels()) {
+        for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+          const std::string where = "sep=" + std::to_string(sep) +
+                                    " end=" + std::string(end) +
+                                    " simd=" + simd::to_string(level) +
+                                    " cut=" + std::to_string(cut);
+          // Two feeds through one framer.
+          collector one{sep, level, {}, {}};
+          record_framer framer(sep, level);
+          framer.feed({bytes, cut}, one.sink());
+          framer.feed({bytes + cut, stream.size() - cut}, one.sink());
+          one.flush(framer);
+          ASSERT_EQ(one.got, expected) << where;
+          // take_carry() at the cut returns to the power-on state, so
+          // replaying the carry reproduces the stream (the live query
+          // swap's hand-over).
+          collector two{sep, level, {}, {}};
+          framer.feed({bytes, cut}, two.sink());
+          const std::vector<unsigned char> carry = framer.take_carry();
+          framer.feed(carry, two.sink());
+          framer.feed({bytes + cut, stream.size() - cut}, two.sink());
+          two.flush(framer);
+          ASSERT_EQ(two.got, expected) << where;
+        }
+      }
+    }
   }
 }
 
