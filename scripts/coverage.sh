@@ -67,7 +67,7 @@ src = os.path.join(root, "src") + os.sep
 # Line-coverage floor per src/ module, in percent: the measured value,
 # truncated to one decimal.
 FLOORS = {
-    "api": 93.8, "core": 97.8, "data": 95.3, "dse": 94.9, "json": 97.7,
+    "api": 94.3, "core": 98.2, "data": 95.3, "dse": 94.9, "json": 97.7,
     "lut": 99.1, "net": 92.3, "netlist": 94.5, "numrange": 96.8,
     "project": 90.6, "query": 90.7, "regex": 95.0, "rtl": 94.3,
     "system": 96.5, "util": 96.9,
@@ -88,9 +88,6 @@ NEVER_RUN = [
      "never do"),
     (r"^jrf::regex::dfa::describe",
      "debug dump; bench_fig2_number_dfa prints it, no suite does"),
-    (r"^jrf::core::filter_engine::take_carry\(",
-     "throwing default of the scalar engine; the facade rejects runtime "
-     "add/remove on scalar engines before it is reached"),
     (r"^jrf::core::filter_engine::set_accepted_hook\(",
      "throwing default of the scalar engine; the facade rejects projection "
      "on scalar engines before it is reached"),

@@ -212,7 +212,6 @@ struct pipeline::impl {
     std::vector<project::field_ref> refs;  // one per path, reused
     project::tape tape;
     std::unique_ptr<project::column_builder> builder;
-    std::uint64_t base = 0;  // per-shard record index of engine ordinal 0
     std::vector<project::column_batch> retained;  // no sink: run_result
 
     explicit projection_state(const project::path_set& p,
@@ -232,7 +231,7 @@ struct pipeline::impl {
                       const core::bitmap_pass& pass, std::size_t offset) {
     projection_state& ps = *projection[shard];
     ps.extractor->extract(record, pass, offset, ps.refs.data());
-    ps.tape.add_record(ps.base + ordinal, ps.refs, record);
+    ps.tape.add_record(ordinal, ps.refs, record);
     if (ps.tape.rows() >= opts.projection_batch_rows)
       flush_projection(shard);
   }
@@ -262,8 +261,8 @@ struct pipeline::impl {
     so.worker_threads = workers;
     so.engine = engine_kind;
     so.filter = opts.filter;
-    lanes = std::make_unique<system::sharded_filter_system>(qset.queries(),
-                                                            shards, so);
+    lanes = std::make_unique<system::sharded_filter_system>(
+        qset.make_engine(engine_kind, opts.filter), shards, so);
     if (model_lanes > 0) ledger.emplace(model_lanes);
     router = core::record_framer(opts.filter.separator, opts.filter.simd);
     for (std::size_t shard = 0; shard < shards; ++shard) {
@@ -273,7 +272,7 @@ struct pipeline::impl {
       if (!project_enabled) continue;
       projection.push_back(
           std::make_unique<projection_state>(paths, opts.filter.simd));
-      // swap_shard carries the hook over to every rebuilt engine.
+      // The hook survives every swap_shard.
       lanes->set_accepted_hook(
           shard, [this, shard](std::uint64_t ordinal,
                                std::span<const unsigned char> record,
@@ -484,15 +483,16 @@ struct pipeline::impl {
 
   // --- runtime query management ------------------------------------------
 
-  /// Why this pipeline cannot swap engines mid-stream, or nullopt when it
-  /// can. Swapping needs an engine that surrenders its in-flight partial
-  /// record (take_carry), which only the chunked engine does.
+  /// Why this pipeline cannot change its query set mid-stream, or nullopt
+  /// when it can. A swap needs an engine that moves onto a new plan
+  /// version keeping its in-flight record (swap_plan), which only the
+  /// chunked engine does.
   std::optional<std::string> mutation_unsupported() const {
     if (engine_kind != core::engine_kind::chunked)
       return std::string(
           "pipeline: runtime add/remove needs the chunked engine - the "
           "scalar engine replays fixed byte-per-cycle pipelines that cannot "
-          "surrender an in-flight record");
+          "change their query set mid-record");
     return std::nullopt;
   }
 
@@ -513,38 +513,25 @@ struct pipeline::impl {
     return nreg;
   }
 
-  /// Move every stream onto the `nreg` epoch - with freshly compiled
-  /// engines when `rebuild` (add/remove), or registry-only (sink attach).
-  /// Caller holds mutation_mutex. The compile happens OUTSIDE every stream
-  /// gate, so live traffic keeps flowing while the new plan builds; each
-  /// stream then pauses only for its own drain + carry replay. Decisions
-  /// taken during the swap archive under the OUTGOING epoch - those
-  /// records decided before the new set existed.
+  /// Move every stream onto the `nreg` epoch - with the query set's next
+  /// plan version when `rebuild` (add/remove), or registry-only (sink
+  /// attach). Caller holds mutation_mutex. qset already applied the
+  /// mutation's delta to its live plan outside every stream gate, so live
+  /// traffic kept flowing; each stream now pauses only for its own drain
+  /// and a pointer swap. Decisions taken during the swap archive under the
+  /// OUTGOING epoch - those records decided before the new set existed.
+  /// Streams not swapped yet keep deciding on the old version.
   void swap_epoch(registry_ptr nreg, bool rebuild) {
-    std::unique_ptr<core::filter_engine> proto;
-    if (rebuild)
-      proto = core::make_filter_engine(engine_kind, qset.queries(),
-                                       opts.filter);
+    std::shared_ptr<const core::plan_version> plan;
+    if (rebuild) plan = qset.plan(opts.filter.simd);
     for (std::size_t shard = 0; shard < streams.size(); ++shard) {
       stream_state& st = *streams[shard];
       std::lock_guard<std::mutex> gate(st.gate);
       stage_decisions(shard);
-      if (rebuild) {
-        // Every shard but the last runs a clone; the last takes the
-        // prototype itself, so a one-stream swap clones nothing.
-        // swap_shard drains the FIFO through the OLD engine first; its
-        // tail decisions belong to the outgoing epoch.
-        archive_batch(shard,
-                      lanes->swap_shard(shard, shard + 1 < streams.size()
-                                                   ? proto->clone()
-                                                   : std::move(proto)));
-        // The fresh engine's record ordinals restart at zero; everything
-        // decided so far was archived above, so the shard's projected
-        // record numbering continues at the history's length. The
-        // projected path set stays frozen - runtime adds decide normally
-        // but do not extend it.
-        if (project_enabled) projection[shard]->base = st.history.any.size();
-      }
+      // swap_shard drains the FIFO under the OLD version first; its tail
+      // decisions belong to the outgoing epoch. The projected path set
+      // stays frozen - runtime adds decide normally but do not extend it.
+      if (rebuild) archive_batch(shard, lanes->swap_shard(shard, plan));
       st.reg = nreg;
       open_segment(st);
     }
@@ -559,20 +546,15 @@ struct pipeline::impl {
     std::lock_guard<std::mutex> mu(mutation_mutex);
     if (done()) throw error("pipeline: add_query() after finish()/run()");
     if (auto why = mutation_unsupported()) throw error(*why);
+    // Compiles just this query into the live plan; a query that does not
+    // compile throws here with the set and every stream untouched.
     const core::query_id id = qset.add(std::move(qexpr));
-    try {
-      auto nreg = snapshot_registry();
-      if (query_sink) {
-        nreg->query_sinks[qset.ordinal(id)] = std::move(query_sink);
-        nreg->index_sinks();
-      }
-      swap_epoch(std::move(nreg), true);
-    } catch (...) {
-      // A failed compile leaves every stream on the old epoch; drop the
-      // half-registered query so the set matches the engines again.
-      qset.remove(id);
-      throw;
+    auto nreg = snapshot_registry();
+    if (query_sink) {
+      nreg->query_sinks[qset.ordinal(id)] = std::move(query_sink);
+      nreg->index_sinks();
     }
+    swap_epoch(std::move(nreg), true);
     return id;
   }
 

@@ -309,15 +309,21 @@ class pipeline {
   expected<run_result> finish();
 
   // --- runtime query management (multi-tenant) ---
-  // add_query()/remove_query() swap every stream onto a freshly compiled
-  // shared plan WITHOUT stalling the stream: the new engine compiles
-  // outside every stream lock (live traffic keeps flowing), then each
-  // stream pauses only for its own drain + in-flight-record replay. Bytes
-  // offered before the swap decide under the outgoing query set, bytes
-  // after under the incoming one - never half-and-half. Requires the
-  // chunked engine, which can surrender its in-flight record: the chunked
-  // backend, or system / sharded with engine(chunked); the scalar engine
-  // reports an error. The optional per-query sink receives (shard,
+  // add_query()/remove_query() move every stream onto the next version of
+  // one incremental shared plan WITHOUT stalling the stream. The plan
+  // compiles only the delta, outside every stream lock (live traffic keeps
+  // flowing): an add builds just the primitives the pool lacks and threads
+  // one trie path, a remove prunes one path and shifts later ordinals - a
+  // swap costs about 0.2-0.3 ms at 10k resident queries, not a recompile
+  // of the fleet. Each stream then pauses only for its own drain and a
+  // pointer swap onto the immutable new version; streams not swapped yet
+  // keep deciding on the old one. Bytes offered before the swap decide
+  // under the outgoing query set, bytes after under the incoming one -
+  // never half-and-half; a record in flight at the swap decides under the
+  // incoming set. Requires the chunked engine: the chunked backend, or
+  // system / sharded with engine(chunked); the scalar engine reports an
+  // error. A query that does not compile is rejected with the set and
+  // every stream untouched. The optional per-query sink receives (shard,
   // per-shard record index, accepted) for THAT query only, while it is
   // resident.
   expected<core::query_id> add_query(core::expr_ptr expr,

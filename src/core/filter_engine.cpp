@@ -1,8 +1,8 @@
 #include "core/filter_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
-#include <unordered_map>
 
 #include "core/bitmaps.hpp"
 #include "core/framer.hpp"
@@ -13,123 +13,86 @@
 
 namespace jrf::core {
 
-compiled_layout compiled_layout::compile(const filter_expr& root,
-                                         simd::simd_level level) {
-  compiled_layout layout;
-  const auto visit = [&layout, level](const filter_expr& e,
-                                      const auto& self) -> plan_node {
-    plan_node node;
-    switch (e.kind) {
-      case expr_kind::primitive:
-        node.k = plan_node::kind::leaf;
-        node.index = layout.engines.size();
-        layout.bare_engines.push_back(layout.engines.size());
-        layout.engine_keys.push_back(spec_key(e.prim));
-        layout.engines.push_back(make_engine(e.prim, level));
-        break;
-      case expr_kind::group: {
-        group_info info;
-        info.kind = e.group;
-        for (const primitive_spec& m : e.members) {
-          info.members.push_back(layout.engines.size());
-          layout.engine_keys.push_back(spec_key(m));
-          layout.engines.push_back(make_engine(m, level));
-        }
-        node.k = plan_node::kind::group;
-        node.index = layout.groups.size();
-        layout.groups.push_back(std::move(info));
-        break;
-      }
-      case expr_kind::conjunction:
-      case expr_kind::disjunction:
-        node.k = e.kind == expr_kind::conjunction ? plan_node::kind::conj
-                                                  : plan_node::kind::disj;
-        node.children.reserve(e.children.size());
-        for (const expr_ptr& child : e.children)
-          node.children.push_back(self(*child, self));
-        break;
-    }
-    return node;
-  };
-  layout.roots.push_back(visit(root, visit));
-  layout.engine_subscribers.assign(layout.engines.size(),
-                                   std::vector<std::size_t>{0});
-  return layout;
-}
-
-compiled_layout compiled_layout::compile_set(std::span<const expr_ptr> queries,
-                                             simd::simd_level level) {
-  if (queries.empty()) throw error("compile_set: empty query set");
-  compiled_layout layout;
-  std::unordered_map<std::string, std::size_t> engine_by_key;
-  std::unordered_map<std::string, std::size_t> group_by_key;
-  std::size_t q = 0;
-  const auto intern = [&](const primitive_spec& spec) -> std::size_t {
-    std::string key = spec_key(spec);
-    const auto [it, fresh] =
-        engine_by_key.try_emplace(std::move(key), layout.engines.size());
-    if (fresh) {
-      layout.engines.push_back(make_engine(spec, level));
-      layout.engine_keys.push_back(it->first);
-      layout.engine_subscribers.emplace_back();
-    }
-    std::vector<std::size_t>& subs = layout.engine_subscribers[it->second];
-    if (subs.empty() || subs.back() != q) subs.push_back(q);
-    return it->second;
-  };
-  const auto visit = [&](const filter_expr& e, const auto& self) -> plan_node {
-    plan_node node;
-    switch (e.kind) {
-      case expr_kind::primitive:
-        node.k = plan_node::kind::leaf;
-        node.index = intern(e.prim);
-        break;
-      case expr_kind::group: {
-        group_info info;
-        info.kind = e.group;
-        // Groups dedup on (kind, member engine indices): two queries with
-        // the same structural clause share one tracker replay per record.
-        std::string gkey(e.group == group_kind::scope ? "s" : "p");
-        for (const primitive_spec& m : e.members) {
-          const std::size_t idx = intern(m);
-          info.members.push_back(idx);
-          gkey += ':';
-          gkey += std::to_string(idx);
-        }
-        const auto [it, fresh] =
-            group_by_key.try_emplace(std::move(gkey), layout.groups.size());
-        if (fresh) layout.groups.push_back(std::move(info));
-        node.k = plan_node::kind::group;
-        node.index = it->second;
-        break;
-      }
-      case expr_kind::conjunction:
-      case expr_kind::disjunction:
-        node.k = e.kind == expr_kind::conjunction ? plan_node::kind::conj
-                                                  : plan_node::kind::disj;
-        node.children.reserve(e.children.size());
-        for (const expr_ptr& child : e.children)
-          node.children.push_back(self(*child, self));
-        break;
-    }
-    return node;
-  };
-  layout.roots.reserve(queries.size());
-  for (; q < queries.size(); ++q) {
-    if (!queries[q]) throw error("compile_set: null query expression");
-    layout.roots.push_back(visit(*queries[q], visit));
-  }
-  build_trie(layout);
-  return layout;
-}
-
 namespace {
+
+using plan_node = compiled_layout::plan_node;
+
+/// Lower one expression onto a layout's pools - the one compiler behind
+/// both layouts. `engine(spec, bare)` names the engine slot of a primitive
+/// (bare: a leaf rather than a group member), `group(kind, members)` the
+/// group slot over member engine slots.
+template <typename Engine, typename Group>
+plan_node lower(const filter_expr& e, Engine& engine, Group& group) {
+  plan_node node;
+  switch (e.kind) {
+    case expr_kind::primitive:
+      node.k = plan_node::kind::leaf;
+      node.index = engine(e.prim, true);
+      break;
+    case expr_kind::group: {
+      std::vector<std::size_t> members;
+      members.reserve(e.members.size());
+      for (const primitive_spec& m : e.members)
+        members.push_back(engine(m, false));
+      node.k = plan_node::kind::group;
+      node.index = group(e.group, std::move(members));
+      break;
+    }
+    case expr_kind::conjunction:
+    case expr_kind::disjunction:
+      node.k = e.kind == expr_kind::conjunction ? plan_node::kind::conj
+                                                : plan_node::kind::disj;
+      node.children.reserve(e.children.size());
+      for (const expr_ptr& child : e.children)
+        node.children.push_back(lower(*child, engine, group));
+      break;
+  }
+  return node;
+}
+
+/// Every primitive spec of `e`, in lower()'s visit order.
+template <typename Fn>
+void for_each_spec(const filter_expr& e, Fn& fn) {
+  switch (e.kind) {
+    case expr_kind::primitive:
+      fn(e.prim);
+      break;
+    case expr_kind::group:
+      for (const primitive_spec& m : e.members) fn(m);
+      break;
+    case expr_kind::conjunction:
+    case expr_kind::disjunction:
+      for (const expr_ptr& child : e.children) for_each_spec(*child, fn);
+      break;
+  }
+}
+
+/// fn(slot, is_group) for every engine and group occurrence of a plan, a
+/// group's members included.
+template <typename Fn>
+void for_each_slot(const compiled_layout& layout, const plan_node& node,
+                   Fn& fn) {
+  switch (node.k) {
+    case plan_node::kind::leaf:
+      fn(node.index, false);
+      break;
+    case plan_node::kind::group:
+      fn(node.index, true);
+      for (const std::size_t m : layout.groups[node.index].members)
+        fn(m, false);
+      break;
+    case plan_node::kind::conj:
+    case plan_node::kind::disj:
+      for (const plan_node& child : node.children)
+        for_each_slot(layout, child, fn);
+      break;
+  }
+}
 
 /// Canonical signature of a plan sub-tree. Interning already maps identical
 /// primitive specs / groups to identical indices, so two structurally equal
 /// sub-plans across queries produce the same signature string.
-void plan_signature(const compiled_layout::plan_node& node, std::string& out) {
-  using plan_node = compiled_layout::plan_node;
+void plan_signature(const plan_node& node, std::string& out) {
   switch (node.k) {
     case plan_node::kind::leaf:
       out += 'l';
@@ -157,10 +120,8 @@ void plan_signature(const compiled_layout::plan_node& node, std::string& out) {
 /// conjunction its children's union. A disjunction needs only the engines
 /// required by EVERY branch - approximated as none (conservative: the mask
 /// test may pass and eval() still answer false, never the reverse).
-void required_engines(const compiled_layout& layout,
-                      const compiled_layout::plan_node& node,
+void required_engines(const compiled_layout& layout, const plan_node& node,
                       std::vector<std::uint64_t>& mask) {
-  using plan_node = compiled_layout::plan_node;
   switch (node.k) {
     case plan_node::kind::leaf:
       mask[node.index / 64] |= std::uint64_t{1} << (node.index % 64);
@@ -178,8 +139,7 @@ void required_engines(const compiled_layout& layout,
   }
 }
 
-bool plan_is_pure(const compiled_layout::plan_node& node) {
-  using plan_node = compiled_layout::plan_node;
+bool plan_is_pure(const plan_node& node) {
   if (node.k == plan_node::kind::leaf) return true;
   if (node.k != plan_node::kind::conj) return false;
   for (const plan_node& child : node.children)
@@ -187,102 +147,338 @@ bool plan_is_pure(const compiled_layout::plan_node& node) {
   return true;
 }
 
+/// Rebuild a trie node's verdict fan-out from its (ascending) terminals.
+void refresh_fanout(compiled_layout::trie_node& node) {
+  node.fanout.clear();
+  for (const std::uint32_t q : node.terminals) {
+    const std::uint32_t word = q / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (q % 64);
+    if (node.fanout.empty() || node.fanout.back().first != word)
+      node.fanout.emplace_back(word, bit);
+    else
+      node.fanout.back().second |= bit;
+  }
+}
+
+constexpr std::size_t npos = ~std::size_t{0};
+constexpr std::size_t kRunSlots = 64;  // bits of a token-run verdict mask
+/// Compaction runs once tombstones pass this floor AND outnumber the live
+/// slots, so the dead never take more than half the pool beyond the floor.
+/// The floor lets a small resident set churning through a bounded pool of
+/// specs (a few queries plus rotating tenants) keep every spec revivable:
+/// at 8, such a set compacted every few swaps and rebuilt a DFA on most
+/// adds.
+constexpr std::size_t kCompactionFloor = 64;
+
+/// Names one assignment of token-run verdict bits. Global so no two
+/// layouts ever share a tag: a lane's memo can only match the lineage it
+/// was filled under.
+std::atomic<std::uint64_t> next_memo_tag{1};
+
 }  // namespace
 
-void compiled_layout::build_trie(compiled_layout& layout) {
-  layout.trie.clear();
-  layout.trie_roots.clear();
-  const std::size_t engine_words = (layout.engines.size() + 63) / 64;
-  // child lookup per node: conjunct signature -> trie index. Index 0 of
-  // `maps` is the virtual root (trie_roots); maps[i + 1] serves trie[i].
-  std::vector<std::unordered_map<std::string, std::size_t>> maps(1);
-  const auto child_of = [&](std::size_t parent_slot, std::string&& sig,
-                            const plan_node& conjunct) -> std::size_t {
-    auto& map = maps[parent_slot];
-    const auto it = map.find(sig);
-    if (it != map.end()) return it->second;
-    const std::size_t idx = layout.trie.size();
-    trie_node node;
-    node.conjunct = conjunct;
-    node.required.assign(engine_words, 0);
-    required_engines(layout, conjunct, node.required);
-    node.pure = plan_is_pure(conjunct);
-    layout.trie.push_back(std::move(node));
-    maps.emplace_back();
-    maps[parent_slot].emplace(std::move(sig), idx);
-    if (parent_slot == 0)
-      layout.trie_roots.push_back(idx);
-    else
-      layout.trie[parent_slot - 1].children.push_back(idx);
+compiled_layout::compiled_layout(simd::simd_level level) : level_(level) {}
+
+std::size_t compiled_layout::add_engine(
+    std::shared_ptr<const primitive_engine> engine, std::string key) {
+  const std::size_t idx = engines.size();
+  const bool capable = engine->run_capable() && run_slots_used_ < kRunSlots;
+  run_capable_.push_back(capable ? 1 : 0);
+  run_slot_.push_back(capable ? run_slots_used_++ : 0);
+  if (capable) memo_tag_ = next_memo_tag.fetch_add(1);
+  engines.push_back(std::move(engine));
+  engine_keys.push_back(std::move(key));
+  engine_subscribers.emplace_back();
+  // A pool crossing a 64-engine boundary widens every trie mask.
+  if (idx % 64 == 0 && idx > 0)
+    for (trie_node& node : trie) node.required.resize(idx / 64 + 1, 0);
+  return idx;
+}
+
+compiled_layout compiled_layout::compile(const filter_expr& root,
+                                         simd::simd_level level) {
+  compiled_layout layout(level);
+  auto engine = [&](const primitive_spec& spec, bool bare) {
+    const std::size_t idx =
+        layout.add_engine(make_engine(spec, level), spec_key(spec));
+    layout.engine_subscribers[idx].push_back(0);
+    if (bare) layout.bare_engines.push_back(idx);
     return idx;
   };
-  std::vector<std::pair<std::string, const plan_node*>> conjuncts;
-  for (std::size_t q = 0; q < layout.roots.size(); ++q) {
-    const plan_node& root = layout.roots[q];
-    conjuncts.clear();
-    if (root.k == plan_node::kind::conj && !root.children.empty()) {
-      for (const plan_node& child : root.children) {
-        std::string sig;
-        plan_signature(child, sig);
-        conjuncts.emplace_back(std::move(sig), &child);
+  auto group = [&](group_kind kind, std::vector<std::size_t> members) {
+    layout.groups.push_back({kind, std::move(members)});
+    layout.group_refs_.push_back(1);
+    return layout.groups.size() - 1;
+  };
+  layout.roots.push_back(lower(root, engine, group));
+  return layout;
+}
+
+compiled_layout compiled_layout::compile_set(std::span<const expr_ptr> queries,
+                                             simd::simd_level level) {
+  if (queries.empty()) throw error("compile_set: empty query set");
+  compiled_layout layout(level);
+  layout.roots.reserve(queries.size());
+  layout.sources_.reserve(queries.size());
+  for (const expr_ptr& query : queries) layout.insert(query);
+  return layout;
+}
+
+std::size_t compiled_layout::insert(expr_ptr query) {
+  return insert(std::move(query), nullptr);
+}
+
+std::size_t compiled_layout::insert(expr_ptr query, const donor_pool* donor) {
+  if (!query) throw error("compiled layout: null query expression");
+  // Phase 1 - everything that can throw: key every primitive and build the
+  // engines the pool lacks (from the donor pool when compacting). The
+  // layout is untouched until all of them exist.
+  std::vector<keyed_spec>& specs = specs_;
+  specs.clear();
+  auto make = [&](const primitive_spec& spec) {
+    keyed_spec k{spec_key(spec), npos, nullptr};
+    if (const auto it = engine_index_.find(k.key); it != engine_index_.end()) {
+      k.pooled = it->second;
+    } else if (std::none_of(specs.begin(), specs.end(), [&](const keyed_spec& o) {
+                 return o.key == k.key;
+               })) {
+      if (donor != nullptr) {
+        const auto given = donor->find(k.key);
+        if (given != donor->end()) k.made = given->second;
       }
+      if (!k.made) k.made = make_engine(spec, level_);
+    }
+    specs.push_back(std::move(k));
+  };
+  for_each_spec(*query, make);
+
+  // Phase 2 - intern: lower() visits the specs in phase 1's order.
+  const std::size_t q = roots.size();
+  std::size_t cursor = 0;
+  auto engine = [&](const primitive_spec&, bool) {
+    keyed_spec& k = specs[cursor++];
+    std::size_t idx = k.pooled;
+    if (idx != npos) {
+      if (engine_subscribers[idx].empty()) --dead_engines_;  // revive
+    } else if (k.made) {
+      idx = add_engine(std::move(k.made), k.key);
+      engine_index_.emplace(std::move(k.key), idx);
     } else {
+      idx = engine_index_.at(k.key);  // a repeat within this query
+    }
+    std::vector<std::size_t>& subs = engine_subscribers[idx];
+    if (subs.empty() || subs.back() != q) subs.push_back(q);
+    return idx;
+  };
+  auto group = [&](group_kind kind, std::vector<std::size_t> members) {
+    // Groups dedup on (kind, member engine indices): two queries with the
+    // same structural clause share one tracker replay per record.
+    std::string key(kind == group_kind::scope ? "s" : "p");
+    for (const std::size_t m : members) {
+      key += ':';
+      key += std::to_string(m);
+    }
+    const auto [it, fresh] = group_index_.try_emplace(std::move(key),
+                                                      groups.size());
+    if (fresh) {
+      groups.push_back({kind, std::move(members)});
+      group_refs_.push_back(0);
+    } else if (group_refs_[it->second] == 0) {
+      --dead_groups_;  // revive
+    }
+    ++group_refs_[it->second];
+    return it->second;
+  };
+  roots.push_back(lower(*query, engine, group));
+  sources_.push_back(std::move(query));
+  specs.clear();
+  // One query needs no trie; the second threads both paths.
+  if (roots.size() == 2) trie_insert(0);
+  if (roots.size() >= 2) trie_insert(q);
+  return q;
+}
+
+std::size_t compiled_layout::trie_node_for(std::size_t parent,
+                                           std::string&& sig,
+                                           const plan_node& conjunct) {
+  auto& map = parent == npos ? root_links_ : links_[parent].children;
+  if (const auto it = map.find(sig); it != map.end()) return it->second;
+  std::size_t idx;
+  if (free_nodes_.empty()) {
+    idx = trie.size();
+    trie.emplace_back();
+    links_.emplace_back();
+  } else {
+    idx = free_nodes_.back();
+    free_nodes_.pop_back();
+  }
+  trie_node& node = trie[idx];
+  node.conjunct = conjunct;
+  node.required.assign((engines.size() + 63) / 64, 0);
+  required_engines(*this, conjunct, node.required);
+  node.pure = plan_is_pure(conjunct);
+  (parent == npos ? trie_roots : trie[parent].children).push_back(idx);
+  (parent == npos ? root_links_ : links_[parent].children).emplace(sig, idx);
+  links_[idx].parent = parent;
+  links_[idx].sig = std::move(sig);
+  return idx;
+}
+
+void compiled_layout::trie_insert(std::size_t q) {
+  const plan_node& root = roots[q];
+  std::vector<std::pair<std::string, const plan_node*>>& conjuncts =
+      conjuncts_;
+  conjuncts.clear();
+  if (root.k == plan_node::kind::conj && !root.children.empty()) {
+    for (const plan_node& child : root.children) {
       std::string sig;
-      plan_signature(root, sig);
-      conjuncts.emplace_back(std::move(sig), &root);
+      plan_signature(child, sig);
+      conjuncts.emplace_back(std::move(sig), &child);
     }
-    // Sorting an AND's conjuncts is semantics-preserving (evaluation is
-    // pure) and maximises shared prefixes across queries.
-    std::sort(conjuncts.begin(), conjuncts.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t slot = 0;  // virtual root
-    for (auto& [sig, node] : conjuncts)
-      slot = child_of(slot, std::move(sig), *node) + 1;
-    layout.trie[slot - 1].terminals.push_back(static_cast<std::uint32_t>(q));
+  } else {
+    std::string sig;
+    plan_signature(root, sig);
+    conjuncts.emplace_back(std::move(sig), &root);
   }
-  // Precompute each terminal set's word-sparse verdict fan-out.
-  for (trie_node& node : layout.trie) {
-    for (const std::uint32_t q : node.terminals) {
-      const std::uint32_t word = q / 64;
-      const std::uint64_t bit = std::uint64_t{1} << (q % 64);
-      auto it = std::find_if(node.fanout.begin(), node.fanout.end(),
-                             [word](const auto& p) { return p.first == word; });
-      if (it == node.fanout.end())
-        node.fanout.emplace_back(word, bit);
-      else
-        it->second |= bit;
-    }
+  // Sorting an AND's conjuncts is semantics-preserving (evaluation is
+  // pure) and maximises shared prefixes across queries.
+  std::sort(conjuncts.begin(), conjuncts.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t node = npos;
+  for (auto& [sig, conjunct] : conjuncts)
+    node = trie_node_for(node, std::move(sig), *conjunct);
+  conjuncts.clear();
+  // q is the largest resident ordinal, so terminals stay ascending and
+  // its bit lands in the last fan-out word or opens the next one.
+  trie_node& t = trie[node];
+  t.terminals.push_back(static_cast<std::uint32_t>(q));
+  const auto word = static_cast<std::uint32_t>(q / 64);
+  const std::uint64_t bit = std::uint64_t{1} << (q % 64);
+  if (t.fanout.empty() || t.fanout.back().first != word)
+    t.fanout.emplace_back(word, bit);
+  else
+    t.fanout.back().second |= bit;
+  terminal_of_.push_back(node);
+}
+
+void compiled_layout::trie_prune(std::size_t node) {
+  while (node != npos && trie[node].terminals.empty() &&
+         trie[node].children.empty()) {
+    const std::size_t parent = links_[node].parent;
+    auto& siblings = parent == npos ? trie_roots : trie[parent].children;
+    siblings.erase(std::find(siblings.begin(), siblings.end(), node));
+    (parent == npos ? root_links_ : links_[parent].children)
+        .erase(links_[node].sig);
+    trie[node] = trie_node{};
+    links_[node] = trie_link{};
+    free_nodes_.push_back(node);
+    node = parent;
   }
 }
 
-compiled_layout compiled_layout::clone() const {
-  compiled_layout copy;
-  copy.engines.reserve(engines.size());
-  for (const auto& engine : engines) copy.engines.push_back(engine->clone());
-  copy.engine_keys = engine_keys;
-  copy.groups = groups;
-  copy.bare_engines = bare_engines;
-  copy.roots = roots;
-  copy.engine_subscribers = engine_subscribers;
-  copy.trie = trie;
-  copy.trie_roots = trie_roots;
-  return copy;
+void compiled_layout::erase(std::size_t ordinal) {
+  if (ordinal >= roots.size())
+    throw error("compiled layout: erase of an unknown ordinal");
+  const std::size_t q = ordinal;
+  // Drop the query's references: its subscriptions and group uses. A slot
+  // left with none is a tombstone.
+  auto release = [&](std::size_t slot, bool is_group) {
+    if (is_group) {
+      if (--group_refs_[slot] == 0) ++dead_groups_;
+      return;
+    }
+    std::vector<std::size_t>& subs = engine_subscribers[slot];
+    const auto it = std::lower_bound(subs.begin(), subs.end(), q);
+    if (it == subs.end() || *it != q) return;  // released already
+    subs.erase(it);
+    if (subs.empty()) ++dead_engines_;
+  };
+  for_each_slot(*this, roots[q], release);
+  // Later queries move down one ordinal: subscriber lists and trie
+  // terminals shift, and the fan-out words follow.
+  for (std::vector<std::size_t>& subs : engine_subscribers)
+    for (auto it = std::upper_bound(subs.begin(), subs.end(), q);
+         it != subs.end(); ++it)
+      --*it;
+  if (roots.size() == 2) {
+    // One query left: single-query layouts carry no trie.
+    trie.clear();
+    trie_roots.clear();
+    links_.clear();
+    root_links_.clear();
+    terminal_of_.clear();
+    free_nodes_.clear();
+  } else if (!trie.empty()) {
+    const std::size_t node = terminal_of_[q];
+    std::vector<std::uint32_t>& terms = trie[node].terminals;
+    terms.erase(std::lower_bound(terms.begin(), terms.end(),
+                                 static_cast<std::uint32_t>(q)));
+    refresh_fanout(trie[node]);
+    trie_prune(node);
+    terminal_of_.erase(terminal_of_.begin() +
+                       static_cast<std::ptrdiff_t>(q));
+    for (trie_node& t : trie) {
+      if (t.terminals.empty() || t.terminals.back() < q) continue;
+      for (auto it = std::upper_bound(t.terminals.begin(), t.terminals.end(),
+                                      static_cast<std::uint32_t>(q));
+           it != t.terminals.end(); ++it)
+        --*it;
+      refresh_fanout(t);
+    }
+  }
+  roots.erase(roots.begin() + static_cast<std::ptrdiff_t>(q));
+  sources_.erase(sources_.begin() + static_cast<std::ptrdiff_t>(q));
+  if (tombstones() > kCompactionFloor &&
+      2 * tombstones() > engines.size() + groups.size())
+    compact();
 }
 
-filter_engine::filter_engine(std::vector<expr_ptr> queries,
+void compiled_layout::compact() {
+  // Re-insert the resident queries into an empty layout. The live engines
+  // move over by spec key, so no DFA is rebuilt; slots, groups and the
+  // trie come out dense, exactly as a from-scratch compile_set lays them.
+  donor_pool donor;
+  for (std::size_t e = 0; e < engines.size(); ++e)
+    if (!engine_subscribers[e].empty()) donor.emplace(engine_keys[e], engines[e]);
+  compiled_layout fresh(level_);
+  fresh.roots.reserve(sources_.size());
+  fresh.sources_.reserve(sources_.size());
+  for (const expr_ptr& query : sources_) fresh.insert(query, &donor);
+  *this = std::move(fresh);
+}
+
+plan_version::plan_version(const compiled_layout& layout)
+    : engines(layout.engines),
+      run_capable(layout.run_capable_),
+      run_slot(layout.run_slot_),
+      groups(layout.groups),
+      trie(layout.trie),
+      trie_roots(layout.trie_roots),
+      queries(layout.query_count()),
+      memo_tag(layout.memo_tag_) {
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    if (layout.engine_subscribers[e].empty()) continue;
+    live.push_back(static_cast<std::uint32_t>(e));
+    if (run_capable[e]) any_run_capable = true;
+  }
+  for (const compiled_layout::group_info& g : groups)
+    max_members = std::max(max_members, g.members.size());
+  if (queries == 1) root = layout.roots.front();
+  if (!layout.sources_.empty()) front = layout.sources_.front();
+}
+
+filter_engine::filter_engine(expr_ptr first, std::size_t queries,
                              filter_options options)
-    : queries_(std::move(queries)), options_(options) {
-  if (queries_.empty()) throw error("filter engine: empty query set");
-  for (const expr_ptr& q : queries_)
-    if (!q) throw error("filter engine: null expression");
-  expr_ = queries_.front();
+    : expr_(std::move(first)), query_count_(queries), options_(options) {
+  if (query_count_ == 0) throw error("filter engine: empty query set");
+  if (!expr_) throw error("filter engine: null expression");
 }
 
-std::vector<unsigned char> filter_engine::take_carry() {
-  throw error("filter engine: this engine cannot export its in-flight "
-              "record (scalar byte paths hold partial-match state inside "
-              "their primitives) - runtime query add/remove needs the "
-              "chunked engine");
+void filter_engine::swap_plan(std::shared_ptr<const plan_version>) {
+  throw error("filter engine: this engine cannot swap its plan in flight "
+              "(scalar byte paths hold partial-match state inside their "
+              "primitives) - runtime query add/remove needs the chunked "
+              "engine");
 }
 
 void filter_engine::set_accepted_hook(accepted_hook) {
@@ -292,9 +488,9 @@ void filter_engine::set_accepted_hook(accepted_hook) {
 }
 
 std::vector<bool> filter_engine::decision_column(std::size_t q) const {
-  if (q >= queries_.size())
+  if (q >= query_count_)
     throw error("filter engine: query ordinal out of range");
-  if (queries_.size() == 1) return decisions_;
+  if (query_count_ == 1) return decisions_;
   const std::size_t wpr = words_per_record();
   const std::size_t records = decision_words_.size() / wpr;
   std::vector<bool> out;
@@ -331,10 +527,12 @@ namespace {
 
 class scalar_filter_engine final : public filter_engine {
  public:
-  scalar_filter_engine(std::vector<expr_ptr> queries, filter_options options)
-      : filter_engine(std::move(queries), options) {
-    filters_.reserve(queries_.size());
-    for (const expr_ptr& q : queries_) filters_.emplace_back(q, options);
+  scalar_filter_engine(const std::vector<expr_ptr>& queries,
+                       filter_options options)
+      : filter_engine(queries.empty() ? nullptr : queries.front(),
+                      queries.size(), options) {
+    filters_.reserve(queries.size());
+    for (const expr_ptr& q : queries) filters_.emplace_back(q, options);
   }
 
   void reset() override {
@@ -393,7 +591,7 @@ class scalar_filter_engine final : public filter_engine {
 
  private:
   scalar_filter_engine(const scalar_filter_engine& other)
-      : filter_engine(other.queries_, other.options_),
+      : filter_engine(other.expr_, other.query_count_, other.options_),
         filters_(other.filters_) {}
 
   /// Push `byte` into filters 1..N-1; with a `row`, set the bit of every
@@ -469,24 +667,23 @@ class scalar_filter_engine final : public filter_engine {
 
 class chunked_filter_engine final : public filter_engine {
  public:
-  /// N > 1 queries intern into one shared layout (engines and groups
-  /// dedup'd by spec key); a one-element set compiles the single-query
-  /// layout, byte- and performance-identical to the pre-multi-tenant
-  /// engine.
-  chunked_filter_engine(std::vector<expr_ptr> queries, filter_options options)
-      : filter_engine(std::move(queries), options),
+  /// Evaluates one plan version: N > 1 queries through the version's
+  /// trie, a one-query version through its plan root - byte- and
+  /// performance-identical to the pre-multi-tenant engine.
+  chunked_filter_engine(std::shared_ptr<const plan_version> plan,
+                        filter_options options)
+      : filter_engine(plan->front, plan->queries, options),
         level_(simd::resolve(options.simd)),
-        layout_(queries_.size() == 1
-                    ? compiled_layout::compile(*queries_.front(), options.simd)
-                    : compiled_layout::compile_set(queries_, options.simd)),
         max_depth_(structure_tracker(options.depth_bits).max_depth()),
-        framer_(options.separator, level_) {
-    init();
+        framer_(options.separator, level_),
+        memo_tag_(plan->memo_tag) {
+    bind(std::move(plan));
   }
 
   void reset() override { framer_.reset(); }
 
   void scan_chunk(std::span<const unsigned char> chunk) override {
+    memo_.ready();
     framer_.feed(chunk, [this](const auto&... r) { decide(r...); });
     fire_deferred();
   }
@@ -509,6 +706,7 @@ class chunked_filter_engine final : public filter_engine {
 
   bool accepts_bits(std::string_view record, std::uint64_t* words) override {
     reset();
+    memo_.ready();
     if (words != nullptr)
       std::fill_n(words, words_per_record(), std::uint64_t{0});
     // accepts() == decision of the final (possibly empty) segment: push()
@@ -534,8 +732,8 @@ class chunked_filter_engine final : public filter_engine {
     return std::unique_ptr<filter_engine>(new chunked_filter_engine(*this));
   }
 
-  std::vector<unsigned char> take_carry() override {
-    return framer_.take_carry();
+  void swap_plan(std::shared_ptr<const plan_version> plan) override {
+    bind(std::move(plan));
   }
 
   /// Projection surface: fires synchronously from the stream-decision
@@ -548,48 +746,37 @@ class chunked_filter_engine final : public filter_engine {
 
  private:
   chunked_filter_engine(const chunked_filter_engine& other)
-      : filter_engine(other.queries_, other.options_),
+      : filter_engine(other.expr_, other.query_count_, other.options_),
         level_(other.level_),
-        layout_(other.layout_.clone()),
         max_depth_(other.max_depth_),
-        multi_(other.multi_),
-        run_capable_(other.run_capable_),
-        run_slot_(other.run_slot_),
         framer_(other.options_.separator, other.level_),
-        fire_cursor_(other.fire_cursor_.size()),
-        fire_lists_(other.fire_lists_.size()),
-        has_run_capable_(other.has_run_capable_),
-        engine_words_(other.engine_words_),
-        fired_words_(other.fired_words_.size(), 0),
-        group_epoch_(other.group_epoch_.size(), 0),
-        group_val_(other.group_val_.size(), 0),
-        memo_(other.memo_) {}  // a warm memo carries over: pure function
+        memo_tag_(other.memo_tag_),
+        memo_(other.memo_) {  // a warm memo carries over: pure function
+    bind(other.plan_);
+  }
 
-  void init() {
-    multi_ = layout_.query_count() > 1;
-    std::size_t max_members = 0;
-    for (const compiled_layout::group_info& g : layout_.groups)
-      max_members = std::max(max_members, g.members.size());
-    fire_cursor_.resize(max_members);
-    fire_lists_.resize(max_members);
-    run_capable_.reserve(layout_.engines.size());
-    run_slot_.reserve(layout_.engines.size());
-    std::size_t slots = 0;
-    for (const auto& engine : layout_.engines) {
-      // Engines past the 64-bit run verdict mask fall back to the generic
-      // bulk paths. Slots count run-capable value engines across the whole
-      // resident fleet after spec dedup, so the 65th distinct one falls
-      // back.
-      const bool capable = engine->run_capable() && slots < 64;
-      run_capable_.push_back(capable ? 1 : 0);
-      run_slot_.push_back(capable ? slots++ : 0);
-      if (capable) has_run_capable_ = true;
-    }
-    if (multi_) {
-      engine_words_ = (layout_.engines.size() + 63) / 64;
-      fired_words_.assign(engine_words_, 0);
-      group_epoch_.assign(layout_.groups.size(), 0);
-      group_val_.assign(layout_.groups.size(), 0);
+  /// Point every later record at `plan`: per-plan scratch is resized, and
+  /// the numeral memo is dropped only when the version assigns token-run
+  /// verdict bits differently from the one that filled it.
+  void bind(std::shared_ptr<const plan_version> plan) {
+    plan_ = std::move(plan);
+    const plan_version& p = *plan_;
+    expr_ = p.front;
+    query_count_ = p.queries;
+    multi_ = p.queries > 1;
+    engines_ = p.engines.data();
+    run_capable_ = p.run_capable.data();
+    run_slot_ = p.run_slot.data();
+    fire_cursor_.resize(p.max_members);
+    fire_lists_.resize(p.max_members);
+    engine_words_ = (p.engines.size() + 63) / 64;
+    fired_words_.assign(multi_ ? engine_words_ : 0, 0);
+    group_epoch_.assign(multi_ ? p.groups.size() : 0, 0);
+    group_val_.assign(multi_ ? p.groups.size() : 0, 0);
+    if (memo_tag_ != p.memo_tag) {
+      std::fill(memo_.slots.begin(), memo_.slots.end(),
+                numeral_memo::entry{});
+      memo_tag_ = p.memo_tag;
     }
   }
 
@@ -649,7 +836,7 @@ class chunked_filter_engine final : public filter_engine {
     cur_pass_ = &pass;
     cur_offset_ = offset;
     if (!multi_) {
-      const bool accepted = eval(layout_.roots[0], record);
+      const bool accepted = eval(plan_->root, record);
       if (accepted && words != nullptr) words[0] = 1;
       return accepted;
     }
@@ -663,17 +850,17 @@ class chunked_filter_engine final : public filter_engine {
     // the trie nodes whose required engines all fired, not O(resident
     // queries).
     std::fill(fired_words_.begin(), fired_words_.end(), 0);
-    if (has_run_capable_) ensure_run_verdicts(record);
-    for (std::size_t e = 0; e < layout_.engines.size(); ++e) {
+    if (plan_->any_run_capable) ensure_run_verdicts(record);
+    for (const std::uint32_t e : plan_->live) {
       const bool fired =
           run_capable_[e]
               ? ((any_mask_ >> run_slot_[e]) & 1) != 0
-              : layout_.engines[e]->fires_in(record, options_.separator);
+              : engines_[e]->fires_in(record, options_.separator);
       if (fired) fired_words_[e / 64] |= std::uint64_t{1} << (e % 64);
     }
     bool any = false;
-    for (const std::size_t root : layout_.trie_roots) {
-      eval_trie(layout_.trie[root], record, words, any);
+    for (const std::size_t root : plan_->trie_roots) {
+      eval_trie(plan_->trie[root], record, words, any);
       if (any && words == nullptr) break;  // any-match probe: one hit decides
     }
     return any;
@@ -695,7 +882,7 @@ class chunked_filter_engine final : public filter_engine {
         for (const auto& [word, mask] : node.fanout) words[word] |= mask;
     }
     for (const std::size_t child : node.children) {
-      eval_trie(layout_.trie[child], record, words, any);
+      eval_trie(plan_->trie[child], record, words, any);
       if (any && words == nullptr) return;
     }
   }
@@ -714,7 +901,7 @@ class chunked_filter_engine final : public filter_engine {
           ensure_run_verdicts(record);
           return (any_mask_ >> run_slot_[node.index]) & 1;
         }
-        return layout_.engines[node.index]->fires_in(record,
+        return engines_[node.index]->fires_in(record,
                                                      options_.separator);
       case plan_node::kind::group:
         if (multi_) {
@@ -831,9 +1018,9 @@ class chunked_filter_engine final : public filter_engine {
   std::uint64_t compute_run_mask(std::span<const unsigned char> record,
                                  const simd::token_run& run) {
     std::uint64_t mask = 0;
-    for (std::size_t e = 0; e < layout_.engines.size(); ++e) {
+    for (std::size_t e = 0; e < plan_->engines.size(); ++e) {
       if (!run_capable_[e]) continue;
-      if (layout_.engines[e]->fires_in_any_run(record, options_.separator,
+      if (engines_[e]->fires_in_any_run(record, options_.separator,
                                                {&run, 1}))
         mask |= std::uint64_t{1} << run_slot_[e];
     }
@@ -964,7 +1151,7 @@ class chunked_filter_engine final : public filter_engine {
         continue;
       }
       fire_lists_[m].clear();
-      layout_.engines[info.members[m]]->fire_positions(
+      engines_[info.members[m]]->fire_positions(
           record, options_.separator, fire_lists_[m]);
       // A member that never pulses can never be latched at a sample.
       if (fire_lists_[m].empty()) return false;
@@ -1035,7 +1222,7 @@ class chunked_filter_engine final : public filter_engine {
       return false;  // stop the scan: the latch is sticky
     };
     using on_fire_t = decltype(on_fire);
-    layout_.engines[info.members[anchor]]->scan_fires(
+    engines_[info.members[anchor]]->scan_fires(
         record, options_.separator,
         [](void* ctx, std::uint32_t pos) {
           return (*static_cast<on_fire_t*>(ctx))(pos);
@@ -1045,7 +1232,7 @@ class chunked_filter_engine final : public filter_engine {
   }
 
   bool group_fires(std::size_t group, std::span<const unsigned char> record) {
-    const compiled_layout::group_info& info = layout_.groups[group];
+    const compiled_layout::group_info& info = plan_->groups[group];
     const std::size_t members = info.members.size();
 
     if (info.kind == group_kind::pair) return pair_group_fires(info, record);
@@ -1087,7 +1274,7 @@ class chunked_filter_engine final : public filter_engine {
             break;
           }
       } else {
-        layout_.engines[info.members[m]]->scan_fires(
+        engines_[info.members[m]]->scan_fires(
             record, options_.separator,
             [](void* ctx, std::uint32_t pos) {
               *static_cast<std::uint32_t*>(ctx) = pos;
@@ -1123,7 +1310,7 @@ class chunked_filter_engine final : public filter_engine {
     for (std::size_t m = 0; m < members; ++m) {
       fire_lists_[m].clear();
       if (run_capable_[info.members[m]]) continue;
-      layout_.engines[info.members[m]]->fire_positions(
+      engines_[info.members[m]]->fire_positions(
           record, options_.separator, fire_lists_[m]);
     }
     // Only now materialise the run members' pulse lists off the masks.
@@ -1209,7 +1396,14 @@ class chunked_filter_engine final : public filter_engine {
       std::uint8_t len = 0;  // 0 = empty slot (runs are never empty)
       std::uint64_t mask = 0;
     };
-    std::vector<entry> slots = std::vector<entry>(kSlots);
+    /// kSlots entries once ready(): scan_chunk() and accepts_bits()
+    /// allocate the table (finish() only decides a tail some scan_chunk()
+    /// left), so a lane that is built, cloned, swapped or finished but
+    /// never scans pays nothing for it.
+    std::vector<entry> slots;
+    void ready() {
+      if (slots.empty()) slots.resize(kSlots);
+    }
   };
 
   /// Per-run key/slot scratch of ensure_run_verdicts' prefetch pass.
@@ -1223,11 +1417,14 @@ class chunked_filter_engine final : public filter_engine {
   };
 
   simd::simd_level level_;               // resolved vector tier
-  compiled_layout layout_;
   int max_depth_;                        // saturation bound (depth_bits)
-  bool multi_ = false;                   // query_count() > 1
-  std::vector<char> run_capable_;        // engine order: token-run bulk path
-  std::vector<std::size_t> run_slot_;    // engine order: verdict-mask bit
+  // The plan version every record evaluates against, plus raw views of its
+  // per-slot arrays for the hot loops (valid while plan_ holds it).
+  std::shared_ptr<const plan_version> plan_;
+  const std::shared_ptr<const primitive_engine>* engines_ = nullptr;
+  const char* run_capable_ = nullptr;      // slot order: token-run bulk path
+  const std::size_t* run_slot_ = nullptr;  // slot order: verdict-mask bit
+  bool multi_ = false;                     // query_count() > 1
 
   record_framer framer_;        // stream framing (persists across chunks)
   std::uint64_t ordinal_ = 0;   // stream records decided (hook index)
@@ -1275,14 +1472,14 @@ class chunked_filter_engine final : public filter_engine {
   // (a dedup'd group replays once per record, every subscribing plan reads
   // the cached outcome); record_epoch_ pre-increments so a fresh engine's
   // zero stamps never hit.
-  bool has_run_capable_ = false;
   std::size_t engine_words_ = 0;            // ceil(engines / 64)
   std::vector<std::uint64_t> fired_words_;  // per-record engine-fire bitmap
   std::uint64_t record_epoch_ = 0;
   std::vector<std::uint64_t> group_epoch_;  // group order
   std::vector<char> group_val_;             // group order
 
-  numeral_memo memo_;  // persists across records and chunks
+  std::uint64_t memo_tag_ = 0;  // plan_version::memo_tag memo_ serves
+  numeral_memo memo_;  // persists across records, chunks and plan swaps
 };
 
 }  // namespace
@@ -1298,8 +1495,18 @@ std::unique_ptr<filter_engine> make_filter_engine(engine_kind kind,
                                                   std::vector<expr_ptr> queries,
                                                   filter_options options) {
   if (kind == engine_kind::scalar)
-    return std::make_unique<scalar_filter_engine>(std::move(queries), options);
-  return std::make_unique<chunked_filter_engine>(std::move(queries), options);
+    return std::make_unique<scalar_filter_engine>(queries, options);
+  if (queries.empty()) throw error("filter engine: empty query set");
+  return make_filter_engine(
+      std::make_shared<const plan_version>(
+          compiled_layout::compile_set(queries, options.simd)),
+      options);
+}
+
+std::unique_ptr<filter_engine> make_filter_engine(
+    std::shared_ptr<const plan_version> plan, filter_options options) {
+  if (!plan) throw error("filter engine: null plan version");
+  return std::make_unique<chunked_filter_engine>(std::move(plan), options);
 }
 
 }  // namespace jrf::core

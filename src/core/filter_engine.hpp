@@ -5,11 +5,14 @@
 // wants to move whole buffers per call, so this layer splits "what a filter
 // decides" from "how bytes reach it":
 //
-//   * compiled_layout  - the engine complement of a filter expression
-//                        (primitive engines in leaf order plus structural
-//                        group spans), compiled once and cheaply cloneable:
-//                        clones duplicate run state but share the immutable
-//                        compile artifacts (DFA tables, gram sets).
+//   * compiled_layout  - the engine complement of one or more filter
+//                        expressions (an interned primitive engine pool,
+//                        structural groups, a conjunct-prefix plan trie),
+//                        compiled incrementally: a query insert or erase
+//                        touches only that query's delta.
+//   * plan_version     - one immutable cut of a layout, shared by every
+//                        chunked lane behind a shared_ptr; engines' bulk
+//                        scans are pure, so lanes share them too.
 //   * filter_engine    - abstract streaming interface: scan_chunk() accepts
 //                        arbitrary-size byte chunks, per-record decisions
 //                        accumulate in decisions(), finish() flushes a
@@ -37,7 +40,9 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/expr.hpp"
@@ -61,9 +66,18 @@ struct filter_options {
 
 /// Engine complement of one or more compiled filter expressions. Shared by
 /// raw_filter (scalar path) and the chunked engine so both instantiate
-/// primitives in the same leaf order with the same group membership - and,
-/// since PR 8, by the multi-tenant query_set compiler, which interns N
-/// queries' primitives into one shared engine pool.
+/// primitives with the same group membership - and by the multi-tenant
+/// query_set, which interns N queries' primitives into one shared engine
+/// pool.
+///
+/// A multi-query layout is persistent and incremental: insert() compiles
+/// only the primitives the pool has not interned yet and threads the
+/// query's sorted conjunct path into the trie; erase() drops the query's
+/// terminal, prunes empty trie nodes and shifts the later dense ordinals -
+/// integer work, no recompile. compile_set() is N inserts into an empty
+/// layout. Engines no resident query references stay in their pool slot as
+/// tombstones (an insert of the same spec revives them without rebuilding
+/// a DFA) until they outnumber the live slots, when the layout compacts.
 struct compiled_layout {
   struct group_info {
     group_kind kind = group_kind::scope;
@@ -81,14 +95,15 @@ struct compiled_layout {
     std::vector<plan_node> children;
   };
 
-  /// One node of the conjunct-prefix plan trie (compile_set only). Each
-  /// query's root is decomposed into its top-level conjuncts; conjuncts are
-  /// canonicalised (interned engine/group indices make identical sub-plans
-  /// structurally equal) and sorted, so queries sharing a conjunct prefix
-  /// share a trie path - a sub-plan common to K queries evaluates ONCE per
-  /// record and its result fans out to K verdict bits. Sorting the
-  /// conjuncts of an AND is semantics-preserving (evaluation is pure), so
-  /// trie decisions are byte-identical to the flat per-query walk.
+  /// One node of the conjunct-prefix plan trie (layouts of two or more
+  /// queries only). Each query's root is decomposed into its top-level
+  /// conjuncts; conjuncts are canonicalised (interned engine/group indices
+  /// make identical sub-plans structurally equal) and sorted, so queries
+  /// sharing a conjunct prefix share a trie path - a sub-plan common to K
+  /// queries evaluates ONCE per record and its result fans out to K
+  /// verdict bits. Sorting the conjuncts of an AND is semantics-preserving
+  /// (evaluation is pure), so trie decisions are byte-identical to the
+  /// flat per-query walk.
   struct trie_node {
     plan_node conjunct;  // sub-plan this node contributes to the prefix
     /// Engine-fire bitmap words (ceil(engines/64)) an accepting record MUST
@@ -103,57 +118,144 @@ struct compiled_layout {
     /// truth and a passing mask test needs no eval() at all.
     bool pure = false;
     std::vector<std::size_t> children;  // trie indices
-    /// Queries whose conjunct list ends here (ordinals), plus their
-    /// verdict fan-out precomputed as (word index, bit mask) pairs so a
-    /// satisfied terminal ORs whole words into the record's bitmap row.
+    /// Queries whose conjunct list ends here (ordinals, ascending), plus
+    /// their verdict fan-out precomputed as (word index, bit mask) pairs so
+    /// a satisfied terminal ORs whole words into the record's bitmap row.
     std::vector<std::uint32_t> terminals;
     std::vector<std::pair<std::uint32_t, std::uint64_t>> fanout;
   };
 
-  std::vector<std::unique_ptr<primitive_engine>> engines;  // leaf order
-  std::vector<std::string> engine_keys;                    // spec_key each
-  std::vector<group_info> groups;                          // group order
+  /// Pool slots. A multi-query layout's slots are stable across insert()
+  /// and erase() until a compaction renumbers them.
+  std::vector<std::shared_ptr<const primitive_engine>> engines;
+  std::vector<std::string> engine_keys;   // spec_key each
+  std::vector<group_info> groups;         // group order
   std::vector<std::size_t> bare_engines;  // bare-leaf cursor -> engine index
   std::vector<plan_node> roots;           // one plan per query
-  /// engine index -> ordinals of the queries whose plan references it
-  /// (directly or through a group). The fan-out index of the dedup story:
-  /// one engine's fire pulses feed every subscriber's decision tree.
+  /// engine index -> ordinals (ascending) of the queries whose plan
+  /// references it (directly or through a group). The fan-out index of the
+  /// dedup story: one engine's fire pulses feed every subscriber's decision
+  /// tree. An empty list marks a tombstone.
   std::vector<std::vector<std::size_t>> engine_subscribers;
-  /// Conjunct-prefix trie over `roots` (compile_set only; empty for
-  /// single-query layouts). trie_roots indexes the first-level nodes.
+  /// Conjunct-prefix trie over `roots` (two or more queries; empty for
+  /// single-query layouts). trie_roots indexes the first-level nodes;
+  /// slots a prune freed stay empty and unreachable until an insert
+  /// reuses them.
   std::vector<trie_node> trie;
   std::vector<std::size_t> trie_roots;
 
+  /// Empty multi-query layout whose engines scan at `level`.
+  explicit compiled_layout(
+      simd::simd_level level = simd::simd_level::automatic);
+
   std::size_t query_count() const noexcept { return roots.size(); }
 
-  /// Instantiate every primitive of the expression (throws on null/invalid),
-  /// one engine per leaf occurrence - today's single-query layout, byte-
-  /// and performance-identical to what PR 7 compiled. `level` pins the
-  /// vector tier of the engines' bulk scans (automatic = the
-  /// runtime-dispatched host level).
+  /// Engine and group slots no resident query references.
+  std::size_t tombstones() const noexcept {
+    return dead_engines_ + dead_groups_;
+  }
+
+  /// The paper's single-query circuit: one engine per leaf occurrence, in
+  /// leaf order, with the bare-leaf cursor raw_filter steps (throws on
+  /// null/invalid). `level` pins the vector tier of the engines' bulk
+  /// scans (automatic = the runtime-dispatched host level).
   static compiled_layout compile(
       const filter_expr& root,
       simd::simd_level level = simd::simd_level::automatic);
 
-  /// Multi-query compile: intern the primitives of every query by
-  /// spec_key, so identical substring/gram/DFA/value specs across the set
-  /// evaluate ONCE per record and fan out to each subscribing plan.
-  /// Structural groups dedup on (kind, member engine indices) the same
-  /// way. bare_engines stays empty - the scalar cursor walk is a
-  /// single-query concept; multi-query evaluation goes through the
-  /// conjunct-prefix `trie` built over `roots` (the flat plans are kept
-  /// for introspection and the equivalence tests).
+  /// Multi-query compile: insert() every query into an empty layout, so
+  /// identical substring/gram/DFA/value specs across the set evaluate ONCE
+  /// per record and fan out to each subscribing plan. Structural groups
+  /// dedup on (kind, member engine indices) the same way. bare_engines
+  /// stays empty - the scalar cursor walk is a single-query concept.
   static compiled_layout compile_set(
       std::span<const expr_ptr> queries,
       simd::simd_level level = simd::simd_level::automatic);
 
-  /// Fresh lane: engines cloned (sharing compiled artifacts), plans and
-  /// group membership copied.
-  compiled_layout clone() const;
+  /// Append `query` at dense ordinal query_count() and return it. Builds
+  /// engines only for specs the pool has not interned (a tombstone of the
+  /// same spec is revived). Throws on a null/invalid query and then
+  /// leaves the layout unchanged.
+  std::size_t insert(expr_ptr query);
 
-  /// (Re)build the conjunct-prefix trie over `roots` - compile_set's final
-  /// step, exposed for tests that assemble layouts directly.
-  static void build_trie(compiled_layout& layout);
+  /// Remove the query at `ordinal`; every later query moves down one
+  /// ordinal. Compacts the pool once tombstones pass the threshold.
+  void erase(std::size_t ordinal);
+
+ private:
+  friend struct plan_version;
+  using donor_pool =
+      std::unordered_map<std::string, std::shared_ptr<const primitive_engine>>;
+
+  /// One trie node's place in the trie: its parent (npos = first level),
+  /// its conjunct signature, and its children by signature.
+  struct trie_link {
+    std::size_t parent = 0;
+    std::string sig;
+    std::unordered_map<std::string, std::size_t> children;
+  };
+
+  std::size_t insert(expr_ptr query, const donor_pool* donor);
+  std::size_t add_engine(std::shared_ptr<const primitive_engine> engine,
+                         std::string key);
+  void trie_insert(std::size_t q);
+  std::size_t trie_node_for(std::size_t parent, std::string&& sig,
+                            const plan_node& conjunct);
+  void trie_prune(std::size_t node);
+  void compact();
+
+  simd::simd_level level_;
+  std::vector<expr_ptr> sources_;  // per query, for compaction
+  std::unordered_map<std::string, std::size_t> engine_index_;  // key -> slot
+  std::unordered_map<std::string, std::size_t> group_index_;   // key -> slot
+  std::vector<std::uint32_t> group_refs_;  // plan references; 0 = tombstone
+  std::size_t dead_engines_ = 0;
+  std::size_t dead_groups_ = 0;
+  // Token-run verdict bits: a run-capable engine gets the next of 64 bits
+  // when created (tombstones keep theirs); memo_tag_ names the assignment,
+  // so a lane's numeral memo knows when its cached masks went stale.
+  std::vector<char> run_capable_;
+  std::vector<std::size_t> run_slot_;
+  std::size_t run_slots_used_ = 0;
+  std::uint64_t memo_tag_ = 0;
+  std::vector<trie_link> links_;  // parallel to trie
+  std::unordered_map<std::string, std::size_t> root_links_;
+  std::vector<std::size_t> terminal_of_;  // ordinal -> trie node
+  std::vector<std::size_t> free_nodes_;   // pruned trie slots
+
+  // insert()'s scratch, kept so compile_set's N inserts allocate once:
+  // each primitive's key, its pooled slot (npos when fresh) and, for the
+  // first fresh use, its engine; and the sorted conjunct signatures.
+  struct keyed_spec {
+    std::string key;
+    std::size_t pooled;
+    std::shared_ptr<const primitive_engine> made;
+  };
+  std::vector<keyed_spec> specs_;
+  std::vector<std::pair<std::string, const plan_node*>> conjuncts_;
+};
+
+/// One immutable version of a multi-query compiled_layout: exactly what a
+/// chunked lane reads per record. Every lane shares one version behind a
+/// shared_ptr; a runtime add/remove publishes a new version, and a lane
+/// that has not swapped yet keeps reading the old one. Engines are shared
+/// with the layout and every other version (their bulk scans are pure).
+struct plan_version {
+  explicit plan_version(const compiled_layout& layout);
+
+  std::vector<std::shared_ptr<const primitive_engine>> engines;  // slots
+  std::vector<std::uint32_t> live;    // slots a resident query references
+  std::vector<char> run_capable;      // per slot: answers from token runs
+  std::vector<std::size_t> run_slot;  // per slot: run verdict mask bit
+  bool any_run_capable = false;       // some live slot is run_capable
+  std::vector<compiled_layout::group_info> groups;
+  std::size_t max_members = 0;        // largest group
+  compiled_layout::plan_node root;    // the plan, when queries == 1
+  std::vector<compiled_layout::trie_node> trie;  // queries > 1
+  std::vector<std::size_t> trie_roots;
+  std::size_t queries = 0;
+  std::uint64_t memo_tag = 0;  // run_slot assignment it was cut from
+  expr_ptr front;              // first resident query
 };
 
 /// Abstract streaming filter lane. Decisions follow raw_filter semantics:
@@ -205,12 +307,14 @@ class filter_engine {
   /// compiled query (expression tree, DFA tables, gram sets).
   virtual std::unique_ptr<filter_engine> clone() const = 0;
 
-  /// Live-swap support for runtime query add/remove: surrender the
-  /// in-flight record's bytes (record_framer::take_carry), KEEPING the
-  /// decisions already emitted; re-scanning them through a fresh engine
-  /// reproduces the stream position. The scalar byte paths, whose
-  /// primitives hold partial-match registers, throw jrf::error.
-  virtual std::vector<unsigned char> take_carry();
+  /// Live-swap support for runtime query add/remove: evaluate every record
+  /// decided from now on against `plan`, keeping the stream position (the
+  /// framer's in-flight record decides under the new plan), the hook, the
+  /// size telemetry and the warm numeral memo. Take the accumulated
+  /// decisions first - the bitmap row width follows the new query count.
+  /// The scalar byte paths, whose primitives hold partial-match registers
+  /// per query, throw jrf::error.
+  virtual void swap_plan(std::shared_ptr<const plan_version> plan);
 
   /// reset + scan + finish; identical to raw_filter::filter_stream.
   std::vector<bool> filter_stream(std::string_view stream);
@@ -245,12 +349,11 @@ class filter_engine {
     decision_words_.clear();
   }
 
-  /// Resident queries, dense order (a single-query engine reports one).
-  const std::vector<expr_ptr>& queries() const noexcept { return queries_; }
-  std::size_t query_count() const noexcept { return queries_.size(); }
+  /// Resident queries (a single-query engine reports one).
+  std::size_t query_count() const noexcept { return query_count_; }
   /// Bitmap words per record: ceil(query_count / 64).
   std::size_t words_per_record() const noexcept {
-    return (queries_.size() + 63) / 64;
+    return (query_count_ + 63) / 64;
   }
 
   /// Per-record decision bitmaps, words_per_record() words per record,
@@ -298,10 +401,11 @@ class filter_engine {
   const filter_options& options() const noexcept { return options_; }
 
  protected:
-  filter_engine(std::vector<expr_ptr> queries, filter_options options);
+  /// `first` is the first of `queries` resident queries.
+  filter_engine(expr_ptr first, std::size_t queries, filter_options options);
 
-  expr_ptr expr_;  // queries_[0]; the whole set for multi-query engines
-  std::vector<expr_ptr> queries_;
+  expr_ptr expr_;  // the first resident query
+  std::size_t query_count_;
   filter_options options_;
   std::vector<bool> decisions_;
   std::vector<std::uint64_t> decision_words_;
@@ -329,5 +433,10 @@ std::unique_ptr<filter_engine> make_filter_engine(engine_kind kind,
 std::unique_ptr<filter_engine> make_filter_engine(
     engine_kind kind, std::vector<expr_ptr> queries,
     filter_options options = {});
+
+/// A chunked engine over an already published plan version (query_set's
+/// live plan): no compile at all.
+std::unique_ptr<filter_engine> make_filter_engine(
+    std::shared_ptr<const plan_version> plan, filter_options options = {});
 
 }  // namespace jrf::core

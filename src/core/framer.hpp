@@ -100,4 +100,23 @@ class record_framer {
   bitmap_pass tail_pass_;             // last record completed from carry_
 };
 
+/// fn(record) for every record of a whole in-memory stream, exactly as the
+/// filter paths frame it: escape-aware boundaries, empty records skipped,
+/// and a trailing record without its separator included (also one left
+/// inside a string literal, which the filters decide as a reject). So
+/// ground-truth labels built from it line up one-to-one with a filter's
+/// decisions.
+template <class Fn>
+void for_each_record(std::string_view stream, Fn&& fn,
+                     unsigned char separator = '\n') {
+  const auto view = [](std::span<const unsigned char> r) {
+    return std::string_view(reinterpret_cast<const char*>(r.data()), r.size());
+  };
+  record_framer framer(separator);
+  framer.feed(stream, [&](std::span<const unsigned char> record,
+                          const bitmap_pass&, std::size_t) { fn(view(record)); });
+  const std::vector<unsigned char> tail = framer.take_carry();
+  if (!tail.empty()) fn(view(tail));
+}
+
 }  // namespace jrf::core

@@ -59,7 +59,7 @@ std::string spec_key(const primitive_spec& spec) {
 
 bool primitive_engine::fires_in_any_run(std::span<const unsigned char>,
                                         unsigned char,
-                                        std::span<const simd::token_run>) {
+                                        std::span<const simd::token_run>) const {
   throw error("primitive engine: token-run bulk path not supported");
 }
 
@@ -112,7 +112,7 @@ class substring_engine final : public primitive_engine {
   }
 
   bool fires_in(std::span<const unsigned char> record,
-                unsigned char terminator) override {
+                unsigned char terminator) const override {
     // Exact compare (B = N, threshold 1): a single gram, any occurrence
     // fires - delegate the scan to the vectored substring search.
     if (threshold_ == 1 && grams_.size() == 1) {
@@ -134,7 +134,7 @@ class substring_engine final : public primitive_engine {
 
   void fire_positions(std::span<const unsigned char> record,
                       unsigned char terminator,
-                      std::vector<std::uint32_t>& out) override {
+                      std::vector<std::uint32_t>& out) const override {
     scan(record, terminator, [&](std::size_t pos) {
       out.push_back(static_cast<std::uint32_t>(pos));
       return true;  // keep scanning
@@ -143,7 +143,7 @@ class substring_engine final : public primitive_engine {
 
   void scan_fires(std::span<const unsigned char> record,
                   unsigned char terminator, fire_sink sink,
-                  void* ctx) override {
+                  void* ctx) const override {
     scan(record, terminator, [&](std::size_t pos) {
       return sink(ctx, static_cast<std::uint32_t>(pos));
     });
@@ -418,7 +418,7 @@ class dfa_string_engine final : public primitive_engine {
   // record+terminator is pulse-identical (the DFA prefilter of the paper's
   // technique (i)).
   bool fires_in(std::span<const unsigned char> record,
-                unsigned char terminator) override {
+                unsigned char terminator) const override {
     if (simd::find_substring(record.data(), record.size(), text_data(),
                              spec_.text.size(), level_) != simd::npos)
       return true;
@@ -427,7 +427,7 @@ class dfa_string_engine final : public primitive_engine {
 
   void fire_positions(std::span<const unsigned char> record,
                       unsigned char terminator,
-                      std::vector<std::uint32_t>& out) override {
+                      std::vector<std::uint32_t>& out) const override {
     const std::size_t n = spec_.text.size();
     for (std::size_t from = 0; from <= record.size();) {
       const std::size_t at = simd::find_substring(
@@ -442,7 +442,7 @@ class dfa_string_engine final : public primitive_engine {
 
   void scan_fires(std::span<const unsigned char> record,
                   unsigned char terminator, fire_sink sink,
-                  void* ctx) override {
+                  void* ctx) const override {
     const std::size_t n = spec_.text.size();
     for (std::size_t from = 0; from <= record.size();) {
       const std::size_t at = simd::find_substring(
@@ -540,7 +540,7 @@ class value_engine final : public primitive_engine {
   // letting the scan skip the rest of a run; between runs no pulse is
   // possible unless the start state itself accepts.
   bool fires_in(std::span<const unsigned char> record,
-                unsigned char terminator) override {
+                unsigned char terminator) const override {
     bool fired = false;
     scan(record, terminator, [&](std::size_t) {
       fired = true;
@@ -551,7 +551,7 @@ class value_engine final : public primitive_engine {
 
   void fire_positions(std::span<const unsigned char> record,
                       unsigned char terminator,
-                      std::vector<std::uint32_t>& out) override {
+                      std::vector<std::uint32_t>& out) const override {
     scan(record, terminator, [&](std::size_t pos) {
       out.push_back(static_cast<std::uint32_t>(pos));
       return true;  // keep scanning
@@ -560,7 +560,7 @@ class value_engine final : public primitive_engine {
 
   void scan_fires(std::span<const unsigned char> record,
                   unsigned char terminator, fire_sink sink,
-                  void* ctx) override {
+                  void* ctx) const override {
     scan(record, terminator, [&](std::size_t pos) {
       return sink(ctx, static_cast<std::uint32_t>(pos));
     });
@@ -577,7 +577,7 @@ class value_engine final : public primitive_engine {
 
   bool fires_in_any_run(std::span<const unsigned char> record,
                         unsigned char terminator,
-                        std::span<const simd::token_run> runs) override {
+                        std::span<const simd::token_run> runs) const override {
     for (const simd::token_run& run : runs)
       if (run_accepts(record, terminator, run)) return true;
     return false;

@@ -108,17 +108,18 @@ class primitive_engine {
   virtual std::unique_ptr<primitive_engine> clone() const = 0;
 
   /// Bulk path: true when at least one fire pulse would occur stepping over
-  /// `record` then `terminator` from the power-on state. May clobber and
-  /// leaves the engine in the power-on state.
+  /// `record` then `terminator` from the power-on state. The bulk paths
+  /// are pure functions of their arguments - they never touch the step()
+  /// state - so one engine serves every lane and plan version at once.
   virtual bool fires_in(std::span<const unsigned char> record,
-                        unsigned char terminator) = 0;
+                        unsigned char terminator) const = 0;
 
   /// Bulk path: append the 0-based position of every fire pulse stepping
   /// over `record` then `terminator` (position record.size() means the pulse
   /// occurred on the terminator byte). Same state contract as fires_in.
   virtual void fire_positions(std::span<const unsigned char> record,
                               unsigned char terminator,
-                              std::vector<std::uint32_t>& out) = 0;
+                              std::vector<std::uint32_t>& out) const = 0;
 
   /// Callback for scan_fires; return false to stop the scan early.
   using fire_sink = bool (*)(void* ctx, std::uint32_t pos);
@@ -129,7 +130,7 @@ class primitive_engine {
   /// outcome - the early-exit shape fires_in has, but with positions.
   virtual void scan_fires(std::span<const unsigned char> record,
                           unsigned char terminator, fire_sink sink,
-                          void* ctx) = 0;
+                          void* ctx) const = 0;
 
   /// True when this engine's pulses are a pure function of the maximal
   /// numeric-token runs of the record (core::bit_runs_in over the bitmap
@@ -145,7 +146,7 @@ class primitive_engine {
   /// of `record`, as bit_runs_in yields them.
   virtual bool fires_in_any_run(std::span<const unsigned char> record,
                                 unsigned char terminator,
-                                std::span<const simd::token_run> runs);
+                                std::span<const simd::token_run> runs) const;
 
   /// Elaborate into the network. `byte` is the stream input; `record_reset`
   /// is a combinational line that is high on record-boundary bytes. The

@@ -53,6 +53,7 @@ raw_filter::raw_filter(expr_ptr expr, filter_options options)
       tracker_(options.depth_bits) {
   if (!expr_) throw error("raw filter: null expression");
   layout_ = compiled_layout::compile(*expr_);
+  for (const auto& engine : layout_.engines) engines_.push_back(engine->clone());
   std::size_t max_members = 0;
   for (const compiled_layout::group_info& g : layout_.groups) {
     groups_.emplace_back(g.kind, static_cast<int>(g.members.size()));
@@ -68,18 +69,19 @@ raw_filter::raw_filter(const raw_filter& other)
     : expr_(other.expr_),
       options_(other.options_),
       tracker_(other.options_.depth_bits),
-      layout_(other.layout_.clone()),
+      layout_(other.layout_),
       groups_(other.groups_),
       leaf_latch_(other.leaf_latch_.size(), 0),
       group_latch_(other.group_latch_.size(), 0),
       fires_(other.fires_.size(), 0),
       member_scratch_(other.member_scratch_.size(), 0) {
+  for (const auto& engine : layout_.engines) engines_.push_back(engine->clone());
   for (auto& tracker : groups_) tracker.reset();
 }
 
 void raw_filter::reset() {
   tracker_.reset();
-  for (auto& engine : layout_.engines) engine->reset();
+  for (auto& engine : engines_) engine->reset();
   for (auto& tracker : groups_) tracker.reset();
   std::ranges::fill(leaf_latch_, 0);
   std::ranges::fill(group_latch_, 0);
@@ -115,8 +117,8 @@ raw_filter::step_result raw_filter::push(unsigned char byte) {
   const structure_state st = tracker_.step(byte);
   const bool boundary = byte == options_.separator && !st.masked;
 
-  for (std::size_t i = 0; i < layout_.engines.size(); ++i)
-    fires_[i] = layout_.engines[i]->step(byte) ? 1 : 0;
+  for (std::size_t i = 0; i < engines_.size(); ++i)
+    fires_[i] = engines_[i]->step(byte) ? 1 : 0;
 
   // Bare leaves latch their fire pulses; groups run their samplers. The two
   // updates touch disjoint engine slots, so order does not matter.

@@ -97,6 +97,8 @@ class raw_filter {
   filter_options options_;
   structure_tracker tracker_;
   compiled_layout layout_;         // engines in leaf order + group spans
+  // This lane's stepping copies of layout_.engines (step() keeps state).
+  std::vector<std::unique_ptr<primitive_engine>> engines_;
   std::vector<group_tracker> groups_;
   std::vector<char> leaf_latch_;   // bare leaves, leaf order
   std::vector<char> group_latch_;  // group order

@@ -1,6 +1,6 @@
 #include "data/stream.hpp"
 
-#include "json/ndjson.hpp"
+#include "core/framer.hpp"
 #include "util/error.hpp"
 
 namespace jrf::data {
@@ -18,7 +18,7 @@ std::vector<std::string> shard_records(std::string_view stream,
   if (shards == 0) throw error("shard_records: zero shards");
   std::vector<std::string> out(shards);
   std::size_t next = 0;
-  json::for_each_record(stream, [&](std::string_view record) {
+  core::for_each_record(stream, [&](std::string_view record) {
     out[next] += record;
     out[next] += '\n';
     next = (next + 1) % shards;
@@ -36,17 +36,17 @@ void for_each_chunk(std::string_view stream, std::size_t chunk_bytes,
 std::vector<bool> contains_labels(std::string_view stream,
                                   std::string_view needle) {
   std::vector<bool> labels;
-  json::for_each_record(stream, [&](std::string_view record) {
+  core::for_each_record(stream, [&](std::string_view record) {
     labels.push_back(record.find(needle) != std::string_view::npos);
   });
   return labels;
 }
 
 double mean_record_bytes(std::string_view stream) {
-  const auto records = json::split_records(stream);
-  if (records.empty()) return 0.0;
-  return static_cast<double>(stream.size()) /
-         static_cast<double>(records.size());
+  std::size_t records = 0;
+  core::for_each_record(stream, [&](std::string_view) { ++records; });
+  if (records == 0) return 0.0;
+  return static_cast<double>(stream.size()) / static_cast<double>(records);
 }
 
 }  // namespace jrf::data

@@ -27,11 +27,6 @@ std::vector<std::string_view> split_records(std::string_view stream,
   return out;
 }
 
-void for_each_record(std::string_view stream,
-                     const std::function<void(std::string_view)>& fn) {
-  for (std::string_view record : split_records(stream)) fn(record);
-}
-
 std::string join_records(const std::vector<std::string>& records) {
   std::size_t total = 0;
   for (const auto& r : records) total += r.size() + 1;

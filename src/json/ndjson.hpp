@@ -5,7 +5,6 @@
 // streams escape-unaware, for the data generators and test drivers.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,10 +18,6 @@ namespace jrf::json {
 /// filters' core::record_framer.
 std::vector<std::string_view> split_records(std::string_view stream,
                                             unsigned char separator = '\n');
-
-/// Invoke `fn` for each record in the stream.
-void for_each_record(std::string_view stream,
-                     const std::function<void(std::string_view)>& fn);
 
 /// Join records into a stream with '\n' separators (including a trailing
 /// newline, matching the generator output format).

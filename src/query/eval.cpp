@@ -2,7 +2,7 @@
 
 #include <optional>
 
-#include "json/ndjson.hpp"
+#include "core/framer.hpp"
 #include "json/parser.hpp"
 #include "util/error.hpp"
 
@@ -115,7 +115,7 @@ bool eval_record(const query& q, std::string_view record) {
 
 std::vector<bool> label_stream(const query& q, std::string_view stream) {
   std::vector<bool> labels;
-  json::for_each_record(stream, [&](std::string_view record) {
+  core::for_each_record(stream, [&](std::string_view record) {
     labels.push_back(eval_record(q, record));
   });
   return labels;

@@ -28,6 +28,14 @@ std::string sharded_report::to_string() const {
 sharded_filter_system::sharded_filter_system(
     std::vector<core::expr_ptr> queries, std::size_t shards,
     system_options options)
+    : sharded_filter_system(core::make_filter_engine(options.engine,
+                                                     std::move(queries),
+                                                     options.filter),
+                            shards, options) {}
+
+sharded_filter_system::sharded_filter_system(
+    std::unique_ptr<core::filter_engine> engine, std::size_t shards,
+    system_options options)
     : options_(options) {
   if (shards < 1) throw error("sharded system: need at least one shard");
   if (options_.lane_fifo_bytes == 0)
@@ -37,10 +45,8 @@ sharded_filter_system::sharded_filter_system(
   lanes_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s)
     lanes_.push_back(std::make_unique<lane>());
-  // One compile, N-1 clones: the lanes share DFA tables and gram sets.
-  lanes_.front()->engine = core::make_filter_engine(
-      options_.engine, std::move(queries), options_.filter);
-  expr_ = lanes_.front()->engine->expression();
+  // One compile, N-1 clones: the lanes share one plan.
+  lanes_.front()->engine = std::move(engine);
   for (std::size_t s = 1; s < shards; ++s)
     lanes_[s]->engine = lanes_.front()->engine->clone();
   for (auto& l : lanes_) l->engine->collect_record_sizes(true);
@@ -194,25 +200,15 @@ sharded_filter_system::taken_decisions sharded_filter_system::take_decisions(
 }
 
 sharded_filter_system::taken_decisions sharded_filter_system::swap_shard(
-    std::size_t shard, std::unique_ptr<core::filter_engine> fresh) {
+    std::size_t shard, std::shared_ptr<const core::plan_version> plan) {
   lane& l = checked(shard);
   std::lock_guard<std::mutex> lock(l.mutex);
-  // Everything buffered decides under the OUTGOING query set: those bytes
-  // were accepted into this epoch's stream.
+  // Everything buffered decides under the OUTGOING plan: those bytes were
+  // accepted into this epoch's stream. The in-flight partial record stays
+  // in the engine's framer and decides under the incoming one.
   drain_locked(l, 0);
   taken_decisions out = take_locked(l);
-  // The in-flight partial record replays into the fresh engine, which
-  // reproduces the stream position (core::record_framer::take_carry).
-  const std::vector<unsigned char> carry = l.engine->take_carry();
-  core::filter_engine::accepted_hook hook = l.engine->accepted_record_hook();
-  l.engine = std::move(fresh);
-  // The lane's hook and record-size telemetry survive the swap. Both are
-  // installed BEFORE the carry replay - which emits no decisions (no
-  // boundary is inside a carry) - so the fresh engine's record ordinals
-  // start at zero and the replayed bytes count toward the record's size.
-  l.engine->collect_record_sizes(true);
-  if (hook) l.engine->set_accepted_hook(std::move(hook));
-  l.engine->scan_chunk(carry);
+  l.engine->swap_plan(std::move(plan));
   return out;
 }
 

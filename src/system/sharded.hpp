@@ -5,8 +5,10 @@
 // independent streams (one per connection / queue / NIC ring), so this
 // model binds one filter lane to each input shard:
 //
-//   * the query is compiled once; every lane is a cheap clone sharing the
-//     compiled artifacts (DFA tables, gram sets),
+//   * the query is compiled once; every lane is a cheap clone sharing one
+//     immutable plan version (engines, DFA tables, gram sets) and owning
+//     only its run state; a runtime add/remove moves each lane onto the
+//     next version (swap_shard),
 //   * each lane owns a bounded input FIFO. offer() is non-blocking: it
 //     copies in at most the free FIFO space and reports how much it took,
 //     so a full lane pushes back on its producer instead of queueing
@@ -98,6 +100,12 @@ class sharded_filter_system {
   sharded_filter_system(std::vector<core::expr_ptr> queries,
                         std::size_t shards, system_options options = {});
 
+  /// Lanes over an already built engine: `engine` becomes shard 0 and the
+  /// other shards are its clones (sharing its plan). options.engine and
+  /// options.filter are the caller's to honour.
+  sharded_filter_system(std::unique_ptr<core::filter_engine> engine,
+                        std::size_t shards, system_options options = {});
+
   std::size_t shard_count() const noexcept { return lanes_.size(); }
   std::size_t query_count() const noexcept {
     return lanes_.front()->engine->query_count();
@@ -147,26 +155,23 @@ class sharded_filter_system {
   };
   taken_decisions take_decisions(std::size_t shard);
 
-  /// Live-swap one shard's engine for `fresh` (a differently-compiled
-  /// query set, owned from here on) WITHOUT losing stream position: the
-  /// FIFO drains through the old engine, the old engine surrenders its
-  /// in-flight partial record (take_carry - chunked engines only), the
-  /// fresh engine re-scans those bytes (reproducing the framing state
-  /// exactly, since a record always starts from the power-on state), and
-  /// the old engine's remaining decisions are returned for the caller to
-  /// pair with the outgoing query-set epoch. Offers racing the swap land
-  /// wholly in the old or wholly in the new engine.
+  /// Live-swap one shard onto another version of its plan (a runtime
+  /// query add/remove) WITHOUT losing stream position: the FIFO drains
+  /// under the old version, the engine's decisions so far are returned for
+  /// the caller to pair with the outgoing query-set epoch, and the engine
+  /// then evaluates under `plan` - its in-flight partial record, hook,
+  /// size telemetry and record ordinals carry on (chunked engines only;
+  /// see core::filter_engine::swap_plan). Offers racing the swap land
+  /// wholly before or wholly after it.
   taken_decisions swap_shard(std::size_t shard,
-                             std::unique_ptr<core::filter_engine> fresh);
+                             std::shared_ptr<const core::plan_version> plan);
 
   /// Install (or clear, with an empty function) the accepted-record hook
   /// on one shard's engine - the projection surface of the lane (see
   /// core::filter_engine::set_accepted_hook). The hook fires under the
   /// lane mutex from whichever thread drains the lane, so it must not
-  /// call back into this system. swap_shard carries the hook (and the
-  /// record-size telemetry) over to the fresh engine, installed before
-  /// the carry replay, which emits no decisions, so the hook's record
-  /// ordinals restart at zero with the fresh engine's decision stream.
+  /// call back into this system. The hook survives swap_shard, and its
+  /// record ordinals keep counting across it.
   void set_accepted_hook(std::size_t shard,
                          core::filter_engine::accepted_hook hook);
 
@@ -181,7 +186,6 @@ class sharded_filter_system {
   sharded_report run(std::span<const std::string_view> streams);
 
   const system_options& options() const noexcept { return options_; }
-  const core::expr_ptr& expression() const noexcept { return expr_; }
 
  private:
   // One lane = one shard: engine + bounded FIFO + stats, all guarded by
@@ -206,7 +210,6 @@ class sharded_filter_system {
   void for_each_lane(const std::function<void(lane&)>& fn);
 
   system_options options_;
-  core::expr_ptr expr_;
   std::vector<std::unique_ptr<lane>> lanes_;
   std::unique_ptr<util::thread_pool> pool_;  // null when serial
 };

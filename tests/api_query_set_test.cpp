@@ -3,9 +3,9 @@
 // run_result's verdict matrix, verdict-bitmap sinks, and the runtime
 // add_query()/remove_query() epoch swap exercised mid-stream - on the
 // chunked backend deterministically (exact first_record accounting,
-// including a swap landing inside a record, which forces the carry
-// replay) and on the sharded backend with worker threads plus concurrent
-// producers (the TSan target). Every column is held byte-identical to
+// including a swap landing inside a record, whose in-flight bytes must
+// carry over) and on the sharded backend with worker threads plus
+// concurrent producers (the TSan target). Every column is held byte-identical to
 // running that query alone.
 #include <gtest/gtest.h>
 
@@ -218,9 +218,9 @@ TEST(ApiQuerySet, RuntimeAddMidStreamOnChunkedBackend) {
 }
 
 TEST(ApiQuerySet, RuntimeAddInsideARecordReplaysTheCarry) {
-  // The swap lands mid-record: the in-flight bytes must replay into the
-  // fresh engine, and the straddling record decides under the NEW epoch
-  // with its full content.
+  // The swap lands mid-record: the in-flight bytes must survive the plan
+  // swap, and the straddling record decides under the NEW epoch with its
+  // full content.
   const std::string& stream = telemetry();
   const std::vector<bool> col_a = standalone(primary_expr(), stream);
   const std::vector<bool> col_b = standalone(second_expr(), stream);
@@ -473,6 +473,90 @@ TEST(ApiQuerySet, ShardedWorkersWithConcurrentProducers) {
     EXPECT_EQ(b->first_record + b->decisions.size(), col_b.size())
         << "shard " << s;
     EXPECT_EQ(b->decisions, slice(col_b, b->first_record)) << "shard " << s;
+  }
+}
+
+TEST(ApiQuerySet, ShardedLanesDecideAcrossPublishedPlanVersions) {
+  // The plan-version handoff (the TSan / ASan target): producers keep
+  // offering and pumping - so pool workers decide on whatever plan version
+  // their lane holds - while the main thread publishes a run of adds and
+  // removes. The shared version is the only state that crosses threads;
+  // every column must still equal the standalone run over its residency
+  // span of its shard.
+  data::smartcity_generator gen_a(0x5EED), gen_b(0xFEED);
+  const std::vector<std::string> shards{gen_a.stream(240), gen_b.stream(240)};
+  const std::vector<core::expr_ptr> churn{
+      second_expr(),
+      query::compile_default(query::riotbench::q0()),
+      core::conj({primary_expr(), second_expr()}),
+      query::compile_default(query::riotbench::qs0(), 2)};
+
+  auto built = pipeline::make()
+                   .from_query(query::riotbench::qs0())
+                   .backend(backend_kind::sharded)
+                   .shards(shards.size())
+                   .worker_threads(2)
+                   .build();
+  ASSERT_TRUE(built.has_value()) << built.error().message;
+
+  std::atomic<std::size_t> started{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> producers;
+  for (std::size_t s = 0; s < shards.size(); ++s)
+    producers.emplace_back([&, s] {
+      std::string_view rest = shards[s];
+      bool announced = false;
+      while (!rest.empty()) {
+        const auto taken = built->try_offer(s, rest.substr(0, 71));
+        if (!taken.has_value() || !built->pump().has_value()) {
+          failed.store(true);
+          return;
+        }
+        rest.remove_prefix(*taken);
+        if (!announced && rest.size() < shards[s].size() / 2) {
+          announced = true;
+          started.fetch_add(1);
+        }
+      }
+    });
+
+  // Mutate while both shards are mid-stream.
+  while (started.load() < shards.size() && !failed.load())
+    std::this_thread::yield();
+  std::map<core::query_id, core::expr_ptr> added;
+  std::vector<core::query_id> resident;
+  for (std::size_t k = 0; k < 2 * churn.size(); ++k) {
+    if (k % 3 == 2 && !resident.empty()) {
+      ASSERT_TRUE(built->remove_query(resident.front()).has_value());
+      resident.erase(resident.begin());
+      continue;
+    }
+    auto id = built->add_query(churn[k % churn.size()]);
+    ASSERT_TRUE(id.has_value()) << id.error().message;
+    added[*id] = churn[k % churn.size()];
+    resident.push_back(*id);
+  }
+  for (auto& t : producers) t.join();
+  ASSERT_FALSE(failed.load()) << "a producer try_offer()/pump() errored";
+  auto result = built->finish();
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const auto a = result->verdicts.column(s, 1);
+    ASSERT_TRUE(a.has_value());
+    EXPECT_EQ(a->decisions, standalone(primary_expr(), shards[s]));
+    for (const auto& [id, expr] : added) {
+      const auto col = result->verdicts.column(s, id);
+      ASSERT_TRUE(col.has_value()) << "shard " << s << " id " << id;
+      const std::vector<bool> whole = standalone(expr, shards[s]);
+      ASSERT_LE(col->first_record + col->decisions.size(), whole.size());
+      const auto from =
+          whole.begin() + static_cast<std::ptrdiff_t>(col->first_record);
+      EXPECT_EQ(col->decisions,
+                std::vector<bool>(from, from + static_cast<std::ptrdiff_t>(
+                                                   col->decisions.size())))
+          << "shard " << s << " id " << id;
+    }
   }
 }
 

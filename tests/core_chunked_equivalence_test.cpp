@@ -17,6 +17,7 @@
 #include "data/stream.hpp"
 #include "data/taxi.hpp"
 #include "data/twitter.hpp"
+#include "numrange/range_spec.hpp"
 #include "query/compile.hpp"
 #include "query/riotbench.hpp"
 
@@ -158,6 +159,33 @@ TEST(ChunkedEquivalence, PulsesOnAPrintableSeparator) {
     expect_identical_decisions(exprs[e], stream,
                                "expr " + std::to_string(e), options);
   }
+}
+
+TEST(ChunkedEquivalence, DeadValueRunReachingTheRecordEnd) {
+  // Past 64 distinct value engines the rest leave the shared token-run
+  // path for value_engine's own bulk scan. A token run the range's DFA can
+  // no longer accept - a second '.', a sign after a digit - goes dead and
+  // is skipped to its end: here the very end of the record, before a
+  // non-token separator and before a token-class one. Every numeral stays
+  // clear of the first 64 ranges, so the disjunction reaches the scanned
+  // engines on every record.
+  std::vector<core::expr_ptr> leaves;
+  for (int i = 0; i < 66; ++i)
+    leaves.push_back(core::value_leaf(numrange::range_spec::real_range(
+        std::to_string(3 * i), std::to_string(3 * i + 10))));
+  const core::expr_ptr expr = core::disj(leaves);
+  const std::string stream =
+      "{\"v\":500} 5.5.5555555555\n"
+      "8-88888888888888\n"
+      "{\"v\":196} 1..96\n"
+      "{\"v\":900,\"w\":[1000,2000]} 3.0.0000000";
+  const std::vector<bool> decisions = core::raw_filter(expr).filter_stream(stream);
+  EXPECT_EQ(decisions, (std::vector<bool>{false, false, true, false}));
+  expect_identical_decisions(expr, stream, "separator \\n");
+  core::filter_options digit;
+  digit.separator = '9';
+  expect_identical_decisions(expr, "{\"v\":500} 5.0.000009{\"v\":204} 4-44449",
+                             "separator 9", digit);
 }
 
 TEST(ChunkedEquivalence, BufferBoundaryChunkWidths) {

@@ -26,6 +26,7 @@
 #include "data/stream.hpp"
 #include "data/taxi.hpp"
 #include "data/twitter.hpp"
+#include "layout_oracle.hpp"
 #include "numrange/range_spec.hpp"
 #include "query/compile.hpp"
 #include "query/riotbench.hpp"
@@ -80,6 +81,15 @@ TEST(QuerySet, StableMonotoneIdsAndDenseOrder) {
   EXPECT_THROW((void)set.ordinal(b), jrf::error);
   EXPECT_THROW((void)set.query(b), jrf::error);
   EXPECT_THROW(set.add(nullptr), jrf::error);
+
+  // Ids ascend in dense order by construction - contains / ordinal /
+  // remove binary-search on it.
+  EXPECT_TRUE(std::is_sorted(set.ids().begin(), set.ids().end()));
+  EXPECT_TRUE(std::adjacent_find(set.ids().begin(), set.ids().end()) ==
+              set.ids().end());
+  EXPECT_EQ(set.ordinal(d), 2u);
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_FALSE(set.contains(d + 1));
 }
 
 TEST(QuerySet, EmptySetCannotCompile) {
@@ -529,6 +539,60 @@ TEST(QuerySet, PairGroupsOfValueMembersMatchStandaloneRuns) {
       EXPECT_EQ(trie->decision_column(q), expected[q])
           << "group " << q << " simd=" << core::simd::to_string(level);
   }
+}
+
+TEST(QuerySet, IncrementalLayoutMatchesFromScratchUnderChurn) {
+  // The incremental layout's oracle (tests/layout_oracle.hpp), one short
+  // fixed seed: every step decides like a from-scratch compile_set and the
+  // scalar flat plan, at every tier, with one lane living through every
+  // plan swap. The long sweep over many seeds runs under `slow`
+  // (property_test).
+  layout_oracle::churn_outcome out;
+  layout_oracle::run_churn(0xC0FFEE, 80, 8, 12, out);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(out.steps, 80u);
+  EXPECT_GT(out.single_to_multi, 0u);
+  EXPECT_GT(out.multi_to_single, 0u);
+  EXPECT_GT(out.compactions, 0u);
+}
+
+TEST(QuerySet, LivePlanFollowsAddAndRemove) {
+  // query_set keeps its live plan current: a mutation after plan() costs
+  // a delta, and the published version evaluates exactly like a fresh
+  // engine over the same resident queries. A query that does not compile
+  // leaves the set and its plan untouched.
+  const auto exprs = riotbench_exprs();
+  core::query_set set;
+  const core::query_id a = set.add(exprs[0]);
+  const std::shared_ptr<const core::plan_version> one = set.plan();
+  EXPECT_EQ(set.plan(), one);  // no mutation, no new version
+  EXPECT_EQ(one->queries, 1u);
+  EXPECT_TRUE(one->trie.empty());
+  set.add(exprs[1]);
+  set.add(exprs[3]);
+  EXPECT_THROW(set.add(core::string_leaf("", 1)), jrf::error);
+  EXPECT_EQ(set.size(), 3u);
+  ASSERT_TRUE(set.remove(a));
+  const std::shared_ptr<const core::plan_version> two = set.plan();
+  EXPECT_NE(two, one);
+  EXPECT_EQ(two->queries, 2u);
+  EXPECT_EQ(one->queries, 1u);  // the old version is immutable
+
+  const std::string stream = data::smartcity_generator().stream(120);
+  auto live = set.make_engine(core::engine_kind::chunked);
+  auto scratch = core::make_filter_engine(core::engine_kind::chunked,
+                                          set.queries());
+  EXPECT_EQ(live->filter_stream(stream), scratch->filter_stream(stream));
+  EXPECT_EQ(live->decision_words(), scratch->decision_words());
+
+  // Misuse is diagnosed: an ordinal the layout does not hold, a null
+  // version, and a plan swap on the scalar engine, whose byte pipelines
+  // cannot change their query set in flight.
+  core::compiled_layout empty;
+  EXPECT_THROW(empty.erase(0), jrf::error);
+  EXPECT_THROW((void)core::make_filter_engine(nullptr), jrf::error);
+  EXPECT_THROW(set.make_engine(core::engine_kind::scalar)->swap_plan(two),
+               jrf::error);
 }
 
 }  // namespace

@@ -235,6 +235,24 @@ TEST(Stream, ContainsLabels) {
   EXPECT_FALSE(labels[2]);
 }
 
+TEST(Stream, RecordsAreFramedEscapeAware) {
+  // A separator inside a string literal (raw or after an escaped quote)
+  // stays inside its record, exactly as the filters frame it; a trailing
+  // record without its separator still counts.
+  const std::string stream =
+      "{\"a\":\"x\ny\"}\n\n{\"b\":\"q\\\"\n\"}\n{\"c\":1}";
+  const auto labels = contains_labels(stream, "\n");
+  ASSERT_EQ(labels.size(), 3u);
+  EXPECT_TRUE(labels[0]);
+  EXPECT_TRUE(labels[1]);
+  EXPECT_FALSE(labels[2]);
+  EXPECT_DOUBLE_EQ(mean_record_bytes(stream),
+                   static_cast<double>(stream.size()) / 3.0);
+  const auto shards = shard_records(stream, 2);
+  EXPECT_EQ(shards[0], "{\"a\":\"x\ny\"}\n{\"c\":1}\n");
+  EXPECT_EQ(shards[1], "{\"b\":\"q\\\"\n\"}\n");
+}
+
 TEST(Stream, MeanRecordBytes) {
   EXPECT_DOUBLE_EQ(mean_record_bytes("abcd\nab\n"), 4.0);
 }

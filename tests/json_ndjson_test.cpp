@@ -28,12 +28,6 @@ TEST(Ndjson, EmptyStream) {
   EXPECT_TRUE(split_records("\n").empty());
 }
 
-TEST(Ndjson, ForEachVisitsAll) {
-  int count = 0;
-  for_each_record("a\nb\nc\n", [&](std::string_view) { ++count; });
-  EXPECT_EQ(count, 3);
-}
-
 TEST(Ndjson, JoinRoundTrip) {
   const std::vector<std::string> records{"{\"a\":1}", "{\"b\":2}"};
   const std::string stream = join_records(records);

@@ -1,7 +1,8 @@
 // End-to-end property suite over generated datasets: the invariants of
 // DESIGN.md section 7, checked for every query and a sweep of raw-filter
 // configurations. The central one is the paper's correctness contract:
-// a raw filter may pass extra records but NEVER drops a true match.
+// a raw filter may pass extra records but NEVER drops a true match. The
+// incremental plan compiler's churn oracle runs its long sweep here too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,6 +11,7 @@
 #include "core/raw_filter.hpp"
 #include "data/smartcity.hpp"
 #include "data/taxi.hpp"
+#include "layout_oracle.hpp"
 #include "query/compile.hpp"
 #include "query/eval.hpp"
 #include "query/riotbench.hpp"
@@ -136,6 +138,19 @@ TEST(FilterDominance, OmittingPredicatesLoosensTheFilter) {
         EXPECT_TRUE(fewer_d[i]) << w.name << " record " << i;
       }
     }
+  }
+}
+
+TEST(IncrementalLayout, MatchesFromScratchAcrossSeeds) {
+  // The long sweep of the incremental compiled_layout's churn oracle
+  // (tests/layout_oracle.hpp; core_query_set_test runs one short seed):
+  // larger resident sets, more steps, several seeds.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    layout_oracle::churn_outcome out;
+    layout_oracle::run_churn(seed, 100, 20, 16, out);
+    ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
+    EXPECT_GT(out.multi_to_single, 0u) << "seed " << seed;
+    EXPECT_GT(out.compactions, 0u) << "seed " << seed;
   }
 }
 

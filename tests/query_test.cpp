@@ -173,6 +173,24 @@ TEST(Eval, LabelStreamAndSelectivity) {
   EXPECT_DOUBLE_EQ(selectivity(labels), 2.0 / 3.0);
 }
 
+TEST(Eval, LabelStreamFramesLikeTheFilters) {
+  // A separator inside a string literal does not end a record - for the
+  // filters, so not for the labels either: one label per decision.
+  const query q = parse_filter_expression(R"((0 <= "v" <= 2))");
+  const std::string stream =
+      "{\"a\":\"x\ny\",\"v\":1}\n{\"b\":\"temperature\",\"v\":1}\n";
+  const std::vector<bool> decisions =
+      core::raw_filter(compile_default(q)).filter_stream(stream);
+  ASSERT_EQ(decisions.size(), 2u);
+  const std::vector<bool> labels = label_stream(q, stream);
+  ASSERT_EQ(labels.size(), decisions.size());
+  // The first record's literal holds a raw newline, which the exact
+  // evaluator's parser rejects: the label is false there, true after.
+  EXPECT_EQ(labels, (std::vector<bool>{false, true}));
+  EXPECT_EQ(verify_no_false_negatives(q, stream, decisions).false_negatives,
+            0u);
+}
+
 // ------------------------------------------------------------------ compile
 
 TEST(Compile, DefaultIsGroupedConjunction) {
