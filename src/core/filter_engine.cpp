@@ -1,7 +1,7 @@
 #include "core/filter_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <cstring>
 
 #include "core/bitmaps.hpp"
@@ -161,7 +161,6 @@ void refresh_fanout(compiled_layout::trie_node& node) {
 }
 
 constexpr std::size_t npos = ~std::size_t{0};
-constexpr std::size_t kRunSlots = 64;  // bits of a token-run verdict mask
 /// Compaction runs once tombstones pass this floor AND outnumber the live
 /// slots, so the dead never take more than half the pool beyond the floor.
 /// The floor lets a small resident set churning through a bounded pool of
@@ -170,11 +169,6 @@ constexpr std::size_t kRunSlots = 64;  // bits of a token-run verdict mask
 /// adds.
 constexpr std::size_t kCompactionFloor = 64;
 
-/// Names one assignment of token-run verdict bits. Global so no two
-/// layouts ever share a tag: a lane's memo can only match the lineage it
-/// was filled under.
-std::atomic<std::uint64_t> next_memo_tag{1};
-
 }  // namespace
 
 compiled_layout::compiled_layout(simd::simd_level level) : level_(level) {}
@@ -182,17 +176,26 @@ compiled_layout::compiled_layout(simd::simd_level level) : level_(level) {}
 std::size_t compiled_layout::add_engine(
     std::shared_ptr<const primitive_engine> engine, std::string key) {
   const std::size_t idx = engines.size();
-  const bool capable = engine->run_capable() && run_slots_used_ < kRunSlots;
-  run_capable_.push_back(capable ? 1 : 0);
-  run_slot_.push_back(capable ? run_slots_used_++ : 0);
-  if (capable) memo_tag_ = next_memo_tag.fetch_add(1);
   engines.push_back(std::move(engine));
   engine_keys.push_back(std::move(key));
   engine_subscribers.emplace_back();
+  run_capable_.push_back(0);
+  run_slot_.push_back(0);
+  grant_run_bit(idx);
   // A pool crossing a 64-engine boundary widens every trie mask.
   if (idx % 64 == 0 && idx > 0)
     for (trie_node& node : trie) node.required.resize(idx / 64 + 1, 0);
   return idx;
+}
+
+void compiled_layout::grant_run_bit(std::size_t slot) {
+  if (run_capable_[slot] || free_run_bits_ == 0 ||
+      !engines[slot]->run_capable())
+    return;
+  const auto bit = static_cast<std::size_t>(std::countr_zero(free_run_bits_));
+  free_run_bits_ &= free_run_bits_ - 1;
+  run_capable_[slot] = 1;
+  run_slot_[slot] = bit;
 }
 
 compiled_layout compiled_layout::compile(const filter_expr& root,
@@ -259,7 +262,10 @@ std::size_t compiled_layout::insert(expr_ptr query, const donor_pool* donor) {
     keyed_spec& k = specs[cursor++];
     std::size_t idx = k.pooled;
     if (idx != npos) {
-      if (engine_subscribers[idx].empty()) --dead_engines_;  // revive
+      if (engine_subscribers[idx].empty()) {  // revive
+        --dead_engines_;
+        grant_run_bit(idx);
+      }
     } else if (k.made) {
       idx = add_engine(std::move(k.made), k.key);
       engine_index_.emplace(std::move(k.key), idx);
@@ -381,7 +387,8 @@ void compiled_layout::erase(std::size_t ordinal) {
     throw error("compiled layout: erase of an unknown ordinal");
   const std::size_t q = ordinal;
   // Drop the query's references: its subscriptions and group uses. A slot
-  // left with none is a tombstone.
+  // left with none is a tombstone and gives back its run verdict bit.
+  bool freed_bit = false;
   auto release = [&](std::size_t slot, bool is_group) {
     if (is_group) {
       if (--group_refs_[slot] == 0) ++dead_groups_;
@@ -391,9 +398,19 @@ void compiled_layout::erase(std::size_t ordinal) {
     const auto it = std::lower_bound(subs.begin(), subs.end(), q);
     if (it == subs.end() || *it != q) return;  // released already
     subs.erase(it);
-    if (subs.empty()) ++dead_engines_;
+    if (!subs.empty()) return;
+    ++dead_engines_;
+    if (run_capable_[slot]) {
+      run_capable_[slot] = 0;
+      free_run_bits_ |= std::uint64_t{1} << run_slot_[slot];
+      freed_bit = true;
+    }
   };
   for_each_slot(*this, roots[q], release);
+  // A freed bit goes to a live run-capable engine that had to do without.
+  if (freed_bit)
+    for (std::size_t e = 0; e < engines.size(); ++e)
+      if (!engine_subscribers[e].empty()) grant_run_bit(e);
   // Later queries move down one ordinal: subscriber lists and trie
   // terminals shift, and the fan-out words follow.
   for (std::vector<std::size_t>& subs : engine_subscribers)
@@ -454,12 +471,13 @@ plan_version::plan_version(const compiled_layout& layout)
       groups(layout.groups),
       trie(layout.trie),
       trie_roots(layout.trie_roots),
-      queries(layout.query_count()),
-      memo_tag(layout.memo_tag_) {
+      queries(layout.query_count()) {
   for (std::size_t e = 0; e < engines.size(); ++e) {
     if (layout.engine_subscribers[e].empty()) continue;
     live.push_back(static_cast<std::uint32_t>(e));
-    if (run_capable[e]) any_run_capable = true;
+    if (!run_capable[e]) continue;
+    run_bits |= std::uint64_t{1} << run_slot[e];
+    run_engines[run_slot[e]] = engines[e].get();
   }
   for (const compiled_layout::group_info& g : groups)
     max_members = std::max(max_members, g.members.size());
@@ -675,15 +693,13 @@ class chunked_filter_engine final : public filter_engine {
       : filter_engine(plan->front, plan->queries, options),
         level_(simd::resolve(options.simd)),
         max_depth_(structure_tracker(options.depth_bits).max_depth()),
-        framer_(options.separator, level_),
-        memo_tag_(plan->memo_tag) {
+        framer_(options.separator, level_) {
     bind(std::move(plan));
   }
 
   void reset() override { framer_.reset(); }
 
   void scan_chunk(std::span<const unsigned char> chunk) override {
-    memo_.ready();
     framer_.feed(chunk, [this](const auto&... r) { decide(r...); });
     fire_deferred();
   }
@@ -706,7 +722,6 @@ class chunked_filter_engine final : public filter_engine {
 
   bool accepts_bits(std::string_view record, std::uint64_t* words) override {
     reset();
-    memo_.ready();
     if (words != nullptr)
       std::fill_n(words, words_per_record(), std::uint64_t{0});
     // accepts() == decision of the final (possibly empty) segment: push()
@@ -750,15 +765,25 @@ class chunked_filter_engine final : public filter_engine {
         level_(other.level_),
         max_depth_(other.max_depth_),
         framer_(other.options_.separator, other.level_),
-        memo_tag_(other.memo_tag_),
         memo_(other.memo_) {  // a warm memo carries over: pure function
     bind(other.plan_);
   }
 
   /// Point every later record at `plan`: per-plan scratch is resized, and
-  /// the numeral memo is dropped only when the version assigns token-run
-  /// verdict bits differently from the one that filled it.
+  /// the numeral memo is dropped unless every run verdict bit `plan` reads
+  /// is answered by the same engine as under the outgoing version (whose
+  /// masks are then right for `plan` too; bits it no longer reads are
+  /// never looked at).
   void bind(std::shared_ptr<const plan_version> plan) {
+    if (plan_ != nullptr) {
+      for (std::uint64_t b = plan->run_bits; b != 0; b &= b - 1) {
+        const int bit = std::countr_zero(b);
+        if (plan->run_engines[bit] == plan_->run_engines[bit]) continue;
+        std::fill(memo_.slots.begin(), memo_.slots.end(),
+                  numeral_memo::entry{});
+        break;
+      }
+    }
     plan_ = std::move(plan);
     const plan_version& p = *plan_;
     expr_ = p.front;
@@ -773,11 +798,6 @@ class chunked_filter_engine final : public filter_engine {
     fired_words_.assign(multi_ ? engine_words_ : 0, 0);
     group_epoch_.assign(multi_ ? p.groups.size() : 0, 0);
     group_val_.assign(multi_ ? p.groups.size() : 0, 0);
-    if (memo_tag_ != p.memo_tag) {
-      std::fill(memo_.slots.begin(), memo_.slots.end(),
-                numeral_memo::entry{});
-      memo_tag_ = p.memo_tag;
-    }
   }
 
   /// Append one zeroed bitmap row to decision_words_ and return its
@@ -850,7 +870,7 @@ class chunked_filter_engine final : public filter_engine {
     // the trie nodes whose required engines all fired, not O(resident
     // queries).
     std::fill(fired_words_.begin(), fired_words_.end(), 0);
-    if (plan_->any_run_capable) ensure_run_verdicts(record);
+    if (plan_->run_bits != 0) ensure_run_verdicts(record);
     for (const std::uint32_t e : plan_->live) {
       const bool fired =
           run_capable_[e]
@@ -1012,17 +1032,17 @@ class chunked_filter_engine final : public filter_engine {
     runs_ready_ = true;
   }
 
-  /// Verdict mask of one token run: bit run_slot_[e] set iff engine e
-  /// pulses at the run's end. Pure function of the run's bytes (the
+  /// Verdict mask of one token run: bit run_slot_[e] set iff live engine
+  /// e pulses at the run's end. Pure function of the run's bytes (the
   /// end-of-stream edge is handled by the caller).
   std::uint64_t compute_run_mask(std::span<const unsigned char> record,
                                  const simd::token_run& run) {
     std::uint64_t mask = 0;
-    for (std::size_t e = 0; e < plan_->engines.size(); ++e) {
-      if (!run_capable_[e]) continue;
-      if (engines_[e]->fires_in_any_run(record, options_.separator,
-                                               {&run, 1}))
-        mask |= std::uint64_t{1} << run_slot_[e];
+    for (std::uint64_t b = plan_->run_bits; b != 0; b &= b - 1) {
+      const int bit = std::countr_zero(b);
+      if (plan_->run_engines[bit]->fires_in_any_run(
+              record, options_.separator, {&run, 1}))
+        mask |= std::uint64_t{1} << bit;
     }
     return mask;
   }
@@ -1396,14 +1416,7 @@ class chunked_filter_engine final : public filter_engine {
       std::uint8_t len = 0;  // 0 = empty slot (runs are never empty)
       std::uint64_t mask = 0;
     };
-    /// kSlots entries once ready(): scan_chunk() and accepts_bits()
-    /// allocate the table (finish() only decides a tail some scan_chunk()
-    /// left), so a lane that is built, cloned, swapped or finished but
-    /// never scans pays nothing for it.
-    std::vector<entry> slots;
-    void ready() {
-      if (slots.empty()) slots.resize(kSlots);
-    }
+    std::vector<entry> slots = std::vector<entry>(kSlots);
   };
 
   /// Per-run key/slot scratch of ensure_run_verdicts' prefetch pass.
@@ -1478,7 +1491,6 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<std::uint64_t> group_epoch_;  // group order
   std::vector<char> group_val_;             // group order
 
-  std::uint64_t memo_tag_ = 0;  // plan_version::memo_tag memo_ serves
   numeral_memo memo_;  // persists across records, chunks and plan swaps
 };
 

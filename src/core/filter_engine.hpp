@@ -36,6 +36,7 @@
 // riotbench queries and all three datasets.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -198,6 +199,7 @@ struct compiled_layout {
   std::size_t insert(expr_ptr query, const donor_pool* donor);
   std::size_t add_engine(std::shared_ptr<const primitive_engine> engine,
                          std::string key);
+  void grant_run_bit(std::size_t slot);
   void trie_insert(std::size_t q);
   std::size_t trie_node_for(std::size_t parent, std::string&& sig,
                             const plan_node& conjunct);
@@ -211,13 +213,12 @@ struct compiled_layout {
   std::vector<std::uint32_t> group_refs_;  // plan references; 0 = tombstone
   std::size_t dead_engines_ = 0;
   std::size_t dead_groups_ = 0;
-  // Token-run verdict bits: a run-capable engine gets the next of 64 bits
-  // when created (tombstones keep theirs); memo_tag_ names the assignment,
-  // so a lane's numeral memo knows when its cached masks went stale.
-  std::vector<char> run_capable_;
+  // Token-run verdict bits: a live run-capable engine holds one of 64 bits
+  // (the lowest free one when it is created or revived); a tombstone gives
+  // its bit back, and a freed bit goes to a live engine still without one.
+  std::vector<char> run_capable_;  // per slot: holds a bit
   std::vector<std::size_t> run_slot_;
-  std::size_t run_slots_used_ = 0;
-  std::uint64_t memo_tag_ = 0;
+  std::uint64_t free_run_bits_ = ~std::uint64_t{0};
   std::vector<trie_link> links_;  // parallel to trie
   std::unordered_map<std::string, std::size_t> root_links_;
   std::vector<std::size_t> terminal_of_;  // ordinal -> trie node
@@ -247,15 +248,17 @@ struct plan_version {
   std::vector<std::uint32_t> live;    // slots a resident query references
   std::vector<char> run_capable;      // per slot: answers from token runs
   std::vector<std::size_t> run_slot;  // per slot: run verdict mask bit
-  bool any_run_capable = false;       // some live slot is run_capable
+  /// Run verdict bits in use, and the engine answering each (null when
+  /// free). Only live engines hold bits.
+  std::uint64_t run_bits = 0;
+  std::array<const primitive_engine*, 64> run_engines{};
   std::vector<compiled_layout::group_info> groups;
   std::size_t max_members = 0;        // largest group
   compiled_layout::plan_node root;    // the plan, when queries == 1
   std::vector<compiled_layout::trie_node> trie;  // queries > 1
   std::vector<std::size_t> trie_roots;
   std::size_t queries = 0;
-  std::uint64_t memo_tag = 0;  // run_slot assignment it was cut from
-  expr_ptr front;              // first resident query
+  expr_ptr front;  // first resident query
 };
 
 /// Abstract streaming filter lane. Decisions follow raw_filter semantics:
@@ -309,8 +312,9 @@ class filter_engine {
 
   /// Live-swap support for runtime query add/remove: evaluate every record
   /// decided from now on against `plan`, keeping the stream position (the
-  /// framer's in-flight record decides under the new plan), the hook, the
-  /// size telemetry and the warm numeral memo. Take the accumulated
+  /// framer's in-flight record decides under the new plan), the hook and
+  /// the size telemetry; the numeral memo stays warm unless the new plan
+  /// gives a run verdict bit to another engine. Take the accumulated
   /// decisions first - the bitmap row width follows the new query count.
   /// The scalar byte paths, whose primitives hold partial-match registers
   /// per query, throw jrf::error.

@@ -9,12 +9,14 @@
 // running that query alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -26,6 +28,7 @@
 #include "core/raw_filter.hpp"
 #include "data/smartcity.hpp"
 #include "data/stream.hpp"
+#include "project/columns.hpp"
 #include "query/compile.hpp"
 #include "query/riotbench.hpp"
 #include "system/system.hpp"
@@ -777,8 +780,86 @@ TEST(ApiQuerySet, LiveStatsMatchDeliveredDecisions) {
   }
 }
 
+TEST(ApiQuerySet, ProjectedRowsNumberOnAcrossRuntimeSwaps) {
+  // A runtime add/remove swaps each lane's plan in place, so the record
+  // ordinals that number projected rows run on across the swap. Adding
+  // and then removing a copy of the resident query leaves the any-match
+  // verdicts - and so every projected row, index and columns - exactly as
+  // the same stream projects without the swaps. A query that widens the
+  // verdict still projects exactly the accepted records.
+  const std::string& stream = telemetry();
+  for (const backend_kind kind : {backend_kind::chunked, backend_kind::sharded}) {
+    const auto project_run = [&](const core::expr_ptr& rider) {
+      auto built = pipeline::make()
+                       .from_query(query::riotbench::qs0())
+                       .project()
+                       .projection_batch_rows(16)
+                       .backend(kind)
+                       .build();
+      EXPECT_TRUE(built.has_value()) << (built ? "" : built.error().message);
+      if (!built) return run_result{};
+      std::optional<core::query_id> id;
+      std::string_view rest = stream;
+      while (!rest.empty()) {
+        const std::size_t n = std::min<std::size_t>(997, rest.size());
+        EXPECT_TRUE(built->offer(rest.substr(0, n)).has_value());
+        rest.remove_prefix(n);
+        const std::size_t done = stream.size() - rest.size();
+        if (rider && !id && done >= stream.size() / 3) {
+          auto added = built->add_query(rider);
+          EXPECT_TRUE(added.has_value());
+          if (added) id = *added;
+        } else if (id && done >= 2 * stream.size() / 3) {
+          EXPECT_TRUE(built->remove_query(*id).has_value());
+          id.reset();
+          break;
+        }
+      }
+      while (!rest.empty()) {
+        const std::size_t n = std::min<std::size_t>(997, rest.size());
+        EXPECT_TRUE(built->offer(rest.substr(0, n)).has_value());
+        rest.remove_prefix(n);
+      }
+      auto result = built->finish();
+      EXPECT_TRUE(result.has_value()) << (result ? "" : result.error().message);
+      return result ? std::move(*result) : run_result{};
+    };
+    const auto rows = [](const run_result& r) {
+      std::vector<std::uint64_t> out;
+      for (const project::column_batch& b : r.projection)
+        out.insert(out.end(), b.records.begin(), b.records.end());
+      return out;
+    };
+    const auto accepted = [](const run_result& r) {
+      std::vector<std::uint64_t> out;
+      for (std::size_t i = 0; i < r.decisions.size(); ++i)
+        if (r.decisions[i]) out.push_back(i);
+      return out;
+    };
+    const run_result plain = project_run(nullptr);
+    const run_result swapped = project_run(primary_expr());
+    ASSERT_GT(plain.projection.size(), 2u) << to_string(kind);
+    EXPECT_EQ(rows(plain), accepted(plain)) << to_string(kind);
+    EXPECT_EQ(swapped.decisions, plain.decisions) << to_string(kind);
+    ASSERT_EQ(swapped.projection.size(), plain.projection.size());
+    for (std::size_t b = 0; b < plain.projection.size(); ++b) {
+      const project::column_batch& want = plain.projection[b];
+      const project::column_batch& got = swapped.projection[b];
+      EXPECT_EQ(got.records, want.records) << to_string(kind) << " batch " << b;
+      ASSERT_EQ(got.columns.size(), want.columns.size());
+      for (std::size_t c = 0; c < want.columns.size(); ++c) {
+        EXPECT_EQ(got.columns[c].types, want.columns[c].types);
+        EXPECT_EQ(got.columns[c].text, want.columns[c].text);
+      }
+    }
+    const run_result widened = project_run(second_expr());
+    EXPECT_NE(widened.decisions, plain.decisions) << to_string(kind);
+    EXPECT_EQ(rows(widened), accepted(widened)) << to_string(kind);
+  }
+}
+
 TEST(ApiQuerySet, MutationErrorPaths) {
-  // Scalar backend: no take_carry, so add/remove are diagnosed up front.
+  // Scalar backend: no plan swap, so add/remove are diagnosed up front.
   auto scalar = pipeline::make()
                     .from_query(query::riotbench::qs0())
                     .backend(backend_kind::scalar)

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -554,6 +555,63 @@ TEST(QuerySet, IncrementalLayoutMatchesFromScratchUnderChurn) {
   EXPECT_GT(out.single_to_multi, 0u);
   EXPECT_GT(out.multi_to_single, 0u);
   EXPECT_GT(out.compactions, 0u);
+}
+
+TEST(QuerySet, RunVerdictBitsFollowTheLiveEngines) {
+  // A live run-capable value engine answers from one bit of the 64-bit
+  // token-run verdict mask. A tombstone gives its bit back, so churn
+  // through fresh value leaves never pushes the live engines off that
+  // path, and a freed bit goes to a live engine that had to do without.
+  const auto leaf = [](int i) {
+    return core::value_leaf(numrange::range_spec::real_range(
+        std::to_string(3 * i), std::to_string(3 * i + 10)));
+  };
+  const auto expect_like_scratch = [](core::query_set& set,
+                                      const std::string& at) {
+    const std::string stream = data::smartcity_generator().stream(60);
+    auto live = set.make_engine(core::engine_kind::chunked);
+    auto scratch = core::make_filter_engine(core::engine_kind::chunked,
+                                            set.queries());
+    EXPECT_EQ(live->filter_stream(stream), scratch->filter_stream(stream))
+        << at;
+    EXPECT_EQ(live->decision_words(), scratch->decision_words()) << at;
+  };
+  core::query_set set;
+  const core::query_id first = set.add(leaf(0));
+  (void)set.plan();  // from here on mutations edit the live plan
+  for (int i = 1; i <= 60; ++i) ASSERT_TRUE(set.remove(set.add(leaf(i))));
+  const core::query_id second = set.add(leaf(61));
+  set.add(leaf(62));
+  auto plan = set.plan();
+  EXPECT_EQ(plan->engines.size(), 63u);  // 60 tombstones, no compaction
+  EXPECT_EQ(plan->live.size(), 3u);
+  EXPECT_EQ(std::popcount(plan->run_bits), 3);
+  for (const std::uint32_t e : plan->live) EXPECT_TRUE(plan->run_capable[e]);
+  expect_like_scratch(set, "after churn");
+
+  // Down to one query: the single-query version keeps its engine's bit.
+  ASSERT_TRUE(set.remove(first));
+  ASSERT_TRUE(set.remove(second));
+  plan = set.plan();
+  ASSERT_EQ(plan->queries, 1u);
+  EXPECT_EQ(std::popcount(plan->run_bits), 1);
+  EXPECT_TRUE(plan->run_capable[plan->live.front()]);
+  expect_like_scratch(set, "one query");
+
+  // More live value engines than bits: the overflow does without until a
+  // removal frees a bit.
+  core::query_set wide;
+  std::vector<core::query_id> ids;
+  for (int i = 0; i < 66; ++i) ids.push_back(wide.add(leaf(i)));
+  plan = wide.plan();
+  EXPECT_EQ(std::popcount(plan->run_bits), 64);
+  EXPECT_FALSE(plan->run_capable[65]);
+  ASSERT_TRUE(wide.remove(ids[3]));
+  ASSERT_TRUE(wide.remove(ids[7]));
+  plan = wide.plan();
+  EXPECT_EQ(std::popcount(plan->run_bits), 64);
+  for (const std::uint32_t e : plan->live) EXPECT_TRUE(plan->run_capable[e]);
+  expect_like_scratch(wide, "freed bits");
 }
 
 TEST(QuerySet, LivePlanFollowsAddAndRemove) {

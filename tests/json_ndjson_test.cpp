@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/framer.hpp"
+
 namespace jrf::json {
 namespace {
 
@@ -26,6 +28,13 @@ TEST(Ndjson, SkipsEmptyLines) {
 TEST(Ndjson, EmptyStream) {
   EXPECT_TRUE(split_records("").empty());
   EXPECT_TRUE(split_records("\n").empty());
+}
+
+TEST(Ndjson, ForEachVisitsAll) {
+  // Record iteration over NDJSON goes through the filters' own framing.
+  int count = 0;
+  core::for_each_record("a\nb\nc\n", [&](std::string_view) { ++count; });
+  EXPECT_EQ(count, 3);
 }
 
 TEST(Ndjson, JoinRoundTrip) {

@@ -17,12 +17,14 @@
 //   * both equal the scalar engine's flat plan - one raw_filter per query,
 //     no interning, no trie - and the lane does at every tier;
 //   * every live engine subscribes exactly the ordinals the from-scratch
-//     layout gives its spec.
+//     layout gives its spec, and only live engines hold token-run verdict
+//     bits.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -195,6 +197,14 @@ inline void run_churn(std::uint64_t seed, std::size_t steps,
       }
       ASSERT_EQ(live, scratch.engines.size()) << where;
       auto plan = std::make_shared<const core::plan_version>(t.layout);
+      // Run verdict bits: tombstones hold none, and every live run-capable
+      // engine holds one while bits remain, as from scratch.
+      std::size_t runners = 0;
+      for (const auto& engine : scratch.engines)
+        runners += engine->run_capable() ? 1 : 0;
+      ASSERT_EQ(static_cast<std::size_t>(std::popcount(plan->run_bits)),
+                std::min<std::size_t>(runners, 64))
+          << where;
       if (t.lane)
         t.lane->swap_plan(plan);
       else
