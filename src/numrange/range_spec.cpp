@@ -32,8 +32,16 @@ decimal magnitude_plus_one(const decimal& t) {
 
 std::string range_spec::to_string() const {
   const char* variable = kind == numeric_kind::integer ? "i" : "f";
-  if (lo && hi)
-    return "v(" + lo->to_string() + " <= " + variable + " <= " + hi->to_string() + ")";
+  if (lo && hi) {
+    std::string out = "v(";
+    out += lo->to_string();
+    out += " <= ";
+    out += variable;
+    out += " <= ";
+    out += hi->to_string();
+    out += ')';
+    return out;
+  }
   if (lo) return "v(" + std::string(variable) + " >= " + lo->to_string() + ")";
   if (hi) return "v(" + std::string(variable) + " <= " + hi->to_string() + ")";
   return "v(any " + std::string(variable) + ")";

@@ -165,13 +165,17 @@ bool decimal::operator==(const decimal& other) const noexcept {
 
 std::string decimal::to_string() const {
   if (is_zero()) return "0";
+  const std::size_t int_len = digits_.size() - static_cast<std::size_t>(scale_);
   std::string out;
+  out.reserve(digits_.size() + 3);
   if (negative_) out.push_back('-');
-  const std::string ip = int_digits();
-  out += ip.empty() ? "0" : ip;
+  if (int_len == 0)
+    out.push_back('0');
+  else
+    out.append(digits_, 0, int_len);
   if (scale_ > 0) {
     out.push_back('.');
-    out += frac_digits();
+    out.append(digits_, int_len);
   }
   return out;
 }
