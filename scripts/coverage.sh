@@ -91,9 +91,6 @@ NEVER_RUN = [
     (r"^jrf::core::filter_engine::set_accepted_hook\(",
      "throwing default of the scalar engine; the facade rejects projection "
      "on scalar engines before it is reached"),
-    (r"^jrf::core::primitive_engine::fires_in_any_run\(",
-     "throwing default; only run_capable() engines are asked, and the value "
-     "engine overrides it"),
     (r"^jrf::expected<.*>::error\(\) const$",
      "instantiated by assertion messages in the suites; runs only when an "
      "assertion fails"),

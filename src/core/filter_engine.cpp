@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "core/bitmaps.hpp"
 #include "core/framer.hpp"
+#include "core/numeral_automaton.hpp"
 #include "core/raw_filter.hpp"
 #include "core/structure.hpp"
 #include "numrange/builder.hpp"
@@ -477,7 +477,7 @@ plan_version::plan_version(const compiled_layout& layout)
     live.push_back(static_cast<std::uint32_t>(e));
     if (!run_capable[e]) continue;
     run_bits |= std::uint64_t{1} << run_slot[e];
-    run_engines[run_slot[e]] = engines[e].get();
+    run_dfas[run_slot[e]] = engines[e]->token_dfa();
   }
   for (const compiled_layout::group_info& g : groups)
     max_members = std::max(max_members, g.members.size());
@@ -764,28 +764,16 @@ class chunked_filter_engine final : public filter_engine {
       : filter_engine(other.expr_, other.query_count_, other.options_),
         level_(other.level_),
         max_depth_(other.max_depth_),
-        framer_(other.options_.separator, other.level_),
-        memo_(other.memo_) {  // a warm memo carries over: pure function
+        framer_(other.options_.separator, other.level_) {
     bind(other.plan_);
   }
 
   /// Point every later record at `plan`: per-plan scratch is resized, and
-  /// the numeral memo is dropped unless every run verdict bit `plan` reads
-  /// is answered by the same engine as under the outgoing version (whose
-  /// masks are then right for `plan` too; bits it no longer reads are
-  /// never looked at).
+  /// the numeral automaton restarts over the plan's value leaves.
   void bind(std::shared_ptr<const plan_version> plan) {
-    if (plan_ != nullptr) {
-      for (std::uint64_t b = plan->run_bits; b != 0; b &= b - 1) {
-        const int bit = std::countr_zero(b);
-        if (plan->run_engines[bit] == plan_->run_engines[bit]) continue;
-        std::fill(memo_.slots.begin(), memo_.slots.end(),
-                  numeral_memo::entry{});
-        break;
-      }
-    }
     plan_ = std::move(plan);
     const plan_version& p = *plan_;
+    numerals_.clear(p.run_bits, p.run_dfas);
     expr_ = p.front;
     query_count_ = p.queries;
     multi_ = p.queries > 1;
@@ -1032,117 +1020,34 @@ class chunked_filter_engine final : public filter_engine {
     runs_ready_ = true;
   }
 
-  /// Verdict mask of one token run: bit run_slot_[e] set iff live engine
-  /// e pulses at the run's end. Pure function of the run's bytes (the
-  /// end-of-stream edge is handled by the caller).
-  std::uint64_t compute_run_mask(std::span<const unsigned char> record,
-                                 const simd::token_run& run) {
-    std::uint64_t mask = 0;
-    for (std::uint64_t b = plan_->run_bits; b != 0; b &= b - 1) {
-      const int bit = std::countr_zero(b);
-      if (plan_->run_engines[bit]->fires_in_any_run(
-              record, options_.separator, {&run, 1}))
-        mask |= std::uint64_t{1} << bit;
-    }
-    return mask;
-  }
-
-  /// Verdict masks for every token run of the record, memoized across
-  /// records: a run-capable engine's pulse is a pure function of the run's
-  /// bytes, and data streams repeat the same numerals constantly, so one
-  /// DFA walk per distinct numeral (per engine) serves the whole stream.
-  /// The memo is 2-way set-associative with the bytes themselves as the
-  /// tag; a double collision just recomputes.
+  /// Verdict mask of every token run of the record - bit run_slot_[e] set
+  /// iff live engine e pulses at the run's end - from one numeral-automaton
+  /// walk per run. A run the stream ends mid-token (before a token-class
+  /// separator) is never sampled, so no engine pulses there.
   void ensure_run_verdicts(std::span<const unsigned char> record) {
     if (verdicts_ready_) return;
     ensure_runs(record);
-    const std::size_t n = runs_.size();
     run_masks_.clear();
-    any_mask_ = 0;
-    probes_.resize(n);
+    std::uint64_t any = 0;
     const bool token_separator = numrange::is_token_byte(options_.separator);
-    // Pass 1: pack every run's key and prefetch its memo set, so the
-    // probe pass below finds the slots already in flight instead of
-    // stalling on one dependent cache miss per run.
-    for (std::size_t i = 0; i < n; ++i) {
-      const simd::token_run& run = runs_[i];
-      memo_probe& p = probes_[i];
-      if (run.end == record.size() && token_separator) {
-        // The stream ends mid-token: the run is never sampled, no engine
-        // pulses - and the verdict is position-dependent, so no memo.
-        p.kind = memo_probe::edge;
-        continue;
-      }
-      const std::size_t len = run.end - run.begin;
-      if (len > numeral_memo::kMaxLen) {
-        p.kind = memo_probe::oversize;
-        continue;
-      }
-      // Pack the numeral into two words, zero-padded past `len`. The wide
-      // loads are safe whenever 16 bytes exist after run.begin; near the
-      // record end a zeroed bounce buffer keeps the key identical.
-      std::uint64_t key0, key1;
-      if (run.begin + 16 <= record.size()) {
-        std::memcpy(&key0, record.data() + run.begin, 8);
-        std::memcpy(&key1, record.data() + run.begin + 8, 8);
-        if (len < 8) {
-          key0 &= (std::uint64_t{1} << (8 * len)) - 1;
-          key1 = 0;
-        } else if (len < 16) {
-          key1 &= len == 8 ? 0 : (std::uint64_t{1} << (8 * (len - 8))) - 1;
-        }
-      } else {
-        unsigned char buf[16] = {};
-        std::memcpy(buf, record.data() + run.begin, len);
-        std::memcpy(&key0, buf, 8);
-        std::memcpy(&key1, buf + 8, 8);
-      }
-      const std::uint64_t h =
-          (key0 ^ (key1 * 0x9E3779B97F4A7C15ull) ^ len) * 0x2545F4914F6CDD1Dull;
-      p.kind = memo_probe::keyed;
-      p.key0 = key0;
-      p.key1 = key1;
-      p.len = static_cast<std::uint8_t>(len);
-      p.set = static_cast<std::uint32_t>((h >> 48) & ~std::uint64_t{1});
-      __builtin_prefetch(&memo_.slots[p.set]);
-      __builtin_prefetch(&memo_.slots[p.set + 1]);
-    }
-    // Pass 2: probe. 2-way set: two colliding numerals that both recur
-    // (the common case on replicated streams) coexist instead of evicting
-    // each other every record. The MRU entry sits first; a hit in the
-    // second way swaps it forward, a miss evicts the LRU (second) way.
-    for (std::size_t i = 0; i < n; ++i) {
-      const memo_probe& p = probes_[i];
-      if (p.kind == memo_probe::edge) {
-        run_masks_.push_back(0);
-        continue;
-      }
-      if (p.kind == memo_probe::oversize) {
-        run_masks_.push_back(compute_run_mask(record, runs_[i]));
-        continue;
-      }
-      numeral_memo::entry* way = &memo_.slots[p.set];
-      if (way[0].len == p.len && way[0].key0 == p.key0 &&
-          way[0].key1 == p.key1) {
-        run_masks_.push_back(way[0].mask);
-        continue;
-      }
-      if (way[1].len == p.len && way[1].key0 == p.key0 &&
-          way[1].key1 == p.key1) {
-        std::swap(way[0], way[1]);
-        run_masks_.push_back(way[0].mask);
-        continue;
-      }
-      const std::uint64_t mask = compute_run_mask(record, runs_[i]);
-      way[1] = way[0];
-      way[0].key0 = p.key0;
-      way[0].key1 = p.key1;
-      way[0].len = p.len;
-      way[0].mask = mask;
+    for (const simd::token_run& run : runs_) {
+      const std::uint64_t mask =
+          run.end == record.size() && token_separator
+              ? 0
+              : numerals_.walk(record.data() + run.begin, run.end - run.begin);
       run_masks_.push_back(mask);
+      any |= mask;
     }
-    for (const std::uint64_t mask : run_masks_) any_mask_ |= mask;
+    any_mask_ = any;
     verdicts_ready_ = true;
+  }
+
+  /// True when every run-capable member of `info` has its bit in `mask`.
+  bool run_members_in(const compiled_layout::group_info& info,
+                      std::uint64_t mask) const {
+    for (const std::size_t e : info.members)
+      if (run_capable_[e] && !((mask >> run_slot_[e]) & 1)) return false;
+    return true;
   }
 
   /// Pair-group fast path. A pair tracker samples at every pair boundary
@@ -1178,10 +1083,8 @@ class chunked_filter_engine final : public filter_engine {
     }
     if (any_run_members) {
       ensure_run_verdicts(record);
-      for (std::size_t m = 0; m < members; ++m)
-        if (run_capable_[info.members[m]] &&
-            !((any_mask_ >> run_slot_[info.members[m]]) & 1))
-          return false;  // member never pulses anywhere in the record
+      if (!run_members_in(info, any_mask_))
+        return false;  // member never pulses anywhere in the record
     }
     ensure_pair_bounds(record);
 
@@ -1196,10 +1099,7 @@ class chunked_filter_engine final : public filter_engine {
         std::uint64_t seg_mask = 0;
         while (run_lo < runs_.size() && runs_[run_lo].end <= bound)
           seg_mask |= run_masks_[run_lo++];
-        bool all = true;
-        for (std::size_t m = 0; m < members && all; ++m)
-          all = (seg_mask >> run_slot_[info.members[m]]) & 1;
-        return all;
+        return run_members_in(info, seg_mask);
       };
       for (const std::uint32_t bound : pair_bounds_)
         if (segment_fires(bound)) return true;
@@ -1233,10 +1133,7 @@ class chunked_filter_engine final : public filter_engine {
         for (std::size_t r = run_lo;
              r < runs_.size() && runs_[r].end <= bound; ++r)
           seg_mask |= run_masks_[r];
-        for (std::size_t m = 0; m < members; ++m)
-          if (run_capable_[info.members[m]] &&
-              !((seg_mask >> run_slot_[info.members[m]]) & 1))
-            return true;  // keep scanning
+        if (!run_members_in(info, seg_mask)) return true;  // keep scanning
       }
       found = true;
       return false;  // stop the scan: the latch is sticky
@@ -1262,15 +1159,10 @@ class chunked_filter_engine final : public filter_engine {
     // members answer from one bit of the record-wide verdict union -
     // testing them before any string scan rejects most non-matching
     // records without touching the record bytes again.
-    bool any_run_members = false;
-    for (std::size_t m = 0; m < members; ++m)
-      if (run_capable_[info.members[m]]) any_run_members = true;
-    if (any_run_members) {
+    for (const std::size_t e : info.members) {
+      if (!run_capable_[e]) continue;
       ensure_run_verdicts(record);
-      for (std::size_t m = 0; m < members; ++m)
-        if (run_capable_[info.members[m]] &&
-            !((any_mask_ >> run_slot_[info.members[m]]) & 1))
-          return false;
+      if (!((any_mask_ >> run_slot_[e]) & 1)) return false;
     }
     // First-window fast path. The replay below arms at p = min over
     // members of the FIRST pulse, so every member's first pulse is inside
@@ -1401,34 +1293,6 @@ class chunked_filter_engine final : public filter_engine {
     }
   }
 
-  /// Cross-record memo of token-run verdict masks (see
-  /// ensure_run_verdicts). 2-way set-associative (adjacent slot pairs,
-  /// MRU first); the tag is the numeral itself, packed little-endian into
-  /// two words so probe and compare are a pair of integer compares
-  /// instead of a byte loop. Numerals longer than 16 bytes skip the memo
-  /// (vanishingly rare in real streams).
-  struct numeral_memo {
-    static constexpr std::size_t kSlots = 65536;  // power of two
-    static constexpr std::size_t kMaxLen = 16;
-    struct entry {
-      std::uint64_t key0 = 0;
-      std::uint64_t key1 = 0;
-      std::uint8_t len = 0;  // 0 = empty slot (runs are never empty)
-      std::uint64_t mask = 0;
-    };
-    std::vector<entry> slots = std::vector<entry>(kSlots);
-  };
-
-  /// Per-run key/slot scratch of ensure_run_verdicts' prefetch pass.
-  struct memo_probe {
-    enum probe_kind : std::uint8_t { edge, oversize, keyed };
-    std::uint64_t key0 = 0;
-    std::uint64_t key1 = 0;
-    std::uint32_t set = 0;
-    std::uint8_t len = 0;
-    probe_kind kind = edge;
-  };
-
   simd::simd_level level_;               // resolved vector tier
   int max_depth_;                        // saturation bound (depth_bits)
   // The plan version every record evaluates against, plus raw views of its
@@ -1472,7 +1336,6 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<struct_event> events_;
   std::vector<std::uint32_t> pair_bounds_;   // ',' '}' ']' positions
   std::vector<simd::token_run> runs_;        // shared token segmentation
-  std::vector<memo_probe> probes_;           // per run: key + memo set
   std::vector<std::uint64_t> run_masks_;     // per run: engine verdict bits
   std::uint64_t any_mask_ = 0;               // union of run_masks_
   structure_state separator_st_;
@@ -1491,7 +1354,7 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<std::uint64_t> group_epoch_;  // group order
   std::vector<char> group_val_;             // group order
 
-  numeral_memo memo_;  // persists across records, chunks and plan swaps
+  numeral_automaton numerals_;  // run verdicts; restarts on every bind
 };
 
 }  // namespace

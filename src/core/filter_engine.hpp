@@ -49,6 +49,7 @@
 #include "core/expr.hpp"
 #include "core/primitive.hpp"
 #include "core/simd.hpp"
+#include "regex/dfa.hpp"
 
 namespace jrf::core {
 
@@ -248,10 +249,10 @@ struct plan_version {
   std::vector<std::uint32_t> live;    // slots a resident query references
   std::vector<char> run_capable;      // per slot: answers from token runs
   std::vector<std::size_t> run_slot;  // per slot: run verdict mask bit
-  /// Run verdict bits in use, and the engine answering each (null when
-  /// free). Only live engines hold bits.
+  /// Run verdict bits in use, and the token DFA answering each (null
+  /// when free). Only live engines hold bits.
   std::uint64_t run_bits = 0;
-  std::array<const primitive_engine*, 64> run_engines{};
+  std::array<const regex::dfa*, 64> run_dfas{};
   std::vector<compiled_layout::group_info> groups;
   std::size_t max_members = 0;        // largest group
   compiled_layout::plan_node root;    // the plan, when queries == 1
@@ -313,8 +314,8 @@ class filter_engine {
   /// Live-swap support for runtime query add/remove: evaluate every record
   /// decided from now on against `plan`, keeping the stream position (the
   /// framer's in-flight record decides under the new plan), the hook and
-  /// the size telemetry; the numeral memo stays warm unless the new plan
-  /// gives a run verdict bit to another engine. Take the accumulated
+  /// the size telemetry; the lane's numeral automaton is dropped, to be
+  /// rebuilt lazily over the new plan's value leaves. Take the accumulated
   /// decisions first - the bitmap row width follows the new query count.
   /// The scalar byte paths, whose primitives hold partial-match registers
   /// per query, throw jrf::error.

@@ -57,12 +57,6 @@ std::string spec_key(const primitive_spec& spec) {
   return out;
 }
 
-bool primitive_engine::fires_in_any_run(std::span<const unsigned char>,
-                                        unsigned char,
-                                        std::span<const simd::token_run>) const {
-  throw error("primitive engine: token-run bulk path not supported");
-}
-
 namespace {
 
 void validate_search_string(const string_spec& spec) {
@@ -566,7 +560,7 @@ class value_engine final : public primitive_engine {
     });
   }
 
-  // Token-run bulk path. With a non-accepting start state a pulse can only
+  // Token-run path. With a non-accepting start state a pulse can only
   // occur on the first non-token byte after a maximal token run whose DFA
   // walk ends accepting, so walking precomputed runs reproduces scan()
   // exactly; an accepting start state would also pulse on every non-token
@@ -575,13 +569,7 @@ class value_engine final : public primitive_engine {
     return !compiled_->start_accepting;
   }
 
-  bool fires_in_any_run(std::span<const unsigned char> record,
-                        unsigned char terminator,
-                        std::span<const simd::token_run> runs) const override {
-    for (const simd::token_run& run : runs)
-      if (run_accepts(record, terminator, run)) return true;
-    return false;
-  }
+  const regex::dfa* token_dfa() const override { return &compiled_->dfa; }
 
   elaborated_primitive elaborate(network& net, const bus& byte,
                                  node_id record_reset,
@@ -673,24 +661,6 @@ class value_engine final : public primitive_engine {
         i = next_token(i);
       }
     }
-  }
-
-  /// DFA walk of one maximal token run; true iff the pulse scan() would
-  /// emit at run.end occurs. A run that reaches record.size() with a
-  /// token-class terminator never samples (the stream ends mid-token).
-  bool run_accepts(std::span<const unsigned char> record,
-                   unsigned char terminator,
-                   const simd::token_run& run) const {
-    const regex::dfa& dfa = compiled_->dfa;
-    int state = dfa.start();
-    for (std::uint32_t i = run.begin; i < run.end; ++i) {
-      if (compiled_->dead[static_cast<std::size_t>(state)]) return false;
-      state = dfa.step(state, record[i]);
-    }
-    if (run.end == record.size() &&
-        numrange::is_token_byte(terminator))
-      return false;
-    return dfa.accepting(state);
   }
 
   value_spec spec_;

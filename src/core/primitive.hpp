@@ -136,17 +136,13 @@ class primitive_engine {
   /// numeric-token runs of the record (core::bit_runs_in over the bitmap
   /// pass's token map), letting one shared segmentation replace the
   /// engine's own boundary scans. Value engines whose DFA rejects the
-  /// empty token qualify; everything else answers false and
-  /// fires_in_any_run must not be called.
+  /// empty token qualify; everything else answers false.
   virtual bool run_capable() const { return false; }
 
-  /// True when at least one pulse occurs whose position falls at the end
-  /// of one of `runs` (any subrange of the record's maximal token runs).
-  /// Precondition: run_capable() and `runs` are maximal token runs
-  /// of `record`, as bit_runs_in yields them.
-  virtual bool fires_in_any_run(std::span<const unsigned char> record,
-                                unsigned char terminator,
-                                std::span<const simd::token_run> runs) const;
+  /// The number-range token DFA of a value engine, null for the others. A
+  /// run_capable() engine pulses at the end of a maximal token run iff it
+  /// accepts the run's bytes (a stream ending mid-token never samples).
+  virtual const regex::dfa* token_dfa() const { return nullptr; }
 
   /// Elaborate into the network. `byte` is the stream input; `record_reset`
   /// is a combinational line that is high on record-boundary bytes. The

@@ -188,6 +188,112 @@ TEST(ChunkedEquivalence, DeadValueRunReachingTheRecordEnd) {
                              "separator 9", digit);
 }
 
+/// Every query alone (N=1) and all of them as one fleet (N>1) on the
+/// chunked engine, at every SIMD tier, fed whole and in chunks of `widths`
+/// bytes: each decision column must equal raw_filter::push's.
+void expect_fleet_matches_push(const std::vector<core::expr_ptr>& queries,
+                               const std::string& stream,
+                               const std::string& label,
+                               const core::filter_options& base) {
+  std::vector<std::vector<bool>> expected;
+  for (const core::expr_ptr& q : queries)
+    expected.push_back(core::raw_filter(q, base).filter_stream(stream));
+  const auto feed = [&](core::filter_engine& engine, std::size_t width) {
+    for (std::size_t off = 0; off < stream.size(); off += width)
+      engine.scan_chunk(std::string_view(stream).substr(off, width));
+    engine.finish();
+  };
+  for (const core::simd::simd_level level : core::simd::available_levels()) {
+    core::filter_options options = base;
+    options.simd = level;
+    for (const std::size_t width :
+         {stream.size(), std::size_t{1}, std::size_t{7}, std::size_t{63},
+          std::size_t{64}, std::size_t{65}}) {
+      const std::string where = label + " simd=" +
+                                core::simd::to_string(level) +
+                                " width=" + std::to_string(width);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        auto single =
+            core::make_filter_engine(core::engine_kind::chunked, queries[q], options);
+        feed(*single, width);
+        ASSERT_EQ(single->decisions(), expected[q]) << where << " query " << q;
+      }
+      auto fleet =
+          core::make_filter_engine(core::engine_kind::chunked, queries, options);
+      feed(*fleet, width);
+      for (std::size_t q = 0; q < queries.size(); ++q)
+        ASSERT_EQ(fleet->decision_column(q), expected[q])
+            << where << " fleet column " << q;
+    }
+  }
+}
+
+TEST(ChunkedEquivalence, AdversarialNumerals) {
+  // Token runs the run-verdict stage must decide like the byte-serial
+  // value primitive: numerals longer than 16 bytes, runs made only of
+  // exponent letters, signs or dots, runs straddling 64-byte words and
+  // ingest-chunk splits (the padding walks every alignment), and a
+  // numeral ending the stream under a token-class separator, which is
+  // never sampled.
+  const auto value = [](numrange::range_spec range, bool escape) {
+    numrange::build_options options;
+    options.exponent_escape = escape;
+    return core::primitive_spec{core::value_spec{std::move(range), options}};
+  };
+  const std::vector<core::expr_ptr> queries{
+      core::value_leaf(numrange::range_spec::real_range("0.7", "35.1")),
+      core::leaf(value(numrange::range_spec::integer_range(
+                           "10000000000000000000", "99999999999999999999"),
+                       false)),
+      core::leaf(value(numrange::range_spec::real_range("-1", "0.5"), false)),
+      core::leaf(value(numrange::range_spec::at_least("3", numrange::numeric_kind::real),
+                       true)),
+      core::disj({core::value_leaf(numrange::range_spec::integer_range("-5", "5")),
+                  core::value_leaf(numrange::range_spec::real_range("100", "200"))}),
+      core::make_group(
+          core::group_kind::scope,
+          {core::string_spec{core::string_technique::substring, 1, "v"},
+           value(numrange::range_spec::real_range("0", "1"), true)}),
+  };
+  const std::vector<std::string> numerals{
+      "12345678901234567890", "-0.000000000000000001234",
+      "35.10000000000000000000001", "1e+000000000000000000005",
+      "00000000000000000000000000000000000000000000000000000000000000000017",
+      "99999999999999999999", "100000000000000000000",
+      "e", "E", "eE", "eeeeeeeeeeeeeeeeeeeeeeee", "+", "-", "+-", "--", ".",
+      "...", "e.E-+", "-.e", ".5", "5.", "-0", "0.7", "35.1", "35.11", "3",
+      "1.5e3", "2E-2", "0.25", "150", "-5", "+5", "5-", "1-2", "0.5.5"};
+  std::string stream;
+  std::size_t pad = 0;
+  for (const std::string& numeral : numerals) {
+    for (int k = 0; k < 3; ++k, pad = (pad + 13) % 71) {
+      stream += "{\"p\":\"" + std::string(pad, 'a') + "\",\"v\":" + numeral +
+                ",\"w\":[" + numeral + "," + numeral + "]}\n";
+      stream += numeral + "\n";  // a bare run: the whole record
+    }
+  }
+  stream += "{\"v\":12.5} 0.25";  // unterminated: the flush samples it
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<bool> column = core::raw_filter(queries[q]).filter_stream(stream);
+    EXPECT_NE(std::count(column.begin(), column.end(), true), 0) << "query " << q;
+    EXPECT_NE(std::count(column.begin(), column.end(), false), 0) << "query " << q;
+  }
+  expect_fleet_matches_push(queries, stream, "separator \\n", {});
+  for (const char separator : {'7', '-', 'e'}) {
+    // Token-class separators: every record's last run reaches its end,
+    // and the final unterminated numeral is never sampled.
+    core::filter_options options;
+    options.separator = static_cast<unsigned char>(separator);
+    std::string tokens = "{\"v\":0.8}";
+    for (std::size_t i = 0; i < numerals.size(); ++i)
+      tokens += std::string(i % 5, ' ') + "{\"v\":" + numerals[i] + "} " +
+                numerals[(i + 1) % numerals.size()] + separator;
+    tokens += "{\"v\":12.5} 1234.5";
+    expect_fleet_matches_push(queries, tokens,
+                              std::string("separator ") + separator, options);
+  }
+}
+
 TEST(ChunkedEquivalence, BufferBoundaryChunkWidths) {
   // Feed the stream through scan_chunk in buffers of the widths around the
   // bitmap pass's 64-byte block size, so records (and escape sequences)

@@ -11,7 +11,7 @@
 // compaction threshold. After every step:
 //
 //   * a chunked lane that lives across every step (swap_plan onto each new
-//     version, warm numeral memo kept) decides the stream, fed in pieces
+//     version, numeral automaton reset) decides the stream, fed in pieces
 //     cut at random offsets, byte-identically to a from-scratch
 //     compile_set of the same resident queries;
 //   * both equal the scalar engine's flat plan - one raw_filter per query,
