@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/filter_engine.hpp"
+#include "core/framer.hpp"
 #include "core/raw_filter.hpp"
 #include "core/simd.hpp"
 #include "data/smartcity.hpp"
@@ -191,10 +192,10 @@ TEST(ChunkedEquivalence, DeadValueRunReachingTheRecordEnd) {
 /// Every query alone (N=1) and all of them as one fleet (N>1) on the
 /// chunked engine, at every SIMD tier, fed whole and in chunks of `widths`
 /// bytes: each decision column must equal raw_filter::push's.
-void expect_fleet_matches_push(const std::vector<core::expr_ptr>& queries,
-                               const std::string& stream,
-                               const std::string& label,
-                               const core::filter_options& base) {
+void expect_fleet_matches_push(
+    const std::vector<core::expr_ptr>& queries, const std::string& stream,
+    const std::string& label, const core::filter_options& base,
+    std::vector<std::size_t> widths = {1, 7, 63, 64, 65}) {
   std::vector<std::vector<bool>> expected;
   for (const core::expr_ptr& q : queries)
     expected.push_back(core::raw_filter(q, base).filter_stream(stream));
@@ -203,12 +204,11 @@ void expect_fleet_matches_push(const std::vector<core::expr_ptr>& queries,
       engine.scan_chunk(std::string_view(stream).substr(off, width));
     engine.finish();
   };
+  widths.insert(widths.begin(), stream.size());  // whole
   for (const core::simd::simd_level level : core::simd::available_levels()) {
     core::filter_options options = base;
     options.simd = level;
-    for (const std::size_t width :
-         {stream.size(), std::size_t{1}, std::size_t{7}, std::size_t{63},
-          std::size_t{64}, std::size_t{65}}) {
+    for (const std::size_t width : widths) {
       const std::string where = label + " simd=" +
                                 core::simd::to_string(level) +
                                 " width=" + std::to_string(width);
@@ -334,6 +334,257 @@ TEST(ChunkedEquivalence, InflatedStreamWithTrailingRecord) {
       data::inflate(data::smartcity_generator().stream(120), 256u << 10);
   stream.pop_back();  // drop the final separator
   expect_identical_decisions(expr, stream, "inflated trailing");
+}
+
+
+// ---------------------------------------------------------------------------
+// Edge cases of the tracker and the hit counter, and records at the chunked
+// engine's 64 KiB window edges.
+
+core::primitive_spec gram(int block, const char* text) {
+  return core::string_spec{core::string_technique::substring, block, text};
+}
+core::primitive_spec dfa_text(const char* text) {
+  return core::string_spec{core::string_technique::dfa, 1, text};
+}
+core::primitive_spec range(const char* lo, const char* hi) {
+  return core::value_spec{numrange::range_spec::real_range(lo, hi), {}};
+}
+
+/// Each query accepts some record of `stream` and rejects another, so the
+/// comparisons below can tell a wrong engine from a constant one.
+void expect_mixed(const std::vector<core::expr_ptr>& queries,
+                  const std::string& stream, const std::string& label,
+                  const core::filter_options& options) {
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<bool> column =
+        core::raw_filter(queries[q], options).filter_stream(stream);
+    EXPECT_NE(std::count(column.begin(), column.end(), true), 0)
+        << label << " query " << q;
+    EXPECT_NE(std::count(column.begin(), column.end(), false), 0)
+        << label << " query " << q;
+  }
+}
+
+/// accepts() and accepts_bits() on every record of `stream` (framed like
+/// the filters frame it) against raw_filter::accepts, N=1 and the fleet.
+void expect_accepts_match(const std::vector<core::expr_ptr>& queries,
+                          const std::string& stream, const std::string& label,
+                          const core::filter_options& options) {
+  std::vector<std::string> records;
+  core::for_each_record(
+      stream, [&](std::string_view r) { records.emplace_back(r); },
+      options.separator);
+  auto fleet =
+      core::make_filter_engine(core::engine_kind::chunked, queries, options);
+  std::vector<std::uint64_t> words(fleet->words_per_record());
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const bool any = fleet->accepts_bits(records[r], words.data());
+    bool want_any = false;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const bool want = core::raw_filter(queries[q], options).accepts(records[r]);
+      want_any = want_any || want;
+      auto single = core::make_filter_engine(core::engine_kind::chunked,
+                                             queries[q], options);
+      ASSERT_EQ(single->accepts(records[r]), want)
+          << label << " record " << r << " query " << q;
+      ASSERT_EQ(((words[q / 64] >> (q % 64)) & 1) != 0, want)
+          << label << " record " << r << " fleet bit " << q;
+    }
+    ASSERT_EQ(any, want_any) << label << " record " << r;
+  }
+}
+
+/// `d` opening brackets (every third a '['), and the closes matching them.
+std::string opens(int d) {
+  std::string out;
+  for (int i = 0; i < d; ++i) out += i % 3 == 2 ? '[' : '{';
+  return out;
+}
+std::string closes(int d) {
+  std::string out;
+  for (int i = d; i-- > 0;) out += i % 3 == 2 ? ']' : '}';
+  return out;
+}
+
+std::vector<core::expr_ptr> structural_fleet() {
+  return {
+      core::make_group(core::group_kind::scope, {gram(1, "key"), range("0", "5")}),
+      core::make_group(core::group_kind::scope,
+                       {gram(2, "key"), range("0", "5"), gram(1, "v")}),
+      core::make_group(core::group_kind::pair, {gram(1, "key"), range("0", "5")}),
+      core::conj({core::make_group(core::group_kind::scope,
+                                   {dfa_text("key"), range("1", "3")}),
+                  core::leaf(range("0", "10"))}),
+  };
+}
+
+TEST(ChunkedEquivalence, ScopesDeeperThanTheDepthCounter) {
+  // Nesting past the saturating counter (depth_bits 2 saturates at 3, 5 at
+  // 31): a group armed at a saturated depth samples at the first close
+  // whose depth_before is back at or below it, so the replay must use the
+  // clamped depths, not the true nesting.
+  std::string stream;
+  for (int d = 0; d <= 40; d += d < 8 ? 1 : 7) {
+    stream += opens(d) + "\"key\":3" + closes(d) + "\n";
+    stream += opens(d) + "\"key\":{\"u\":1},\"v\":3" + closes(d) + "\n";
+    stream += "{\"key\":1," + opens(d) + "\"w\":9" + closes(d) + ",\"v\":2}\n";
+    stream += "{" + opens(d) + "\"key\":\"a\"" + closes(d) + ",\"v\":4}\n";
+    stream += opens(d) + "\"key\":" + opens(d / 2 + 1) + "2" +
+              closes(d / 2 + 1) + closes(d) + "\n";
+    stream += "{\"v\":" + opens(d) + "1" + closes(d) + ",\"key\":0}\n";
+  }
+  const std::vector<core::expr_ptr> queries = structural_fleet();
+  for (const int bits : {2, 5}) {
+    core::filter_options options;
+    options.depth_bits = bits;
+    const std::string label = "depth_bits=" + std::to_string(bits);
+    expect_mixed(queries, stream, label, options);
+    expect_fleet_matches_push(queries, stream, label, options);
+    expect_accepts_match(queries, stream, label, options);
+  }
+}
+
+TEST(ChunkedEquivalence, UnbalancedClosesClampAtZero) {
+  // Closes with no open scope leave the counter at 0; a group armed there
+  // samples at every later close.
+  const std::string stream =
+      "}}]]{\"key\":1}\n"
+      "]\"key\":2}\n"
+      "}}}{\"key\":1,{\"v\":3}}}}}}\n"
+      "\"key\":4}]}\"v\":1}\n"
+      "{\"key\":\"x\"}}}]\"v\":2,\"key\":3\n"
+      "]]]]]]]]]]\"key\"]:]2]\n"
+      "}{}{}{\"key\":0}{\"v\":1}\n"
+      "{{\"key\":9}}}}}}},\"v\":0,\"key\":\"k\"}\n"
+      "},\"key\",\"v\",4,}\n";
+  const std::vector<core::expr_ptr> queries = structural_fleet();
+  for (const int bits : {2, 5}) {
+    core::filter_options options;
+    options.depth_bits = bits;
+    const std::string label = "depth_bits=" + std::to_string(bits);
+    expect_mixed(queries, stream, label, options);
+    expect_fleet_matches_push(queries, stream, label, options);
+    expect_accepts_match(queries, stream, label, options);
+  }
+}
+
+TEST(ChunkedEquivalence, HitCounterWrapsInsideLongMemberRuns) {
+  // A B=1 member's hit counter is threshold-wide hardware: a run of member
+  // bytes fires at threshold, then every 2^w bytes after it (s1 of
+  // "temperature": threshold 11, w 4; s1 of "a," and "a}": threshold 2,
+  // w 2). Runs reach threshold + 2^w and beyond at every alignment, and
+  // member sets holding ',' or '}' make the runs cross pair and scope
+  // boundaries, so where each pulse lands decides the groups.
+  const std::string word = "temperature";
+  std::string stream;
+  std::size_t pad = 0;
+  for (const std::size_t len : {10, 11, 12, 26, 27, 28, 42, 43, 44, 59, 64,
+                                65, 100, 129}) {
+    std::string run;
+    while (run.size() < len) run += word;
+    run.resize(len);
+    for (int k = 0; k < 3; ++k, pad = (pad + 17) % 61) {
+      stream += "{\"p\":\"" + std::string(pad, 'x') + "\",\"" + run +
+                "\":" + std::to_string(len % 50) + "}\n";
+      stream += run + "," + std::to_string(k) + "\n";
+    }
+  }
+  for (int k = 1; k <= 12; ++k) {
+    for (int z = 0; z <= k; z += 2) {
+      std::string pairs, scopes = "{{{{{{{{{{{{";
+      for (int i = 0; i < k; ++i) {
+        pairs += "a,";
+        scopes += "a}";
+        if (i == z) {
+          pairs += "z";
+          scopes += "z";
+        }
+      }
+      stream += pairs + "\n" + scopes + "\n";
+    }
+  }
+  const std::vector<core::expr_ptr> queries{
+      core::leaf(gram(1, "temperature")),
+      core::make_group(core::group_kind::pair,
+                       {gram(1, "temperature"), range("0", "50")}),
+      core::make_group(core::group_kind::scope, {gram(1, "a}"), gram(1, "z")}),
+      core::make_group(core::group_kind::pair, {gram(1, "a,"), gram(1, "z")}),
+  };
+  expect_mixed(queries, stream, "wrap", {});
+  expect_fleet_matches_push(queries, stream, "wrap", {});
+  expect_accepts_match(queries, stream, "wrap", {});
+}
+
+TEST(ChunkedEquivalence, GramsAndDfaTextsBesideAPrintableSeparator) {
+  // A printable separator inside a search text: a gram window or DFA
+  // occurrence may end on the separator byte, but never reach across it -
+  // the primitives restart at the boundary - and a B=1 run of members must
+  // restart there too. Inside a string literal the separator is masked, so
+  // there the same texts do match; the "z" branch keeps every column mixed.
+  for (const char separator : {'|', ','}) {
+    const std::string sep(1, separator);
+    std::string stream;
+    for (const char* body :
+         {"xa", "bx", "a", "b", "ab", "ba", "", "", "b", "{\"a\":\"|,\"}",
+          "aaa", "bbb", "a{\"b\":1}", "{\"k\":\"a\"}a", "b{}", "zab", "ba",
+          "{\"s\":\"a|b|ab|a\"}", "{\"s\":\"a,b,ab,a\"}", "ab{\"s\":\"ab\"}"})
+      stream += std::string(body) + sep;
+    stream += "a" + sep + "b" + sep + "ab";  // unterminated tail
+    const std::string a_sep_b = "a" + sep + "b";
+    const std::string sep_ab = sep + "ab";
+    const std::string b_sep_a = "b" + sep + "a";
+    const std::string a_sep = "a" + sep;
+    const std::string sep_b = sep + "b";
+    const auto or_z = [](core::expr_ptr e) {
+      return core::disj({std::move(e), core::leaf(gram(1, "z"))});
+    };
+    const std::vector<core::expr_ptr> queries{
+        or_z(core::leaf(gram(2, a_sep_b.c_str()))),
+        or_z(core::leaf(gram(1, a_sep_b.c_str()))),
+        or_z(core::leaf(dfa_text(a_sep_b.c_str()))),
+        or_z(core::leaf(gram(3, sep_ab.c_str()))),
+        or_z(core::leaf(dfa_text(b_sep_a.c_str()))),
+        core::make_group(core::group_kind::scope,
+                         {gram(2, a_sep.c_str()), gram(1, "b")}),
+        or_z(core::make_group(core::group_kind::pair,
+                              {dfa_text(sep_b.c_str()), gram(1, "a")})),
+    };
+    core::filter_options options;
+    options.separator = static_cast<unsigned char>(separator);
+    const std::string label = "separator " + sep;
+    expect_mixed(queries, stream, label, options);
+    expect_fleet_matches_push(queries, stream, label, options);
+    expect_accepts_match(queries, stream, label, options);
+  }
+}
+
+TEST(ChunkedEquivalence, RecordsAtWindowEdges) {
+  // Records longer than the engine's 64 KiB window, and records straddling
+  // its edges in every way a feed can place them: whole, byte by byte, and
+  // in chunks of 63 and 64 KiB - 1 / + 0 / + 1 bytes.
+  const std::string city = data::smartcity_generator(7).stream(260);
+  const std::string taxi = data::taxi_generator(7).stream(40);
+  const std::size_t cut = city.find('\n', city.size() / 2) + 1;
+  std::string stream = "{\"pad\":\"" + std::string(70000, 'p') + "\"," +
+                       city.substr(1, city.find('\n') - 1) + "\n";
+  stream += city.substr(0, cut);
+  std::string longest = "{\"e\":[";
+  while (longest.size() < 140000)
+    longest += "{\"n\":\"light\",\"v\":20},{\"n\":\"dust\",\"v\":1000},";
+  longest += "{\"n\":\"temperature\",\"v\":20}]}\n";
+  stream += longest + taxi + city.substr(cut);
+  stream += "{\"pad\":\"" + std::string(66000, 'q') + "\"," +
+            city.substr(1, city.find('\n') - 1);  // unterminated
+  std::vector<core::expr_ptr> queries{
+      query::compile_default(query::riotbench::qs0()),
+      query::compile_default(query::riotbench::qt()),
+      core::leaf(gram(1, "temperature")),
+  };
+  const std::vector<std::size_t> widths{1, 63, 65535, 65536, 65537};
+  ASSERT_GT(stream.size(), std::size_t{5} << 16);
+  expect_mixed(queries, stream, "window edges", {});
+  expect_fleet_matches_push(queries, stream, "window edges", {}, widths);
 }
 
 }  // namespace

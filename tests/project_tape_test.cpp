@@ -446,6 +446,40 @@ TEST(ProjectPipeline, ChunkStraddlingRecordsProjectExactly) {
   }
 }
 
+TEST(ProjectPipeline, RowsAcrossWindowEdgesProjectExactly) {
+  // Streams of several 64 KiB engine windows, batch and offered in
+  // chunks of 64 KiB - 1 / + 0 / + 1: records straddling a window edge
+  // project from the pass they are decided on, like every other record.
+  data::smartcity_generator city(11);
+  data::taxi_generator taxi(11);
+  const std::vector<workload> cases{
+      {"qs0_windows", query::riotbench::qs0(), city.stream(1200)},
+      {"qt_windows", query::riotbench::qt(), taxi.stream(1200)},
+  };
+  for (const workload& w : cases) {
+    ASSERT_GT(w.stream.size(), std::size_t{3} << 16) << w.name;
+    for (const std::size_t width :
+         {w.stream.size(), std::size_t{65535}, std::size_t{65536},
+          std::size_t{65537}}) {
+      auto built = pipeline::make()
+                       .from_query(w.q)
+                       .backend(backend_kind::chunked)
+                       .project()
+                       .build();
+      ASSERT_TRUE(built.has_value()) << built.error().message;
+      for (std::size_t off = 0; off < w.stream.size(); off += width)
+        ASSERT_TRUE(
+            built->offer(std::string_view(w.stream).substr(off, width))
+                .has_value());
+      auto result = built->finish();
+      ASSERT_TRUE(result.has_value()) << result.error().message;
+      EXPECT_GT(result->accepted(), 0u) << w.name;
+      expect_projection_matches(w, *result,
+                                w.name + " width=" + std::to_string(width));
+    }
+  }
+}
+
 TEST(ProjectPipeline, AllBackendsReturnIdenticalProjection) {
   for (const workload& w : workloads()) {
     for (const backend_kind kind :
