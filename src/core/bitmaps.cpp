@@ -45,18 +45,6 @@ inline std::uint64_t find_escaped(std::uint64_t backslash, bool prev,
 
 }  // namespace
 
-std::size_t next_bit(std::span<const std::uint64_t> words, std::size_t from,
-                     std::size_t size) noexcept {
-  if (from >= size) return simd::npos;
-  std::size_t w = from >> 6;
-  std::uint64_t word = words[w] & (~std::uint64_t{0} << (from & 63));
-  while (word == 0) {
-    if (++w >= words.size()) return simd::npos;
-    word = words[w];
-  }
-  return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-}
-
 void collect_bits(std::span<const std::uint64_t> words, std::size_t begin,
                   std::size_t end, simd::simd_level level,
                   std::vector<std::uint32_t>& out) {

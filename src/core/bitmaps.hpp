@@ -15,8 +15,9 @@
 //                                     structural= unmasked { } [ ] ,
 //
 // Downstream consumers never re-walk bytes: record framing is a ctz walk
-// of `boundary`, the group-replay event scan a ctz walk of `structural`
-// restricted to the record's bit range, and the string mask is a bit test.
+// of `boundary`, the scope groups' event walk a ctz walk of `structural`
+// restricted to the record's bit range, the value leaves' token runs come
+// from `token`, and the string mask is a bit test.
 //
 // Speculation (fpga-json-parser style): the escape automaton for a block
 // is evaluated for BOTH carry-in states (escape pending / not pending) and
@@ -36,6 +37,7 @@
 // equivalence suite pins the result to structure_tracker byte for byte.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -54,11 +56,23 @@ struct framing_state {
   friend bool operator==(const framing_state&, const framing_state&) = default;
 };
 
-/// First set bit at position >= `from` in a word array covering `size`
-/// bits; simd::npos when none. Bits >= size must be clear (the pass
-/// guarantees this for its own bitmaps).
-std::size_t next_bit(std::span<const std::uint64_t> words, std::size_t from,
-                     std::size_t size) noexcept;
+/// First set bit in [from, end) of a word array covering at least `end`
+/// bits; simd::npos when none. As a range test, next_bit(w, lo, hi) !=
+/// npos asks whether any bit of [lo, hi) is set.
+inline std::size_t next_bit(std::span<const std::uint64_t> words,
+                            std::size_t from, std::size_t end) noexcept {
+  if (from >= end) return simd::npos;
+  std::size_t w = from >> 6;
+  const std::size_t last = (end - 1) >> 6;
+  std::uint64_t word = words[w] & (~std::uint64_t{0} << (from & 63));
+  while (word == 0) {
+    if (++w > last) return simd::npos;
+    word = words[w];
+  }
+  const std::size_t at =
+      (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+  return at < end ? at : simd::npos;
+}
 
 /// Append the absolute positions of the set bits in [begin, end) to `out`
 /// in ascending order (simd::expand_bits per word - vpcompressb on the

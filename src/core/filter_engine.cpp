@@ -479,8 +479,6 @@ plan_version::plan_version(const compiled_layout& layout)
     run_bits |= std::uint64_t{1} << run_slot[e];
     run_dfas[run_slot[e]] = engines[e]->token_dfa();
   }
-  for (const compiled_layout::group_info& g : groups)
-    max_members = std::max(max_members, g.members.size());
   if (queries == 1) root = layout.roots.front();
   if (!layout.sources_.empty()) front = layout.sources_.front();
 }
@@ -645,19 +643,35 @@ class scalar_filter_engine final : public filter_engine {
 };
 
 // ---------------------------------------------------------------------------
-// Chunked engine: buffer-at-a-time bitmap pipeline.
+// Chunked engine: window-at-a-time bitmap pipeline.
 //
-// One core::bitmap_pass sweep per ingest buffer materialises the string
-// mask, the record boundaries and the structural events as bitmaps
-// (core/bitmaps.hpp); everything downstream is a bit-scan walk:
+// core::record_framer walks every fed buffer in 64 KiB windows, one
+// core::bitmap_pass each (core/bitmaps.hpp): the string mask, the record
+// boundaries, the structural bytes and the numeric-token bytes as bitmaps.
+// Each window then evaluates every live primitive ONCE, into one fire
+// bitmap per leaf engine - the software form of the paper's primitives
+// pulsing on every byte in parallel:
 //
-//   framing      = core::record_framer's ctz walk of the boundary bitmap,
-//   group events = expand of the structural bitmap restricted to the
-//                  record's bit range (positions already unmasked, so the
-//                  per-event structure_state is a pure depth automaton),
-//   leaves       = primitive_engine::fires_in bulk scans over the record
-//                  bytes (unchanged - their pulses don't depend on
-//                  structure).
+//   string leaves = primitive_engine::fire_bits: word-level match_mask
+//                   membership plus the hit-counter run logic,
+//   value leaves  = one numeral-automaton walk per token run of the
+//                   window, a leaf's bit set at the run's end when the
+//                   run's verdict mask holds the leaf's run bit (leaves
+//                   past the 64 run bits scan with their own fire_bits).
+//
+// A record is decided from its bit range [offset, offset + size] in those
+// bitmaps, its terminator included:
+//
+//   leaves       = a range test; an N > 1 plan fills its engine-fire
+//                  bitmap with one range test per live engine and walks
+//                  the plan trie against it,
+//   scope groups = one loop: the arming pulse is the next bit of any
+//                  member, the close comes from the record's structural
+//                  event walk, and the group fires when every member has
+//                  a bit in between,
+//   pair groups  = one loop: a segment between consecutive pair bounds
+//                  holding a bit of the first member fires when every
+//                  member has a bit inside it.
 //
 // Decision-identity with the scalar path rests on three observations:
 //
@@ -666,22 +680,39 @@ class scalar_filter_engine final : public filter_engine {
 //     automaton exactly (core/bitmaps.hpp); a record completed from the
 //     carry gets a fresh-state pass of its own.
 //
-//  2. Bare leaves. The record decision samples sticky per-record latches,
-//     so a bare leaf contributes exactly "did the engine pulse anywhere in
-//     record+separator" - primitive_engine::fires_in, an early-exit bulk
-//     scan.
+//  2. Leaves. The record decision samples sticky per-record latches, so a
+//     bare leaf contributes exactly "did the engine pulse anywhere in
+//     record+separator" - and a fire bitmap holds the pulses step() emits,
+//     restarting after every boundary.
 //
 //  3. Groups. A group tracker's state only changes on bytes where a member
 //     pulses or a sample trigger occurs (unmasked structural byte or the
-//     separator); on every other byte its step() degenerates to a no-op
-//     (no latch change, no sample, armed depth either held or tracking a
-//     value that is only read at arming time). Replaying the tracker over
-//     just those bytes - with the exact structure_state each one had - is
-//     therefore state-identical, and the group latch is "did the tracker
-//     pulse at any sample point". The structural bitmap excludes masked
-//     bytes by construction, so the per-event state needs no string
-//     automaton at all - only the saturating depth counter.
+//     separator); on every other byte its step() is a no-op. A scope
+//     tracker arms at the first member pulse after a clear, freezing the
+//     depth before that byte, and samples at the next scope close back at
+//     or below that depth, or at the separator; a pair tracker samples at
+//     every pair bound and the separator. Each loop iteration is one such
+//     armed window, and the group fires iff every member latched in it.
+//     The structural bitmap excludes masked bytes by construction, so the
+//     event walk needs only the saturating depth counter.
 // ---------------------------------------------------------------------------
+
+/// Highest set bit in [lo, before), simd::npos when none.
+std::size_t prev_bit(const std::uint64_t* words, std::size_t lo,
+                     std::size_t before) noexcept {
+  if (before <= lo) return simd::npos;
+  std::size_t w = (before - 1) >> 6;
+  std::uint64_t word = words[w] & (~std::uint64_t{0} >> (63 - ((before - 1) & 63)));
+  for (;;) {
+    if (word != 0) {
+      const std::size_t at =
+          (w << 6) + 63 - static_cast<std::size_t>(std::countl_zero(word));
+      return at >= lo ? at : simd::npos;
+    }
+    if (w == lo >> 6) return simd::npos;
+    word = words[--w];
+  }
+}
 
 class chunked_filter_engine final : public filter_engine {
  public:
@@ -700,8 +731,12 @@ class chunked_filter_engine final : public filter_engine {
   void reset() override { framer_.reset(); }
 
   void scan_chunk(std::span<const unsigned char> chunk) override {
-    framer_.feed(chunk, [this](const auto&... r) { decide(r...); });
-    fire_deferred();
+    framer_.feed(
+        chunk, [this](const auto&... r) { decide(r...); },
+        [this](const bitmap_pass&) {
+          fire_deferred();
+          bits_pass_ = nullptr;  // the next window computes a new pass
+        });
   }
 
   void finish() override {
@@ -725,20 +760,23 @@ class chunked_filter_engine final : public filter_engine {
     if (words != nullptr)
       std::fill_n(words, words_per_record(), std::uint64_t{0});
     // accepts() == decision of the final (possibly empty) segment: push()
-    // discards the state of every earlier segment at its boundary.
-    const auto* data = reinterpret_cast<const unsigned char*>(record.data());
+    // discards the state of every earlier segment at its boundary, and a
+    // masked final separator decides nothing.
     const std::size_t n = record.size();
-    record_pass_.compute(data, n, options_.separator, {}, level_);
+    record_buf_.assign(record.begin(), record.end());
+    record_buf_.push_back(static_cast<char>(options_.separator));
+    const auto* data = reinterpret_cast<const unsigned char*>(record_buf_.data());
+    record_pass_.compute(data, n + 1, options_.separator, {}, level_);
     std::size_t last_start = 0;
+    std::size_t last = simd::npos;
     for (std::size_t b = record_pass_.next_boundary(0); b != simd::npos;
-         b = record_pass_.next_boundary(b + 1))
-      last_start = b + 1;
-    const bool masked =
-        record_pass_.end_state().in_string || options_.separator == '"';
+         b = record_pass_.next_boundary(b + 1)) {
+      if (b < n) last_start = b + 1;
+      last = b;
+    }
     const bool decision =
-        masked ? false
-               : evaluate_record({data + last_start, n - last_start},
-                                 record_pass_, last_start, words);
+        last == n && evaluate_record({data + last_start, n - last_start},
+                                     record_pass_, last_start, words);
     reset();
     return decision;
   }
@@ -779,9 +817,16 @@ class chunked_filter_engine final : public filter_engine {
     multi_ = p.queries > 1;
     engines_ = p.engines.data();
     run_capable_ = p.run_capable.data();
-    run_slot_ = p.run_slot.data();
-    fire_cursor_.resize(p.max_members);
-    fire_lists_.resize(p.max_members);
+    for (const std::uint32_t e : p.live)
+      if (run_capable_[e]) run_owner_[p.run_slot[e]] = e;
+    has_scopes_ = has_pairs_ = false;
+    std::size_t members = 0;
+    for (const compiled_layout::group_info& g : p.groups) {
+      (g.kind == group_kind::scope ? has_scopes_ : has_pairs_) = true;
+      members = std::max(members, g.members.size());
+    }
+    cursor_.resize(members);
+    bits_pass_ = nullptr;  // the fire bitmaps follow the plan's engines
     engine_words_ = (p.engines.size() + 63) / 64;
     fired_words_.assign(multi_ ? engine_words_ : 0, 0);
     group_epoch_.assign(multi_ ? p.groups.size() : 0, 0);
@@ -799,14 +844,15 @@ class chunked_filter_engine final : public filter_engine {
   }
 
   /// Decide one framed record: evaluate it, log its size and fire its
-  /// accepted-record hook. A record inside the framer's buffer pass DEFERS
+  /// accepted-record hook. A record inside the framer's window pass DEFERS
   /// its hook (that pass outlives the record): running the projection
   /// walks back-to-back in small groups instead of interleaved per record
   /// keeps the walk's code and branch state warm, while flushing every few
-  /// dozen records keeps the group's bytes within the cache footprint the
-  /// evaluation just touched. A record completed from the carry fires at
-  /// once - its bytes and pass die with the callback. Every fire still
-  /// lands inside the scan_chunk()/finish() call, before take_decisions().
+  /// dozen records (and at every window's end) keeps the group's bytes
+  /// within the cache footprint the evaluation just touched. A record
+  /// completed from the carry fires at once - its bytes and pass die with
+  /// the callback. Every fire still lands inside the scan_chunk()/finish()
+  /// call, before take_decisions().
   void decide(std::span<const unsigned char> record, const bitmap_pass& pass,
               std::size_t offset) {
     const bool accepted = evaluate_record(record, pass, offset, next_words());
@@ -824,472 +870,309 @@ class chunked_filter_engine final : public filter_engine {
     ++ordinal_;
   }
 
-  /// Evaluate one record against the bitmaps of the pass that framed it;
-  /// `offset` is the record's first byte as a bit position in `pass`.
-  /// Returns the any-match verdict; when `words` is non-null (pre-zeroed,
-  /// words_per_record() entries) bit q is set for each accepting query.
-  /// The bitmap pass, event walks, token runs and run verdicts are shared
-  /// across every resident query's plan; multi-query evaluation computes
+  /// Evaluate one record against the pass that framed it; `offset` is the
+  /// record's first byte as a bit position in `pass`, whose bit offset +
+  /// record.size() is the record's terminator. Returns the any-match
+  /// verdict; when `words` is non-null (pre-zeroed, words_per_record()
+  /// entries) bit q is set for each accepting query. The first record of a
+  /// pass builds the pass's fire bitmaps, which every later record of it
+  /// and every resident query's plan read; multi-query evaluation computes
   /// one engine-fire bitmap per record and walks the conjunct-prefix trie
   /// against it, so a shared conjunct evaluates once and fans out to every
   /// subscribing verdict bit (group outcomes stay memoized per record).
   bool evaluate_record(std::span<const unsigned char> record,
                        const bitmap_pass& pass, std::size_t offset,
                        std::uint64_t* words = nullptr) {
-    events_ready_ = false;
-    positions_ready_ = false;
-    pair_bounds_ready_ = false;
-    runs_ready_ = false;
-    verdicts_ready_ = false;
+    window_ = record.data() - offset;
+    if (&pass != bits_pass_) build_bits(pass);
     cur_pass_ = &pass;
-    cur_offset_ = offset;
-    if (!multi_) {
-      const bool accepted = eval(plan_->root, record);
-      if (accepted && words != nullptr) words[0] = 1;
-      return accepted;
-    }
-    ++record_epoch_;  // pre-increment: the zero-initialised stamps of a
-                      // fresh/cloned engine can never falsely hit
-    // Engine-fire bitmap: one eager pulse test per UNIQUE engine (run-
-    // capable engines answer from the shared token-run verdict union, the
-    // rest from early-exit fires_in scans). Every leaf of every resident
-    // plan reads its bit from here, and the trie walk below prunes whole
-    // query subtrees off it - a record's cost is O(unique engines) plus
-    // the trie nodes whose required engines all fired, not O(resident
-    // queries).
-    std::fill(fired_words_.begin(), fired_words_.end(), 0);
-    if (plan_->run_bits != 0) ensure_run_verdicts(record);
-    for (const std::uint32_t e : plan_->live) {
-      const bool fired =
-          run_capable_[e]
-              ? ((any_mask_ >> run_slot_[e]) & 1) != 0
-              : engines_[e]->fires_in(record, options_.separator);
-      if (fired) fired_words_[e / 64] |= std::uint64_t{1} << (e % 64);
-    }
+    lo_ = offset;
+    hi_ = offset + record.size() + 1;
+    events_ready_ = false;
     bool any = false;
-    for (const std::size_t root : plan_->trie_roots) {
-      eval_trie(plan_->trie[root], record, words, any);
-      if (any && words == nullptr) break;  // any-match probe: one hit decides
+    if (!multi_) {
+      any = eval(plan_->root);
+      if (any && words != nullptr) words[0] = 1;
+    } else {
+      ++record_epoch_;  // pre-increment: the zero-initialised stamps of a
+                        // fresh/cloned engine can never falsely hit
+      // Engine-fire bitmap: one range test per live engine. Every leaf of
+      // every resident plan reads its bit from here, and the trie walk
+      // below prunes whole query subtrees off it - a record's cost is
+      // O(unique engines) plus the trie nodes whose required engines all
+      // fired, not O(resident queries).
+      std::fill(fired_words_.begin(), fired_words_.end(), 0);
+      for (const std::uint32_t e : plan_->live)
+        if (next_bit(fire_bits(e), lo_, hi_) != simd::npos)
+          fired_words_[e / 64] |= std::uint64_t{1} << (e % 64);
+      for (const std::size_t root : plan_->trie_roots) {
+        eval_trie(plan_->trie[root], words, any);
+        if (any && words == nullptr) break;  // any-match probe: one hit decides
+      }
     }
+    // A carried record's or a probe's pass dies with this call.
+    if (&pass != &framer_.pass()) bits_pass_ = nullptr;
     return any;
+  }
+
+  /// The fire bitmap of engine slot `e` over the current pass.
+  std::span<const std::uint64_t> fire_bits(std::size_t e) const {
+    return {bits_.data() + e * stride_, stride_};
+  }
+
+  /// Did engine `e` pulse anywhere in the current record+terminator?
+  bool fired(std::size_t e) const {
+    if (multi_) return (fired_words_[e / 64] >> (e % 64)) & 1;
+    return next_bit(fire_bits(e), lo_, hi_) != simd::npos;
+  }
+
+  /// Fill one fire bitmap per live engine over `pass` (window_ holds its
+  /// bytes), plus the pair-bound bitmap when a group needs it.
+  void build_bits(const bitmap_pass& pass) {
+    bits_pass_ = &pass;
+    const std::size_t n = pass.size();
+    const std::span<const unsigned char> window(window_, n);
+    const std::span<const std::uint64_t> boundary = pass.boundary();
+    stride_ = (n + 63) / 64;
+    if (bits_.size() < plan_->engines.size() * stride_)
+      bits_.resize(plan_->engines.size() * stride_);
+    for (const std::uint32_t e : plan_->live) {
+      std::uint64_t* out = bits_.data() + e * stride_;
+      if (run_capable_[e])
+        std::fill_n(out, stride_, std::uint64_t{0});
+      else
+        engines_[e]->fire_bits(window, boundary, out);
+    }
+    if (plan_->run_bits != 0) walk_runs(pass);
+    if (has_scopes_ || has_pairs_) {
+      // The unmasked scope bytes, split into opens and closes; the pair
+      // bounds are the unmasked ',' '}' ']' - structural minus opens.
+      static const simd::byte_set open_bytes{std::string_view("{[")};
+      static const simd::byte_set close_bytes{std::string_view("}]")};
+      const std::span<const std::uint64_t> structural = pass.structural();
+      opens_.resize(stride_);
+      closes_.resize(stride_);
+      pair_bounds_.resize(stride_);
+      simd::match_words(window_, n, open_bytes, level_, opens_.data());
+      simd::match_words(window_, n, close_bytes, level_, closes_.data());
+      for (std::size_t w = 0; w < stride_; ++w) {
+        opens_[w] &= structural[w];
+        closes_[w] &= structural[w];
+        pair_bounds_[w] = structural[w] & ~opens_[w];
+      }
+    }
+  }
+
+  /// Set every run-capable leaf's bits: one numeral-automaton walk per
+  /// maximal token run of the pass, the run's verdict mask naming the
+  /// leaves that pulse at its end. Runs never reach across a boundary -
+  /// each record's runs restart after it, like the value primitives - and
+  /// a run the pass ends inside is left for the pass that completes it.
+  void walk_runs(const bitmap_pass& pass) {
+    const std::size_t n = pass.size();
+    const std::uint64_t* token = pass.token().data();
+    const std::uint64_t* boundary = pass.boundary().data();
+    const auto runs = [&](std::size_t w) { return token[w] & ~boundary[w]; };
+    // A run ending before a token-class separator is never sampled: the
+    // separator extends it, then the record restarts.
+    const bool token_separator = numrange::is_token_byte(options_.separator);
+    // Up to 8 value leaves take every run's verdict bit without a branch
+    // on it; more iterate the verdict's set bits.
+    std::array<std::uint64_t*, 8> leaf_bits;
+    std::array<unsigned, 8> leaf_bit;
+    const auto leaves = static_cast<std::size_t>(std::popcount(plan_->run_bits));
+    std::size_t k = 0;
+    for (std::uint64_t b = plan_->run_bits; b != 0 && k < 8; b &= b - 1, ++k) {
+      leaf_bit[k] = static_cast<unsigned>(std::countr_zero(b));
+      leaf_bits[k] = bits_.data() + run_owner_[leaf_bit[k]] * stride_;
+    }
+    std::size_t w = 0;
+    std::uint64_t t = runs(0);
+    for (;;) {
+      while (t == 0) {
+        if (++w == stride_) return;
+        t = runs(w);
+      }
+      const std::size_t begin = (w << 6) + std::countr_zero(t);
+      std::uint64_t gap = ~t & (~std::uint64_t{0} << (begin & 63));
+      while (gap == 0) {
+        if (++w == stride_) return;  // the pass ends inside this run
+        gap = ~runs(w);
+      }
+      const std::size_t end = (w << 6) + std::countr_zero(gap);
+      if (end >= n) return;
+      t = runs(w) & (~std::uint64_t{0} << (end & 63));
+      if (token_separator && ((boundary[w] >> (end & 63)) & 1) != 0) continue;
+      const std::uint64_t mask = numerals_.walk(window_ + begin, end - begin);
+      if (mask == 0) continue;  // most runs: no leaf pulses
+      if (leaves <= 8) {
+        for (std::size_t i = 0; i < leaves; ++i)
+          leaf_bits[i][w] |= ((mask >> leaf_bit[i]) & 1) << (end & 63);
+        continue;
+      }
+      for (std::uint64_t m = mask; m != 0; m &= m - 1)
+        bits_[run_owner_[std::countr_zero(m)] * stride_ + w] |=
+            std::uint64_t{1} << (end & 63);
+    }
   }
 
   /// One node of the conjunct-prefix trie: prune on the required-engine
   /// mask, evaluate the conjunct (free for pure nodes - the mask test IS
   /// the truth), then fan satisfied terminals out as whole verdict words
   /// and descend. An ancestor conjunct failing skips every query below it.
-  void eval_trie(const compiled_layout::trie_node& node,
-                 std::span<const unsigned char> record, std::uint64_t* words,
+  void eval_trie(const compiled_layout::trie_node& node, std::uint64_t* words,
                  bool& any) {
     for (std::size_t w = 0; w < engine_words_; ++w)
       if ((fired_words_[w] & node.required[w]) != node.required[w]) return;
-    if (!node.pure && !eval(node.conjunct, record)) return;
+    if (!node.pure && !eval(node.conjunct)) return;
     if (!node.fanout.empty()) {
       any = true;
       if (words != nullptr)
         for (const auto& [word, mask] : node.fanout) words[word] |= mask;
     }
     for (const std::size_t child : node.children) {
-      eval_trie(plan_->trie[child], record, words, any);
+      eval_trie(plan_->trie[child], words, any);
       if (any && words == nullptr) return;
     }
   }
 
-  bool eval(const compiled_layout::plan_node& node,
-            std::span<const unsigned char> record) {
+  bool eval(const compiled_layout::plan_node& node) {
     using plan_node = compiled_layout::plan_node;
     switch (node.k) {
       case plan_node::kind::leaf:
-        // Multi-query leaves read the eagerly computed engine-fire bitmap
-        // (evaluate_record filled it before any plan walk): a leaf's truth
-        // is exactly "did the engine pulse in record+separator".
-        if (multi_)
-          return (fired_words_[node.index / 64] >> (node.index % 64)) & 1;
-        if (run_capable_[node.index]) {
-          ensure_run_verdicts(record);
-          return (any_mask_ >> run_slot_[node.index]) & 1;
-        }
-        return engines_[node.index]->fires_in(record,
-                                                     options_.separator);
+        return fired(node.index);
       case plan_node::kind::group:
         if (multi_) {
           if (group_epoch_[node.index] == record_epoch_)
             return group_val_[node.index] != 0;
-          const bool fired = group_fires(node.index, record);
+          const bool fired = group_fires(node.index);
           group_epoch_[node.index] = record_epoch_;
           group_val_[node.index] = fired ? 1 : 0;
           return fired;
         }
-        return group_fires(node.index, record);
+        return group_fires(node.index);
       case plan_node::kind::conj:
         for (const plan_node& child : node.children)
-          if (!eval(child, record)) return false;
+          if (!eval(child)) return false;
         return true;
       case plan_node::kind::disj:
         for (const plan_node& child : node.children)
-          if (eval(child, record)) return true;
+          if (eval(child)) return true;
         return false;
     }
     throw error("chunked filter: invalid eval node");
   }
 
-  /// One unmasked structural byte of the current record.
-  struct struct_event {
-    std::uint32_t pos = 0;
-    structure_state st;
+  /// One unmasked scope byte of the current record: its absolute position,
+  /// and the saturating depth counter before and after it.
+  struct scope_event {
+    std::size_t pos = 0;
+    int depth_before = 0;
+    int depth = 0;
+    bool close = false;
   };
 
-  /// structure_tracker::step for a byte known to be outside any string
-  /// literal - a pure function of the byte and the saturating depth
-  /// counter. Every bit of the structural bitmap is unmasked by
-  /// construction, so this is the only automaton the event walk needs.
-  structure_state step_unmasked(unsigned char byte, int depth) const {
-    structure_state st;
-    st.depth_before = depth;
-    if (byte == '"') {
-      st.masked = true;  // only reachable via a '"' separator flush step
-    } else if (byte == '{' || byte == '[') {
-      st.scope_open = true;
-      depth = std::min(depth + 1, max_depth_);
-    } else if (byte == '}' || byte == ']') {
-      st.scope_close = true;
-      st.pair_boundary = true;
-      depth = std::max(depth - 1, 0);
-    } else if (byte == ',') {
-      st.pair_boundary = true;
-    }
-    st.depth = depth;
-    return st;
-  }
-
-  /// One expand of the structural bitmap over the record's bit range: the
-  /// record-relative positions of every unmasked structural byte.
-  void ensure_event_positions(std::span<const unsigned char> record) {
-    if (positions_ready_) return;
-    event_positions_.clear();
-    collect_bits(cur_pass_->structural(), cur_offset_,
-                 cur_offset_ + record.size(), level_, event_positions_);
-    if (cur_offset_ != 0)
-      for (std::uint32_t& pos : event_positions_)
-        pos -= static_cast<std::uint32_t>(cur_offset_);
-    positions_ready_ = true;
-  }
-
-  /// Collect the record's structural events from the bitmap pass: the
-  /// structural positions, then the depth automaton over just those
-  /// positions. The pass already resolved string masking and escapes, so
-  /// the event list and the synthesized separator step are identical to
-  /// stepping the full tracker over every byte (the record ends outside
-  /// any literal whenever this is called - masked flushes never evaluate).
-  void ensure_events(std::span<const unsigned char> record) {
+  /// The record's scope events, from the scope bitmaps of its pass:
+  /// positions already unmasked, so the walk is the depth automaton alone.
+  void ensure_events() {
     if (events_ready_) return;
-    ensure_event_positions(record);
     events_.clear();
     int depth = 0;
-    for (const std::uint32_t pos : event_positions_) {
-      const structure_state st = step_unmasked(record[pos], depth);
-      depth = st.depth;
-      events_.push_back({pos, st});
+    const std::size_t end = hi_ - 1;  // the terminator samples regardless
+    for (std::size_t w = lo_ >> 6; (w << 6) < end; ++w) {
+      std::uint64_t scope = opens_[w] | closes_[w];
+      if (w == lo_ >> 6) scope &= ~std::uint64_t{0} << (lo_ & 63);
+      if (w == (end - 1) >> 6 && (end & 63) != 0)
+        scope &= (std::uint64_t{1} << (end & 63)) - 1;
+      for (; scope != 0; scope &= scope - 1) {
+        const auto bit = static_cast<unsigned>(std::countr_zero(scope));
+        scope_event ev{(w << 6) + bit, depth, depth, false};
+        if ((closes_[w] >> bit) & 1) {
+          ev.close = true;
+          depth = std::max(depth - 1, 0);
+        } else {
+          depth = std::min(depth + 1, max_depth_);
+        }
+        ev.depth = depth;
+        events_.push_back(ev);
+      }
     }
-    separator_st_ = step_unmasked(options_.separator, depth);
     events_ready_ = true;
   }
 
-  /// Pair-boundary positions of the record: the unmasked ',' '}' ']'
-  /// bytes, the only sample triggers a pair group reacts to besides the
-  /// final separator.
-  void ensure_pair_bounds(std::span<const unsigned char> record) {
-    if (pair_bounds_ready_) return;
-    ensure_event_positions(record);
-    pair_bounds_.clear();
-    for (const std::uint32_t pos : event_positions_) {
-      const unsigned char b = record[pos];
-      if (b != '{' && b != '[') pair_bounds_.push_back(pos);
+  bool group_fires(std::size_t group) {
+    const compiled_layout::group_info& info = plan_->groups[group];
+    // cursor_[m]: member m's next pulse. A member that never pulses can
+    // never be latched at a sample point.
+    for (std::size_t m = 0; m < info.members.size(); ++m) {
+      const std::size_t e = info.members[m];
+      if (multi_ && !fired(e)) return false;  // one bit of the fire bitmap
+      cursor_[m] = next_bit(fire_bits(e), lo_, hi_);
+      if (cursor_[m] == simd::npos) return false;
     }
-    pair_bounds_ready_ = true;
+    return info.kind == group_kind::scope ? scope_fires(info)
+                                          : pair_fires(info);
   }
 
-  /// Maximal numeric-token runs of the record, shared by every
-  /// run-capable value engine. Extracted from the ingest pass's token
-  /// bitmap (word ops over cached classification) instead of
-  /// re-classifying the record's bytes.
-  void ensure_runs(std::span<const unsigned char> record) {
-    if (runs_ready_) return;
-    bit_runs_in(cur_pass_->token(), cur_offset_, cur_offset_ + record.size(),
-                runs_);
-    runs_ready_ = true;
-  }
-
-  /// Verdict mask of every token run of the record - bit run_slot_[e] set
-  /// iff live engine e pulses at the run's end - from one numeral-automaton
-  /// walk per run. A run the stream ends mid-token (before a token-class
-  /// separator) is never sampled, so no engine pulses there.
-  void ensure_run_verdicts(std::span<const unsigned char> record) {
-    if (verdicts_ready_) return;
-    ensure_runs(record);
-    run_masks_.clear();
-    std::uint64_t any = 0;
-    const bool token_separator = numrange::is_token_byte(options_.separator);
-    for (const simd::token_run& run : runs_) {
-      const std::uint64_t mask =
-          run.end == record.size() && token_separator
-              ? 0
-              : numerals_.walk(record.data() + run.begin, run.end - run.begin);
-      run_masks_.push_back(mask);
-      any |= mask;
+  /// Move every member cursor before `from` to the member's next pulse at
+  /// or after it; false when a member has none left (no later window can
+  /// latch it).
+  bool advance_to(const compiled_layout::group_info& info, std::size_t from) {
+    for (std::size_t m = 0; m < info.members.size(); ++m) {
+      if (cursor_[m] >= from) continue;
+      cursor_[m] = next_bit(fire_bits(info.members[m]), from, hi_);
+      if (cursor_[m] == simd::npos) return false;
     }
-    any_mask_ = any;
-    verdicts_ready_ = true;
-  }
-
-  /// True when every run-capable member of `info` has its bit in `mask`.
-  bool run_members_in(const compiled_layout::group_info& info,
-                      std::uint64_t mask) const {
-    for (const std::size_t e : info.members)
-      if (run_capable_[e] && !((mask >> run_slot_[e]) & 1)) return false;
     return true;
   }
 
-  /// Pair-group fast path. A pair tracker samples at every pair boundary
-  /// and the separator, with no depth dependence at all, so the group
-  /// fires iff some sampling segment (prev sample, sample] contains at
-  /// least one pulse of every member. Only segments holding a pulse of the
-  /// first non-run member (the anchor) can qualify, so the anchor streams
-  /// its pulses (scan_fires) and each pulse's segment is tested on the
-  /// spot: the other listed members by cursor merge over their sorted fire
-  /// lists, run-capable value members lazily by walking the shared token
-  /// runs of just that segment (token bytes are never pair boundaries, so
-  /// no run straddles a segment). The scan stops at the first qualifying
-  /// segment - most records are decided within their first few pulses.
-  bool pair_group_fires(const compiled_layout::group_info& info,
-                        std::span<const unsigned char> record) {
+  /// Windowed replay of the scope tracker: per armed window, the arming
+  /// pulse p (the earliest member cursor), the depth before it, the close
+  /// c that samples (the first scope close at or after p back at or below
+  /// that depth, else the terminator), and whether every member pulses in
+  /// [p, c]. The sample clears every latch, so the next window arms past c.
+  bool scope_fires(const compiled_layout::group_info& info) {
+    ensure_events();
     const std::size_t members = info.members.size();
-    bool any_run_members = false;
-    std::size_t anchor = members;  // first non-run member, streamed
-    for (std::size_t m = 0; m < members; ++m) {
-      if (run_capable_[info.members[m]]) {
-        any_run_members = true;
-        continue;
-      }
-      if (anchor == members) {
-        anchor = m;
-        continue;
-      }
-      fire_lists_[m].clear();
-      engines_[info.members[m]]->fire_positions(
-          record, options_.separator, fire_lists_[m]);
-      // A member that never pulses can never be latched at a sample.
-      if (fire_lists_[m].empty()) return false;
+    const std::size_t terminator = hi_ - 1;  // always samples
+    std::size_t ei = 0;  // events before the current arming pulse
+    int depth = 0;       // depth after events_[0 .. ei)
+    for (;;) {
+      const std::size_t p =
+          *std::min_element(cursor_.begin(), cursor_.begin() + members);
+      while (ei < events_.size() && events_[ei].pos < p)
+        depth = events_[ei++].depth;
+      std::size_t c = terminator;
+      for (std::size_t ej = ei; ej < events_.size(); ++ej)
+        if (events_[ej].close && events_[ej].depth_before <= depth) {
+          c = events_[ej].pos;
+          break;
+        }
+      if (std::all_of(cursor_.begin(), cursor_.begin() + members,
+                      [&](std::size_t at) { return at <= c; }))
+        return true;  // the latch is sticky: one window decides
+      if (c == terminator || !advance_to(info, c + 1)) return false;
     }
-    if (any_run_members) {
-      ensure_run_verdicts(record);
-      if (!run_members_in(info, any_mask_))
-        return false;  // member never pulses anywhere in the record
-    }
-    ensure_pair_bounds(record);
-
-    std::fill(fire_cursor_.begin(),
-              fire_cursor_.begin() + static_cast<std::ptrdiff_t>(members), 0);
-
-    if (anchor == members) {
-      // Every member is run-capable: walk the segments in order, testing
-      // each member against the ORed verdict mask of the segment's runs.
-      std::size_t run_lo = 0;  // first token run not consumed by a segment
-      const auto segment_fires = [&](std::uint32_t bound) {
-        std::uint64_t seg_mask = 0;
-        while (run_lo < runs_.size() && runs_[run_lo].end <= bound)
-          seg_mask |= run_masks_[run_lo++];
-        return run_members_in(info, seg_mask);
-      };
-      for (const std::uint32_t bound : pair_bounds_)
-        if (segment_fires(bound)) return true;
-      return segment_fires(static_cast<std::uint32_t>(record.size()));
-    }
-
-    bool found = false;
-    std::size_t seg = 0;                          // anchor's segment index
-    std::size_t tested = pair_bounds_.size() + 1;  // last segment tested
-    std::size_t run_lo = 0;  // first token run at or past the segment start
-    auto on_fire = [&](std::uint32_t fire) -> bool {
-      while (seg < pair_bounds_.size() && pair_bounds_[seg] < fire) ++seg;
-      if (seg == tested) return true;  // segment already failed; next pulse
-      tested = seg;
-      const std::uint32_t bound =
-          seg < pair_bounds_.size()
-              ? pair_bounds_[seg]
-              : static_cast<std::uint32_t>(record.size());
-      const std::uint32_t low = seg > 0 ? pair_bounds_[seg - 1] + 1 : 0;
-      for (std::size_t m = 0; m < members; ++m) {
-        if (m == anchor || run_capable_[info.members[m]]) continue;
-        const std::vector<std::uint32_t>& list = fire_lists_[m];
-        std::size_t& cursor = fire_cursor_[m];
-        while (cursor < list.size() && list[cursor] < low) ++cursor;
-        if (cursor == list.size() || list[cursor] > bound)
-          return true;  // member silent in this segment; keep scanning
-      }
-      if (any_run_members) {
-        while (run_lo < runs_.size() && runs_[run_lo].end < low) ++run_lo;
-        std::uint64_t seg_mask = 0;
-        for (std::size_t r = run_lo;
-             r < runs_.size() && runs_[r].end <= bound; ++r)
-          seg_mask |= run_masks_[r];
-        if (!run_members_in(info, seg_mask)) return true;  // keep scanning
-      }
-      found = true;
-      return false;  // stop the scan: the latch is sticky
-    };
-    using on_fire_t = decltype(on_fire);
-    engines_[info.members[anchor]]->scan_fires(
-        record, options_.separator,
-        [](void* ctx, std::uint32_t pos) {
-          return (*static_cast<on_fire_t*>(ctx))(pos);
-        },
-        &on_fire);
-    return found;
   }
 
-  bool group_fires(std::size_t group, std::span<const unsigned char> record) {
-    const compiled_layout::group_info& info = plan_->groups[group];
-    const std::size_t members = info.members.size();
-
-    if (info.kind == group_kind::pair) return pair_group_fires(info, record);
-
-    // Necessary condition first: a member that never pulses can never be
-    // latched at a sample point, so the group cannot fire. Run-capable
-    // members answer from one bit of the record-wide verdict union -
-    // testing them before any string scan rejects most non-matching
-    // records without touching the record bytes again.
-    for (const std::size_t e : info.members) {
-      if (!run_capable_[e]) continue;
-      ensure_run_verdicts(record);
-      if (!((any_mask_ >> run_slot_[e]) & 1)) return false;
-    }
-    // First-window fast path. The replay below arms at p = min over
-    // members of the FIRST pulse, so every member's first pulse is inside
-    // [p, c] iff max(first pulses) <= c - the first window's verdict needs
-    // only one pulse per member. Those come from early-exit scans (no fire
-    // lists, no full-record sweeps): most accepting records are decided
-    // here, and a member that never pulses rejects without being scanned
-    // past its (absent) first occurrence.
-    const auto separator_pos = static_cast<std::uint32_t>(record.size());
-    constexpr std::uint32_t no_fire = ~std::uint32_t{0};
-    std::uint32_t first_min = no_fire;
-    std::uint32_t first_max = 0;
-    for (std::size_t m = 0; m < members; ++m) {
-      std::uint32_t first = no_fire;
-      if (run_capable_[info.members[m]]) {
-        const std::uint64_t bit = std::uint64_t{1}
-                                  << run_slot_[info.members[m]];
-        for (std::size_t r = 0; r < runs_.size(); ++r)
-          if (run_masks_[r] & bit) {
-            first = runs_[r].end;
-            break;
-          }
-      } else {
-        engines_[info.members[m]]->scan_fires(
-            record, options_.separator,
-            [](void* ctx, std::uint32_t pos) {
-              *static_cast<std::uint32_t*>(ctx) = pos;
-              return false;  // the first pulse decides the first window
-            },
-            &first);
-      }
-      if (first == no_fire) return false;  // never latched, never fires
-      first_min = std::min(first_min, first);
-      first_max = std::max(first_max, first);
-    }
-    ensure_events(record);
-    {
-      int depth0 = 0;
-      std::size_t ei0 = 0;
-      while (ei0 < events_.size() && events_[ei0].pos < first_min) {
-        depth0 = events_[ei0].st.depth;
-        ++ei0;
-      }
-      std::uint32_t c0 = separator_pos;
-      for (std::size_t ej = ei0; ej < events_.size(); ++ej) {
-        const struct_event& ev = events_[ej];
-        if (ev.st.scope_close && ev.st.depth_before <= depth0) {
-          c0 = ev.pos;
-          break;
-        }
-      }
-      if (first_max <= c0) return true;
-    }
-
-    // First window did not fire: materialise the full pulse lists and run
-    // the general replay (the minority path).
-    for (std::size_t m = 0; m < members; ++m) {
-      fire_lists_[m].clear();
-      if (run_capable_[info.members[m]]) continue;
-      engines_[info.members[m]]->fire_positions(
-          record, options_.separator, fire_lists_[m]);
-    }
-    // Only now materialise the run members' pulse lists off the masks.
-    for (std::size_t m = 0; m < members; ++m) {
-      if (!run_capable_[info.members[m]]) continue;
-      fire_lists_[m].clear();
-      const std::uint64_t bit = std::uint64_t{1} << run_slot_[info.members[m]];
-      for (std::size_t r = 0; r < runs_.size(); ++r)
-        if (run_masks_[r] & bit) fire_lists_[m].push_back(runs_[r].end);
-    }
-
-    // Windowed replay of the scope tracker. The tracker arms at the first
-    // member pulse after a clear, freezing the nesting depth of that byte,
-    // and samples (fire iff every member latched, then clear) at the next
-    // scope close back at or below that depth - or at the final
-    // separator, which always samples. Closes while unarmed are state
-    // no-ops, and closes deeper than the armed depth neither fire nor
-    // clear, so the whole byte-serial automaton collapses to: per window,
-    // find the arming pulse p (earliest remaining pulse of any member),
-    // its depth, the qualifying close c, and test whether every member
-    // pulses within [p, c]. Each event and pulse is visited O(1) times.
-    std::fill(fire_cursor_.begin(), fire_cursor_.begin() +
-              static_cast<std::ptrdiff_t>(members), 0);
-    std::size_t ei = 0;  // events consumed up to the current arming pulse
-    int depth = 0;       // nesting level after events_[0 .. ei)
-
+  /// Pair-group replay: the tracker samples at every pair bound and the
+  /// terminator, with no depth dependence, so the group fires iff some
+  /// segment (previous bound, bound] holds a pulse of every member. Only
+  /// segments holding a pulse of the first member can qualify, so the loop
+  /// visits just those.
+  bool pair_fires(const compiled_layout::group_info& info) {
+    const std::size_t terminator = hi_ - 1;
     for (;;) {
-      // Arming pulse: earliest remaining pulse of any member. Pulses at
-      // or before the previous sample were consumed by earlier windows.
-      std::uint32_t p = separator_pos;
-      bool any_left = false;
-      for (std::size_t m = 0; m < members; ++m)
-        if (fire_cursor_[m] < fire_lists_[m].size()) {
-          any_left = true;
-          p = std::min(p, fire_lists_[m][fire_cursor_[m]]);
-        }
-      if (!any_left) return false;  // nothing left to arm on
-
-      // Depth the tracker would freeze: the nesting level before byte p.
-      while (ei < events_.size() && events_[ei].pos < p) {
-        depth = events_[ei].st.depth;
-        ++ei;
-      }
-      const int armed_depth = depth;
-
-      // Sample position: first scope close at or after p whose
-      // depth_before is back at or below the armed depth.
-      std::uint32_t c = separator_pos;
-      for (std::size_t ej = ei; ej < events_.size(); ++ej) {
-        const struct_event& ev = events_[ej];
-        if (ev.st.scope_close && ev.st.depth_before <= armed_depth) {
-          c = ev.pos;
-          break;
-        }
-      }
-
-      // Fire iff every member pulses inside the window [p, c]; consume
-      // the window's pulses either way (the sample clears all latches).
-      bool all = true;
-      for (std::size_t m = 0; m < members; ++m) {
-        const std::vector<std::uint32_t>& list = fire_lists_[m];
-        std::size_t& cursor = fire_cursor_[m];
-        all = all && cursor < list.size() && list[cursor] <= c;
-        while (cursor < list.size() && list[cursor] <= c) ++cursor;
-      }
-      if (all) return true;  // latch is sticky: one pulse decides
-      if (c == separator_pos) return false;
+      const std::size_t p = cursor_[0];
+      std::size_t bound = next_bit(pair_bounds_, p, terminator);
+      if (bound == simd::npos) bound = terminator;
+      const std::size_t before = prev_bit(pair_bounds_.data(), lo_, p);
+      const std::size_t low = before == simd::npos ? lo_ : before + 1;
+      if (!advance_to(info, low)) return false;
+      if (std::all_of(cursor_.begin(), cursor_.begin() + info.members.size(),
+                      [&](std::size_t at) { return at <= bound; }))
+        return true;
+      if (bound == terminator || !advance_to(info, bound + 1)) return false;
     }
   }
 
@@ -1299,15 +1182,17 @@ class chunked_filter_engine final : public filter_engine {
   // per-slot arrays for the hot loops (valid while plan_ holds it).
   std::shared_ptr<const plan_version> plan_;
   const std::shared_ptr<const primitive_engine>* engines_ = nullptr;
-  const char* run_capable_ = nullptr;      // slot order: token-run bulk path
-  const std::size_t* run_slot_ = nullptr;  // slot order: verdict-mask bit
-  bool multi_ = false;                     // query_count() > 1
+  const char* run_capable_ = nullptr;     // slot order: run-bit holders
+  std::array<std::uint32_t, 64> run_owner_{};  // run bit -> engine slot
+  bool multi_ = false;                    // query_count() > 1
+  bool has_scopes_ = false;               // some group is a scope group
+  bool has_pairs_ = false;                // some group is a pair group
 
   record_framer framer_;        // stream framing (persists across chunks)
   std::uint64_t ordinal_ = 0;   // stream records decided (hook index)
 
-  // Accepted in-buffer records whose hook fire is deferred into small
-  // batched groups (never survives past its scan_chunk; see decide).
+  // Accepted in-window records whose hook fire is deferred into small
+  // batched groups (never survives past its window; see decide).
   struct deferred_hook {
     std::uint64_t ordinal;
     std::span<const unsigned char> record;
@@ -1322,25 +1207,28 @@ class chunked_filter_engine final : public filter_engine {
     deferred_hooks_.clear();
   }
 
-  bitmap_pass record_pass_;  // accepts_bits' standalone record
+  std::string record_buf_;   // accepts_bits' record and terminator
+  bitmap_pass record_pass_;  // accepts_bits' pass over record_buf_
+
+  // Per-pass state: the bytes and fire bitmaps of the pass the current
+  // record was framed from. bits_pass_ names the pass the bitmaps cover
+  // (null once it is gone: a window ended, a carried record or probe was
+  // decided, or the plan changed).
+  const unsigned char* window_ = nullptr;   // the pass's first byte
+  const bitmap_pass* bits_pass_ = nullptr;
+  std::size_t stride_ = 0;                  // words per fire bitmap
+  std::vector<std::uint64_t> bits_;         // [engine slot][word]
+  std::vector<std::uint64_t> opens_;        // unmasked '{' '['
+  std::vector<std::uint64_t> closes_;       // unmasked '}' ']'
+  std::vector<std::uint64_t> pair_bounds_;  // unmasked ',' '}' ']' 
 
   // Per-record scratch, reused across records.
   const bitmap_pass* cur_pass_ = nullptr;  // pass that framed the record
-  std::size_t cur_offset_ = 0;             // record start bit in cur_pass_
+  std::size_t lo_ = 0;                     // record's first bit
+  std::size_t hi_ = 0;                     // one past its terminator bit
   bool events_ready_ = false;
-  bool positions_ready_ = false;
-  bool pair_bounds_ready_ = false;
-  bool runs_ready_ = false;
-  bool verdicts_ready_ = false;
-  std::vector<std::uint32_t> event_positions_;  // record-relative
-  std::vector<struct_event> events_;
-  std::vector<std::uint32_t> pair_bounds_;   // ',' '}' ']' positions
-  std::vector<simd::token_run> runs_;        // shared token segmentation
-  std::vector<std::uint64_t> run_masks_;     // per run: engine verdict bits
-  std::uint64_t any_mask_ = 0;               // union of run_masks_
-  structure_state separator_st_;
-  std::vector<std::size_t> fire_cursor_;
-  std::vector<std::vector<std::uint32_t>> fire_lists_;
+  std::vector<scope_event> events_;
+  std::vector<std::size_t> cursor_;  // per group member: its next pulse
 
   // Multi-query shared-evaluation state (multi_ only). fired_words_ is the
   // per-record engine-fire bitmap every plan leaf reads and the trie's

@@ -254,7 +254,6 @@ struct plan_version {
   std::uint64_t run_bits = 0;
   std::array<const regex::dfa*, 64> run_dfas{};
   std::vector<compiled_layout::group_info> groups;
-  std::size_t max_members = 0;        // largest group
   compiled_layout::plan_node root;    // the plan, when queries == 1
   std::vector<compiled_layout::trie_node> trie;  // queries > 1
   std::vector<std::size_t> trie_roots;

@@ -1,12 +1,17 @@
 // Escape-aware record framing with a carry: the one module that decides
 // what a record boundary is. A record ends at a separator the JSON
 // string-literal automaton leaves unmasked (a '"' separator is always
-// masked). One bitmap_pass per fed buffer, a ctz walk of its boundary
-// bitmap, and the unfinished tail - bytes plus automaton state - carried
-// into the next buffer. The chunked filter engine, the facade's shard-less
-// router and system::filter_system all frame through it.
+// masked). Every fed buffer is walked in windows of at most kWindow bytes:
+// one bitmap_pass per window, a ctz walk of its boundary bitmap, and the
+// next window restarting at the record after the last boundary. Only a
+// record the buffer ends inside (or one longer than a window) goes to the
+// carry - bytes plus automaton state - for the next buffer. The chunked
+// filter engine, the facade's shard-less router and system::filter_system
+// all frame through it, so each holds one window of bitmaps whatever the
+// size of the buffers it is fed.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <string_view>
@@ -24,31 +29,56 @@ class record_framer {
                          simd::simd_level level = simd::simd_level::automatic)
       : separator_(separator), level_(simd::resolve(level)) {}
 
+  /// Bytes per window. A constant: the windows bound the framer's and its
+  /// callers' per-window state, and 64 KiB of bytes and bitmaps stay in L2.
+  static constexpr std::size_t kWindow = std::size_t{1} << 16;
+
   /// on_record(record, pass, offset) for every complete non-empty record
   /// of the stream so far, in order; `offset` is the record's first bit in
-  /// `pass`. A record inside `bytes` gets pass(); one completed from the
-  /// carried tail gets a pass over just its bytes, at offset 0 (a record
-  /// starts from the fresh automaton state, so that pass reproduces the
-  /// stream's). Both live only for the call, which must not feed again.
+  /// `pass`, and the pass also covers the record's terminator, at bit
+  /// offset + record.size(). A record inside `bytes` gets its window's
+  /// pass(); one completed from the carried tail gets a pass over just its
+  /// bytes and the separator, at offset 0 (a record starts from the fresh
+  /// automaton state, so that pass reproduces the stream's). Both live
+  /// only for the call, which must not feed again. on_window(pass()) runs
+  /// after the last record of every window, while its pass still lives.
+  template <class OnRecord, class OnWindow>
+  void feed(std::span<const unsigned char> bytes, OnRecord&& on_record,
+            OnWindow&& on_window) {
+    std::size_t pos = 0;
+    while (pos < bytes.size()) {
+      const std::span<const unsigned char> window =
+          bytes.subspan(pos, std::min(kWindow, bytes.size() - pos));
+      pass_.compute(window.data(), window.size(), separator_, state_, level_);
+      std::size_t start = 0;  // first byte after the last boundary
+      for (std::size_t b = pass_.next_boundary(0); b != simd::npos;
+           b = pass_.next_boundary(b + 1)) {
+        if (!carry_.empty()) {
+          carry_.insert(carry_.end(), window.begin(), window.begin() + b);
+          on_record(carried_record(), std::as_const(tail_pass_),
+                    std::size_t{0});
+          carry_.clear();
+        } else if (b > start) {  // consecutive separators decide nothing
+          on_record(window.subspan(start, b - start), std::as_const(pass_),
+                    start);
+        }
+        start = b + 1;
+      }
+      on_window(std::as_const(pass_));
+      if (start > 0 && pos + window.size() < bytes.size()) {
+        state_ = {};  // the next window starts at a record
+        pos += start;
+        continue;
+      }
+      // The buffer ends inside a record, or the record outruns a window.
+      carry_.insert(carry_.end(), window.begin() + start, window.end());
+      state_ = pass_.end_state();
+      pos += window.size();
+    }
+  }
   template <class OnRecord>
   void feed(std::span<const unsigned char> bytes, OnRecord&& on_record) {
-    if (bytes.empty()) return;
-    pass_.compute(bytes.data(), bytes.size(), separator_, state_, level_);
-    std::size_t start = 0;
-    for (std::size_t b = pass_.next_boundary(0); b != simd::npos;
-         b = pass_.next_boundary(b + 1)) {
-      if (!carry_.empty()) {
-        carry_.insert(carry_.end(), bytes.begin() + start, bytes.begin() + b);
-        on_record(carried_record(), std::as_const(tail_pass_), std::size_t{0});
-        carry_.clear();
-      } else if (b > start) {  // consecutive separators decide nothing
-        on_record(bytes.subspan(start, b - start), std::as_const(pass_),
-                  start);
-      }
-      start = b + 1;
-    }
-    carry_.insert(carry_.end(), bytes.begin() + start, bytes.end());
-    state_ = pass_.end_state();
+    feed(bytes, std::forward<OnRecord>(on_record), [](const bitmap_pass&) {});
   }
   template <class OnRecord>
   void feed(std::string_view bytes, OnRecord&& on_record) {
@@ -82,21 +112,23 @@ class record_framer {
     state_ = {};
   }
 
-  /// The last fed buffer's pass, valid until the next feed.
+  /// The last window's pass, valid until the next feed.
   const bitmap_pass& pass() const noexcept { return pass_; }
 
  private:
-  /// The carry as one record, with its own pass from the fresh state.
+  /// The carry as one record, with its own pass from the fresh state over
+  /// its bytes and the separator ending it.
   std::span<const unsigned char> carried_record() {
+    carry_.push_back(separator_);
     tail_pass_.compute(carry_.data(), carry_.size(), separator_, {}, level_);
-    return carry_;
+    return std::span<const unsigned char>(carry_).first(carry_.size() - 1);
   }
 
   unsigned char separator_;
   simd::simd_level level_;  // resolved
   framing_state state_;     // at the end of the last feed
   std::vector<unsigned char> carry_;  // unfinished tail
-  bitmap_pass pass_;                  // last fed buffer
+  bitmap_pass pass_;                  // last window
   bitmap_pass tail_pass_;             // last record completed from carry_
 };
 

@@ -1,9 +1,12 @@
 #include "core/primitive.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <string_view>
+#include <utility>
 
+#include "core/bitmaps.hpp"
 #include "core/simd.hpp"
 #include "util/error.hpp"
 
@@ -92,6 +95,28 @@ class substring_engine final : public primitive_engine {
     for (const std::string& gram : grams_)
       last_bytes.push_back(static_cast<unsigned char>(gram.back()));
     last_bytes_ = simd::byte_set({last_bytes.data(), last_bytes.size()});
+    const auto ladder_to = [](std::size_t target,
+                              std::array<unsigned char, 8>& steps) {
+      std::size_t count = 0;
+      for (std::size_t len = 1; len < target;) {
+        const std::size_t step = std::min(len, target - len);
+        steps[count++] = static_cast<unsigned char>(step);
+        len += step;
+      }
+      return count;
+    };
+    cadence_.threshold = static_cast<unsigned>(threshold_);
+    cadence_.period = mask_ + 1;
+    if (threshold_ <= 64) {
+      cadence_.ladder_steps = ladder_to(cadence_.threshold, cadence_.ladder);
+      for (std::size_t k = cadence_.threshold; k <= 64; k += cadence_.period)
+        ++cadence_.terms;
+      if (cadence_.terms > 1)
+        cadence_.period_steps =
+            ladder_to(cadence_.period, cadence_.period_ladder);
+    }
+    for (std::size_t bit = 0; bit < 64; bit += cadence_.period)
+      cadence_.bits |= std::uint64_t{1} << bit;
   }
 
   void reset() override {
@@ -105,42 +130,13 @@ class substring_engine final : public primitive_engine {
     return copy;
   }
 
-  bool fires_in(std::span<const unsigned char> record,
-                unsigned char terminator) const override {
-    // Exact compare (B = N, threshold 1): a single gram, any occurrence
-    // fires - delegate the scan to the vectored substring search.
-    if (threshold_ == 1 && grams_.size() == 1) {
-      const std::string& gram = grams_.front();
-      if (simd::find_substring(
-              record.data(), record.size(),
-              reinterpret_cast<const unsigned char*>(gram.data()), gram.size(),
-              level_) != simd::npos)
-        return true;
-      return hit_at(record, terminator, record.size());
-    }
-    bool fired = false;
-    scan(record, terminator, [&](std::size_t) {
-      fired = true;
-      return false;  // stop
-    });
-    return fired;
-  }
-
-  void fire_positions(std::span<const unsigned char> record,
-                      unsigned char terminator,
-                      std::vector<std::uint32_t>& out) const override {
-    scan(record, terminator, [&](std::size_t pos) {
-      out.push_back(static_cast<std::uint32_t>(pos));
-      return true;  // keep scanning
-    });
-  }
-
-  void scan_fires(std::span<const unsigned char> record,
-                  unsigned char terminator, fire_sink sink,
-                  void* ctx) const override {
-    scan(record, terminator, [&](std::size_t pos) {
-      return sink(ctx, static_cast<std::uint32_t>(pos));
-    });
+  void fire_bits(std::span<const unsigned char> window,
+                 std::span<const std::uint64_t> boundary,
+                 std::uint64_t* out) const override {
+    if (spec_.block == 1)
+      fire_bits_b1(window, boundary, out);
+    else
+      fire_bits_grams(window, boundary, out);
   }
 
   bool step(unsigned char byte) override {
@@ -204,164 +200,177 @@ class substring_engine final : public primitive_engine {
 
  private:
   /// Candidate-driven replay of the hit counter: a position can only hit
-  /// when its byte ends some gram, so the scan classifies whole chunks
-  /// against the gram-last-byte set (vectored membership mask), confirms
-  /// each candidate with the scalar window compare, and resets the counter
-  /// across skipped positions (which are all misses). Pulse-for-pulse
-  /// identical to stepping every position: misses cannot fire (threshold
-  /// >= 1) and candidate order is preserved. B = 1 takes the run-length
-  /// path: membership is the whole compare, so whole runs of set mask
-  /// bits advance the counter at once.
-  template <typename OnFire>
-  void scan(std::span<const unsigned char> record, unsigned char terminator,
-            OnFire&& on_fire) const {
-    if (spec_.block == 1) {
-      scan_b1(record, terminator, on_fire);
-      return;
-    }
-    const std::size_t n = record.size();
-    const std::size_t width = simd::chunk_width(level_);
+  /// when its byte ends some gram, so the scan classifies the window
+  /// against the gram-last-byte set (into `out`, which each word's pulses
+  /// then replace), confirms each candidate with
+  /// the scalar window compare, and resets the counter across skipped
+  /// positions (which are all misses) and after every record boundary.
+  /// Pulse-for-pulse identical to stepping every position: misses cannot
+  /// fire (threshold >= 1) and candidate order is preserved.
+  void fire_bits_grams(std::span<const unsigned char> window,
+                       std::span<const std::uint64_t> boundary,
+                       std::uint64_t* out) const {
+    const std::size_t n = window.size();
+    const auto thr = static_cast<unsigned>(threshold_);
     unsigned counter = 0;
     std::size_t next_pos = 0;  // first position the counter has not seen
-    for (std::size_t base = 0; base < n; base += width) {
-      std::uint64_t mask =
-          simd::match_mask(record.data() + base, n - base, last_bytes_, level_);
+    simd::match_words(window.data(), n, last_bytes_, level_, out);
+    for (std::size_t w = 0, base = 0; base < n; ++w, base += 64) {
+      std::uint64_t mask = std::exchange(out[w], 0);
       while (mask != 0) {
         const auto bit = static_cast<unsigned>(std::countr_zero(mask));
         mask &= mask - 1;
         const std::size_t pos = base + bit;
         if (pos != next_pos) counter = 0;  // skipped positions all missed
-        counter = hit_at(record, terminator, pos) ? ((counter + 1) & mask_) : 0;
+        counter = hit_at(window, boundary, pos) ? ((counter + 1) & mask_) : 0;
         next_pos = pos + 1;
-        if (counter == static_cast<unsigned>(threshold_) && !on_fire(pos))
-          return;
+        if (counter == thr) out[w] |= std::uint64_t{1} << bit;
+        if ((boundary[w] >> bit) & 1) counter = 0;  // the record ends here
       }
-    }
-    // Position n: the appended terminator byte.
-    if (last_bytes_.contains(terminator)) {
-      if (n != next_pos) counter = 0;
-      counter = hit_at(record, terminator, n) ? ((counter + 1) & mask_) : 0;
-      if (counter == static_cast<unsigned>(threshold_)) on_fire(n);
     }
   }
 
-  /// B = 1 run-length replay. A hit at a position is exactly byte-set
-  /// membership (the window compare degenerates to the bitmap test), so a
-  /// run of L consecutive set mask bits advances the wrap-around counter
-  /// by L in one step instead of L confirms. With counter value v at the
-  /// run start, 1-based run offset j fires iff (v + j) mod 2^w ==
-  /// threshold (w = the hardware counter width), so the fires inside a run
-  /// are j0, j0 + 2^w, ... with j0 = ((threshold - v) mod 2^w, or 2^w when
-  /// that is 0). Work per chunk is O(runs + fires), not O(member bytes) -
-  /// the payoff on dense member sets (a one-char gram's last-byte set, or
-  /// any B = 1 spec whose alphabet covers much of the record). The counter
-  /// value, wrap behaviour and emitted pulses match the scalar step()
-  /// exactly, including the fire-every-2^w-bytes cadence inside runs
-  /// longer than the threshold.
-  template <typename OnFire>
-  void scan_b1(std::span<const unsigned char> record, unsigned char terminator,
-               OnFire&& on_fire) const {
-    const std::size_t n = record.size();
-    const std::size_t width = simd::chunk_width(level_);
-    const unsigned modulus = mask_ + 1;
+  /// B = 1 replay. A hit at a position is exactly byte-set membership (the
+  /// window compare degenerates to the bitmap test), and the counter after
+  /// L consecutive hits is L mod 2^w (w = the hardware counter width), so
+  /// a run fires at hit counts threshold, threshold + 2^w, ... - at its
+  /// 1-based offsets j0, j0 + 2^w, ... when it starts from counter value
+  /// v, with j0 = ((threshold - v) mod 2^w, or 2^w when that is 0). Each
+  /// word takes those pulses in bit-parallel form: the run carried in from
+  /// the previous word by the periodic cadence mask shifted to j0, every
+  /// run starting inside the word by the "exactly k long" test R_k & ~(R_k
+  /// << 1) of the run-length ladders R_k (bit i set iff the k hits ending
+  /// at i all lie in the word) for each k of the cadence. A member byte
+  /// that is also a record boundary (a printable separator) ends its run,
+  /// restarting the counter; such words take the run-by-run walk.
+  void fire_bits_b1(std::span<const unsigned char> window,
+                    std::span<const std::uint64_t> boundary,
+                    std::uint64_t* out) const {
+    // Locals, not members: the stores through `out` cannot alias them.
+    const cadence c = cadence_;
+    const unsigned mask = mask_;
     const auto thr = static_cast<unsigned>(threshold_);
+    const std::size_t n = window.size();
     unsigned counter = 0;
-    for (std::size_t base = 0; base < n; base += width) {
-      const std::uint64_t m =
-          simd::match_mask(record.data() + base, n - base, last_bytes_, level_);
-      const std::size_t valid = std::min(width, n - base);
-      if (m == 0) {
-        counter = 0;
+    simd::match_words(window.data(), n, last_bytes_, level_, out);
+    for (std::size_t w = 0; (w << 6) < n; ++w) {
+      const std::uint64_t m = out[w];
+      const std::uint64_t cut = m & boundary[w];
+      if (cut != 0) {
+        out[w] = 0;
+        counter = walk_runs_b1(m, cut, counter, out[w]);
         continue;
       }
-      if (valid == width) {
-        // No-fire fast test. The counter resets on every gap, so a full
-        // chunk can only fire if the carried-in run reaches its next wrap
-        // offset inside the chunk's leading ones, or some interior run is
-        // at least `threshold` long (shift-AND ladder). When neither
-        // holds, the whole run walk collapses to the carry update.
-        bool walk = false;
-        if (counter != 0) {
-          std::size_t j0 = (thr - counter) & mask_;
-          if (j0 == 0) j0 = modulus;
-          walk = static_cast<std::size_t>(std::countr_one(m)) >= j0;
-        }
-        if (!walk) {
-          std::uint64_t ladder = m;
-          std::size_t len = 1;
-          while (len < thr && ladder != 0) {
-            const std::size_t step = std::min(len, thr - len);
-            ladder &= ladder << step;
-            len += step;
-          }
-          walk = ladder != 0;
-        }
-        if (!walk) {
-          const std::uint64_t full =
-              width == 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << width) - 1;
-          counter = m == full
-                        ? (counter + static_cast<unsigned>(width)) & mask_
-                        : static_cast<unsigned>(
-                              std::countl_one(m << (64 - width))) &
-                              mask_;
-          continue;
-        }
-      }
-      std::size_t pos = 0;
-      while (pos < valid) {
-        const std::uint64_t rest = m >> pos;
-        if ((rest & 1) == 0) {
-          if (rest == 0) {
-            counter = 0;  // the chunk ends in misses
-            break;
-          }
-          pos += static_cast<unsigned>(std::countr_zero(rest));
-          counter = 0;  // the gap before the run is all misses
-          continue;
-        }
-        const std::uint64_t inv = ~rest;
-        std::size_t len = inv == 0 ? 64 - pos
-                                   : static_cast<unsigned>(std::countr_zero(inv));
-        len = std::min(len, valid - pos);
-        std::size_t j0 = (thr - counter) & mask_;
-        if (j0 == 0) j0 = modulus;
-        for (std::size_t j = j0; j <= len; j += modulus)
-          if (!on_fire(base + pos + j - 1)) return;
-        counter = (counter + static_cast<unsigned>(len)) & mask_;
-        pos += len;
-      }
-    }
-    // Position n: the appended terminator byte. A miss-final chunk left
-    // the counter at zero, exactly like the per-position replay.
-    if (last_bytes_.contains(terminator)) {
-      counter = (counter + 1) & mask_;
-      if (counter == thr) on_fire(n);
+      const auto lead = static_cast<unsigned>(std::countr_one(m));
+      const std::uint64_t lead_bits = low_bits(counter != 0 ? lead : 0);
+      const unsigned j0 = ((thr - counter - 1) & mask) + 1;
+      const std::uint64_t carried =
+          j0 <= 64 ? (c.bits << (j0 - 1)) & lead_bits : 0;
+      out[w] = carried | c.interior_fires(m & ~lead_bits);
+      counter = (~m == 0 ? counter + 64
+                         : static_cast<unsigned>(std::countl_one(m))) &
+                mask;
     }
   }
 
-  /// Would the scalar window compare hit at `pos`? pos == record.size()
-  /// addresses the terminator byte. The shift buffer starts zero-filled and
-  /// gram bytes are printable, so windows overlapping the pre-record zeros
-  /// never hit - a hit needs pos + 1 >= B.
-  bool hit_at(std::span<const unsigned char> record, unsigned char terminator,
-              std::size_t pos) const {
-    const unsigned char newest = pos < record.size() ? record[pos] : terminator;
-    if (!last_bytes_.contains(newest)) return false;
+  /// Bits [0, len) of a word, len <= 64.
+  static std::uint64_t low_bits(unsigned len) noexcept {
+    return len >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
+  }
+
+  /// The B = 1 pulse cadence within one word: the hit counts threshold +
+  /// t * 2^w that fit, the shift-AND ladders reaching R_threshold and
+  /// R_(2^w), and the period's bits.
+  struct cadence {
+    std::array<unsigned char, 8> ladder{};  // to R_threshold
+    std::size_t ladder_steps = 0;
+    std::array<unsigned char, 8> period_ladder{};  // to R_(2^w)
+    std::size_t period_steps = 0;
+    std::size_t terms = 0;  // thresholds + t * 2^w <= 64
+    unsigned threshold = 0;
+    unsigned period = 0;
+    std::uint64_t bits = 0;  // bits 0, 2^w, 2 * 2^w, ... of a word
+
+    /// R_k of `m` by a shift-AND ladder: bit i set iff bits i-k+1 .. i of
+    /// m are all set (bits before the word count as clear).
+    static std::uint64_t run_ladder(std::uint64_t m,
+                                    const std::array<unsigned char, 8>& steps,
+                                    std::size_t count) noexcept {
+      for (std::size_t k = 0; k < count; ++k) m &= m << steps[k];
+      return m;
+    }
+
+    /// Pulses of the runs of `m` that start inside the word from counter 0.
+    std::uint64_t interior_fires(std::uint64_t m) const noexcept {
+      if (terms == 0) return 0;
+      std::uint64_t r = run_ladder(m, ladder, ladder_steps);  // R_threshold
+      std::uint64_t fires = r & ~(r << 1);
+      if (r != 0 && terms > 1) {
+        // R_(k + 2^w) = R_k & (R_(2^w) << k) for the later cadence points.
+        const std::uint64_t p = run_ladder(m, period_ladder, period_steps);
+        unsigned k = threshold;
+        for (std::size_t t = 1; t < terms; ++t, k += period) {
+          r &= p << k;
+          fires |= r & ~(r << 1);
+        }
+      }
+      return fires;
+    }
+  };
+
+  /// The run-by-run walk of one word whose member bits `m` include record
+  /// boundaries `cut`: sets the word's pulses in `fires` and returns the
+  /// counter after it.
+  unsigned walk_runs_b1(std::uint64_t m, std::uint64_t cut, unsigned counter,
+                        std::uint64_t& fires) const {
+    const unsigned modulus = mask_ + 1;
+    const auto thr = static_cast<unsigned>(threshold_);
+    std::size_t pos = 0;
+    while (pos < 64) {
+      const std::uint64_t rest = m >> pos;
+      if ((rest & 1) == 0) {
+        if (rest == 0) return 0;  // the word ends in misses
+        pos += static_cast<unsigned>(std::countr_zero(rest));
+        counter = 0;  // the gap before the run is all misses
+        continue;
+      }
+      const std::uint64_t inv = ~rest;
+      std::size_t len = inv == 0 ? 64 - pos
+                                 : static_cast<unsigned>(std::countr_zero(inv));
+      const std::uint64_t ends = cut >> pos;
+      const bool restart =
+          ends != 0 && static_cast<std::size_t>(std::countr_zero(ends)) < len;
+      if (restart) len = static_cast<std::size_t>(std::countr_zero(ends)) + 1;
+      std::size_t j0 = (thr - counter) & mask_;
+      if (j0 == 0) j0 = modulus;
+      for (std::size_t j = j0; j <= len; j += modulus)
+        fires |= std::uint64_t{1} << (pos + j - 1);
+      counter = restart ? 0 : (counter + static_cast<unsigned>(len)) & mask_;
+      pos += len;
+    }
+    return counter;
+  }
+
+  /// Would the scalar window compare hit at `pos` (a byte of the
+  /// gram-last-byte set)? The shift buffer starts zero-filled and restarts
+  /// after every record boundary, and gram bytes are printable, so a hit
+  /// needs B bytes of the window with no boundary before `pos`.
+  bool hit_at(std::span<const unsigned char> window,
+              std::span<const std::uint64_t> boundary, std::size_t pos) const {
+    const unsigned char newest = window[pos];
     const std::size_t b = buffer_.size();
     if (pos + 1 < b) return false;
-    if (b == 1) return true;  // the bitmap is the whole compare for B = 1
     const std::size_t first = pos - (b - 1);
     for (const std::string& gram : grams_) {
       if (static_cast<unsigned char>(gram.back()) != newest) continue;
       bool all = true;
       for (std::size_t j = 0; j + 1 < b; ++j) {
-        if (record[first + j] != static_cast<unsigned char>(gram[j])) {
+        if (window[first + j] != static_cast<unsigned char>(gram[j])) {
           all = false;
           break;
         }
       }
-      if (all) return true;
+      if (all) return next_bit(boundary, first, pos) == simd::npos;
     }
     return false;
   }
@@ -374,6 +383,7 @@ class substring_engine final : public primitive_engine {
   std::vector<unsigned char> buffer_;
   simd::simd_level level_;       // resolved vector tier of the bulk scans
   simd::byte_set last_bytes_;    // byte value -> ends some gram
+  cadence cadence_;               // B = 1 (see fire_bits_b1)
   unsigned counter_ = 0;
 };
 
@@ -407,46 +417,27 @@ class dfa_string_engine final : public primitive_engine {
 
   // The .*text automaton accepts exactly the streams whose last N bytes are
   // `text`, so a pulse at byte i <=> an occurrence of `text` ends at i. The
-  // DFA starts fresh at the record boundary, so occurrences cannot span the
-  // pre-record gap - the vectored exact substring search over
-  // record+terminator is pulse-identical (the DFA prefilter of the paper's
-  // technique (i)).
-  bool fires_in(std::span<const unsigned char> record,
-                unsigned char terminator) const override {
-    if (simd::find_substring(record.data(), record.size(), text_data(),
-                             spec_.text.size(), level_) != simd::npos)
-      return true;
-    return ends_at_terminator(record, terminator);
-  }
-
-  void fire_positions(std::span<const unsigned char> record,
-                      unsigned char terminator,
-                      std::vector<std::uint32_t>& out) const override {
-    const std::size_t n = spec_.text.size();
-    for (std::size_t from = 0; from <= record.size();) {
+  // DFA restarts after every record boundary, so an occurrence counts only
+  // when no boundary precedes its last byte inside it (one may end on the
+  // boundary - a text ending in a printable separator); the vectored exact
+  // substring search over the window is pulse-identical (the DFA
+  // prefilter of the paper's technique (i)).
+  void fire_bits(std::span<const unsigned char> window,
+                 std::span<const std::uint64_t> boundary,
+                 std::uint64_t* out) const override {
+    const std::size_t n = window.size();
+    const std::size_t len = spec_.text.size();
+    std::fill_n(out, (n + 63) / 64, std::uint64_t{0});
+    for (std::size_t from = 0; from < n;) {
       const std::size_t at = simd::find_substring(
-          record.data() + from, record.size() - from, text_data(), n, level_);
+          window.data() + from, n - from, text_data(), len, level_);
       if (at == simd::npos) break;
-      out.push_back(static_cast<std::uint32_t>(from + at + n - 1));
-      from += at + 1;  // overlapping occurrences pulse too
+      const std::size_t first = from + at;
+      const std::size_t last = first + len - 1;
+      if (next_bit(boundary, first, last) == simd::npos)
+        out[last >> 6] |= std::uint64_t{1} << (last & 63);
+      from = first + 1;  // overlapping occurrences pulse too
     }
-    if (ends_at_terminator(record, terminator))
-      out.push_back(static_cast<std::uint32_t>(record.size()));
-  }
-
-  void scan_fires(std::span<const unsigned char> record,
-                  unsigned char terminator, fire_sink sink,
-                  void* ctx) const override {
-    const std::size_t n = spec_.text.size();
-    for (std::size_t from = 0; from <= record.size();) {
-      const std::size_t at = simd::find_substring(
-          record.data() + from, record.size() - from, text_data(), n, level_);
-      if (at == simd::npos) break;
-      if (!sink(ctx, static_cast<std::uint32_t>(from + at + n - 1))) return;
-      from += at + 1;  // overlapping occurrences pulse too
-    }
-    if (ends_at_terminator(record, terminator))
-      sink(ctx, static_cast<std::uint32_t>(record.size()));
   }
 
   elaborated_primitive elaborate(network& net, const bus& byte,
@@ -477,19 +468,6 @@ class dfa_string_engine final : public primitive_engine {
  private:
   const unsigned char* text_data() const noexcept {
     return reinterpret_cast<const unsigned char*>(spec_.text.data());
-  }
-
-  /// Occurrence whose final byte is the appended terminator (possible when
-  /// the search text ends in the separator byte - printable separators).
-  bool ends_at_terminator(std::span<const unsigned char> record,
-                          unsigned char terminator) const {
-    const std::string& t = spec_.text;
-    if (static_cast<unsigned char>(t.back()) != terminator) return false;
-    if (record.size() + 1 < t.size()) return false;
-    const std::string_view sv{reinterpret_cast<const char*>(record.data()),
-                              record.size()};
-    return sv.substr(record.size() - (t.size() - 1)) ==
-           std::string_view{t}.substr(0, t.size() - 1);
   }
 
   string_spec spec_;
@@ -530,34 +508,24 @@ class value_engine final : public primitive_engine {
 
   // Bulk path: the token DFA only advances on token bytes and is sampled
   // (then restarted) at every non-token byte, so the scan walks maximal
-  // token runs and checks acceptance once per run end. Dead states absorb,
-  // letting the scan skip the rest of a run; between runs no pulse is
-  // possible unless the start state itself accepts.
-  bool fires_in(std::span<const unsigned char> record,
-                unsigned char terminator) const override {
-    bool fired = false;
-    scan(record, terminator, [&](std::size_t) {
-      fired = true;
-      return false;  // stop
-    });
-    return fired;
-  }
-
-  void fire_positions(std::span<const unsigned char> record,
-                      unsigned char terminator,
-                      std::vector<std::uint32_t>& out) const override {
-    scan(record, terminator, [&](std::size_t pos) {
-      out.push_back(static_cast<std::uint32_t>(pos));
-      return true;  // keep scanning
-    });
-  }
-
-  void scan_fires(std::span<const unsigned char> record,
-                  unsigned char terminator, fire_sink sink,
-                  void* ctx) const override {
-    scan(record, terminator, [&](std::size_t pos) {
-      return sink(ctx, static_cast<std::uint32_t>(pos));
-    });
+  // token runs and checks acceptance once per run end, one record (and its
+  // terminator) at a time. Dead states absorb, letting the scan skip the
+  // rest of a run; between runs no pulse is possible unless the start
+  // state itself accepts.
+  void fire_bits(std::span<const unsigned char> window,
+                 std::span<const std::uint64_t> boundary,
+                 std::uint64_t* out) const override {
+    const std::size_t n = window.size();
+    std::fill_n(out, (n + 63) / 64, std::uint64_t{0});
+    std::size_t start = 0;
+    for (std::size_t b = next_bit(boundary, 0, n); b != simd::npos;
+         b = next_bit(boundary, b + 1, n)) {
+      scan(window.subspan(start, b - start), window[b], [&](std::size_t pos) {
+        const std::size_t at = start + pos;
+        out[at >> 6] |= std::uint64_t{1} << (at & 63);
+      });
+      start = b + 1;
+    }
   }
 
   // Token-run path. With a non-accepting start state a pulse can only
@@ -603,7 +571,7 @@ class value_engine final : public primitive_engine {
   };
 
   /// Walk record+terminator, invoking on_fire(pos) for every pulse the
-  /// scalar path would emit; on_fire returning false stops the scan. The
+  /// scalar path would emit. The
   /// token runs a live DFA walks stay scalar (each byte feeds a table
   /// step), but both skip loops - past a dead-state token run, and across
   /// the non-token gap after a restart - jump with the vectored
@@ -653,7 +621,7 @@ class value_engine final : public primitive_engine {
         ++i;
         continue;
       }
-      if (dfa.accepting(state) && !on_fire(i)) return;
+      if (dfa.accepting(state)) on_fire(i);
       state = dfa.start();
       ++i;
       if (!compiled_->start_accepting) {

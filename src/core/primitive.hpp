@@ -86,13 +86,12 @@ struct elaborated_primitive {
 /// fire pulse for that byte; the engine matches the elaborated hardware
 /// cycle for cycle (including counter wrap behaviour).
 ///
-/// Besides the scalar per-byte path the interface exposes a bulk per-record
-/// path (fires_in / fire_positions) used by the chunked filter engine
-/// (core/filter_engine.hpp): both report the fire pulses the scalar path
-/// would emit stepping from the power-on state over `record` followed by the
-/// one `terminator` byte the record protocol appends. Every engine
-/// implements them with scanning loops that skip irrelevant bytes but are
-/// pulse-identical to step() by construction.
+/// Besides the scalar per-byte path the interface exposes one bulk path,
+/// fire_bits, used by the chunked filter engine (core/filter_engine.hpp):
+/// the engine's fire pulses over a whole window of the stream as a bitmap,
+/// the software form of a primitive pulsing on every byte in parallel.
+/// Every engine implements it with word-level scans that skip irrelevant
+/// bytes but are pulse-identical to step() by construction.
 class primitive_engine {
  public:
   virtual ~primitive_engine() = default;
@@ -107,35 +106,23 @@ class primitive_engine {
   /// compiled artifacts (DFA tables, gram sets). The copy starts reset.
   virtual std::unique_ptr<primitive_engine> clone() const = 0;
 
-  /// Bulk path: true when at least one fire pulse would occur stepping over
-  /// `record` then `terminator` from the power-on state. The bulk paths
-  /// are pure functions of their arguments - they never touch the step()
-  /// state - so one engine serves every lane and plan version at once.
-  virtual bool fires_in(std::span<const unsigned char> record,
-                        unsigned char terminator) const = 0;
-
-  /// Bulk path: append the 0-based position of every fire pulse stepping
-  /// over `record` then `terminator` (position record.size() means the pulse
-  /// occurred on the terminator byte). Same state contract as fires_in.
-  virtual void fire_positions(std::span<const unsigned char> record,
-                              unsigned char terminator,
-                              std::vector<std::uint32_t>& out) const = 0;
-
-  /// Callback for scan_fires; return false to stop the scan early.
-  using fire_sink = bool (*)(void* ctx, std::uint32_t pos);
-
-  /// Bulk path: stream every fire pulse position (ascending, position
-  /// record.size() = the terminator byte) into `sink` until it returns
-  /// false. Lets a caller stop mid-record once a pulse decided the
-  /// outcome - the early-exit shape fires_in has, but with positions.
-  virtual void scan_fires(std::span<const unsigned char> record,
-                          unsigned char terminator, fire_sink sink,
-                          void* ctx) const = 0;
+  /// Bulk path: set bit i of `out` (ceil(window.size() / 64) words, all
+  /// written) iff step() pulses on window[i], stepping from the power-on
+  /// state at the window start and returning to it after every byte whose
+  /// bit is set in `boundary` (the window's record boundaries, so each
+  /// record's terminator is stepped as part of it). Exact for every record
+  /// that starts the window or follows a boundary and ends at a boundary
+  /// in it; bits past the last boundary are unspecified. A pure function
+  /// of its arguments - it never touches the step() state - so one engine
+  /// serves every lane and plan version at once.
+  virtual void fire_bits(std::span<const unsigned char> window,
+                         std::span<const std::uint64_t> boundary,
+                         std::uint64_t* out) const = 0;
 
   /// True when this engine's pulses are a pure function of the maximal
   /// numeric-token runs of the record (core::bit_runs_in over the bitmap
   /// pass's token map), letting one shared segmentation replace the
-  /// engine's own boundary scans. Value engines whose DFA rejects the
+  /// engine's own fire_bits scan. Value engines whose DFA rejects the
   /// empty token qualify; everything else answers false.
   virtual bool run_capable() const { return false; }
 
@@ -154,7 +141,7 @@ class primitive_engine {
 };
 
 /// Instantiate the engine for a spec. `level` pins the vector tier of the
-/// bulk scans (fires_in / fire_positions); automatic follows the
+/// bulk scan (fire_bits); automatic follows the
 /// runtime-dispatched host level. step() is always scalar - it models the
 /// hardware byte per byte - and the bulk paths are pulse-identical to it
 /// at every level.

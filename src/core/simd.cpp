@@ -171,12 +171,22 @@ constexpr bool is_token_scalar(unsigned char b) noexcept {
   return numrange::is_token_byte(b);
 }
 
+/// Membership bits of min(size, 64) bytes.
 std::uint64_t match_mask_scalar(const unsigned char* data, std::size_t size,
                                 const byte_set& set) noexcept {
   std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < size; ++i)
+  for (std::size_t i = 0; i < std::min<std::size_t>(size, 64); ++i)
     mask |= static_cast<std::uint64_t>(set.contains(data[i]) ? 1u : 0u) << i;
   return mask;
+}
+
+/// match_words over data[from, size): the words the vector loops left,
+/// the partial last one included.
+void match_words_scalar(const unsigned char* data, std::size_t size,
+                        const byte_set& set, std::uint64_t* out,
+                        std::size_t from = 0) noexcept {
+  for (std::size_t base = from; base < size; base += 64)
+    out[base >> 6] = match_mask_scalar(data + base, size - base, set);
 }
 
 std::size_t find_byte_scalar(const unsigned char* data, std::size_t size,
@@ -251,18 +261,32 @@ std::size_t find_substring_scalar(const unsigned char* hay, std::size_t n,
 // finishes with the scalar reference over the tail.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("sse2"))) std::uint64_t match_mask_sse2(
-    const unsigned char* data, std::size_t size, const byte_set& set) noexcept {
-  // Partial chunks take the scalar path (a full 16-byte load would read
-  // past the buffer); sets beyond the compare budget fall back too, capped
-  // at this tier's chunk width.
-  if (size < 16 || set.size() > 4)
-    return match_mask_scalar(data, std::min<std::size_t>(size, 16), set);
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data));
-  __m128i acc = _mm_setzero_si128();
-  for (const unsigned char b : set.bytes())
-    acc = _mm_or_si128(acc, _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(b))));
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(acc)) & 0xFFFFu;
+__attribute__((target("sse2"))) void match_words_sse2(
+    const unsigned char* data, std::size_t size, const byte_set& set,
+    std::uint64_t* out) noexcept {
+  // Sets beyond the compare budget take the scalar path, as does the
+  // partial last word (a full load would read past the buffer).
+  if (set.size() > 4) return match_words_scalar(data, size, set, out);
+  __m128i members[4];
+  const std::size_t count = set.size();
+  for (std::size_t k = 0; k < count; ++k)
+    members[k] = _mm_set1_epi8(static_cast<char>(set.bytes()[k]));
+  std::size_t base = 0;
+  for (; base + 64 <= size; base += 64) {
+    std::uint64_t word = 0;
+    for (std::size_t lane = 0; lane < 64; lane += 16) {
+      const __m128i v =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + base + lane));
+      __m128i acc = _mm_setzero_si128();
+      for (std::size_t k = 0; k < count; ++k)
+        acc = _mm_or_si128(acc, _mm_cmpeq_epi8(v, members[k]));
+      word |= static_cast<std::uint64_t>(
+                  static_cast<std::uint32_t>(_mm_movemask_epi8(acc)) & 0xFFFFu)
+              << lane;
+    }
+    out[base >> 6] = word;
+  }
+  match_words_scalar(data, size, set, out, base);
 }
 
 __attribute__((target("sse2"))) __m128i token_mask_sse2(__m128i v) noexcept;
@@ -404,38 +428,51 @@ __attribute__((target("sse2"))) std::size_t find_substring_sse2(
 // AVX2 tier (256-bit).
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx2"))) std::uint64_t match_mask_avx2(
-    const unsigned char* data, std::size_t size, const byte_set& set) noexcept {
-  if (size < 32) return match_mask_scalar(data, size, set);
-  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data));
-  if (set.size() <= 4) {
-    __m256i acc = _mm256_setzero_si256();
-    for (const unsigned char b : set.bytes())
-      acc = _mm256_or_si256(
-          acc, _mm256_cmpeq_epi8(v, _mm256_set1_epi8(static_cast<char>(b))));
-    return static_cast<std::uint32_t>(_mm256_movemask_epi8(acc));
+__attribute__((target("avx2"))) void match_words_avx2(
+    const unsigned char* data, std::size_t size, const byte_set& set,
+    std::uint64_t* out) noexcept {
+  const bool compare = set.size() <= 4;
+  if (!compare && !set.nibble_classifiable())
+    return match_words_scalar(data, size, set, out);
+  __m256i members[4];
+  for (std::size_t k = 0; compare && k < set.size(); ++k)
+    members[k] = _mm256_set1_epi8(static_cast<char>(set.bytes()[k]));
+  // Exact nibble-table classification: member iff
+  // lo_table[b & 15] & hi_table[b >> 4] != 0.
+  const __m256i lo_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(set.lo_table().data())));
+  const __m256i hi_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(set.hi_table().data())));
+  const __m256i nibble = _mm256_set1_epi8(0x0F);
+  std::size_t base = 0;
+  for (; base + 64 <= size; base += 64) {
+    std::uint64_t word = 0;
+    for (std::size_t lane = 0; lane < 64; lane += 32) {
+      const __m256i v = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(data + base + lane));
+      std::uint32_t bits;
+      if (compare) {
+        __m256i acc = _mm256_setzero_si256();
+        for (std::size_t k = 0; k < set.size(); ++k)
+          acc = _mm256_or_si256(acc, _mm256_cmpeq_epi8(v, members[k]));
+        bits = static_cast<std::uint32_t>(_mm256_movemask_epi8(acc));
+      } else {
+        // vpshufb selects 0 for lanes with bit 7 set, which is exactly
+        // right: bytes >= 0x80 have no bucket and must classify as
+        // non-members.
+        const __m256i lo_bits =
+            _mm256_shuffle_epi8(lo_tbl, _mm256_and_si256(v, nibble));
+        const __m256i hi_bits = _mm256_shuffle_epi8(
+            hi_tbl, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble));
+        const __m256i outside = _mm256_cmpeq_epi8(
+            _mm256_and_si256(lo_bits, hi_bits), _mm256_setzero_si256());
+        bits = ~static_cast<std::uint32_t>(_mm256_movemask_epi8(outside));
+      }
+      word |= static_cast<std::uint64_t>(bits) << lane;
+    }
+    out[base >> 6] = word;
   }
-  if (set.nibble_classifiable()) {
-    // Exact nibble-table classification: member iff
-    // lo_table[b & 15] & hi_table[b >> 4] != 0.
-    const __m128i lo128 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(set.lo_table().data()));
-    const __m128i hi128 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(set.hi_table().data()));
-    const __m256i lo_tbl = _mm256_broadcastsi128_si256(lo128);
-    const __m256i hi_tbl = _mm256_broadcastsi128_si256(hi128);
-    const __m256i low_nibbles = _mm256_and_si256(v, _mm256_set1_epi8(0x0F));
-    // vpshufb selects 0 for lanes with bit 7 set, which is exactly right:
-    // bytes >= 0x80 have no bucket and must classify as non-members.
-    const __m256i high_nibbles = _mm256_and_si256(
-        _mm256_srli_epi16(v, 4), _mm256_set1_epi8(0x0F));
-    const __m256i lo_bits = _mm256_shuffle_epi8(lo_tbl, low_nibbles);
-    const __m256i hi_bits = _mm256_shuffle_epi8(hi_tbl, high_nibbles);
-    const __m256i member = _mm256_cmpeq_epi8(
-        _mm256_and_si256(lo_bits, hi_bits), _mm256_setzero_si256());
-    return ~static_cast<std::uint32_t>(_mm256_movemask_epi8(member));
-  }
-  return match_mask_scalar(data, std::min<std::size_t>(size, 32), set);
+  match_words_scalar(data, size, set, out, base);
 }
 
 __attribute__((target("avx2"))) __m256i token_mask_avx2(__m256i v) noexcept;
@@ -589,28 +626,36 @@ replicate_table_avx512(const unsigned char* tbl) noexcept {
   return _mm512_load_si512(rep);
 }
 
-__attribute__((target(JRF_AVX512_TARGET))) std::uint64_t match_mask_avx512(
-    const unsigned char* data, std::size_t size, const byte_set& set) noexcept {
-  if (size < 64) return match_mask_scalar(data, size, set);
-  const __m512i v = _mm512_loadu_si512(data);
-  if (set.size() <= 4) {
-    __mmask64 acc = 0;
-    for (const unsigned char b : set.bytes())
-      acc |= _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8(static_cast<char>(b)));
-    return acc;
+__attribute__((target(JRF_AVX512_TARGET))) void match_words_avx512(
+    const unsigned char* data, std::size_t size, const byte_set& set,
+    std::uint64_t* out) noexcept {
+  const bool compare = set.size() <= 4;
+  if (!compare && !set.nibble_classifiable())
+    return match_words_scalar(data, size, set, out);
+  __m512i members[4];
+  for (std::size_t k = 0; compare && k < set.size(); ++k)
+    members[k] = _mm512_set1_epi8(static_cast<char>(set.bytes()[k]));
+  const __m512i lo_tbl = replicate_table_avx512(set.lo_table().data());
+  const __m512i hi_tbl = replicate_table_avx512(set.hi_table().data());
+  const __m512i nibble = _mm512_set1_epi8(0x0F);
+  std::size_t base = 0;
+  for (; base + 64 <= size; base += 64) {
+    const __m512i v = _mm512_loadu_si512(data + base);
+    __mmask64 word = 0;
+    if (compare) {
+      for (std::size_t k = 0; k < set.size(); ++k)
+        word |= _mm512_cmpeq_epi8_mask(v, members[k]);
+    } else {
+      const __m512i lo_bits =
+          _mm512_shuffle_epi8(lo_tbl, _mm512_and_si512(v, nibble));
+      const __m512i hi_bits = _mm512_shuffle_epi8(
+          hi_tbl, _mm512_and_si512(_mm512_srli_epi16(v, 4), nibble));
+      // Member iff lo_bits & hi_bits != 0 - vptestmb answers that directly.
+      word = _mm512_test_epi8_mask(lo_bits, hi_bits);
+    }
+    out[base >> 6] = word;
   }
-  if (set.nibble_classifiable()) {
-    const __m512i lo_tbl = replicate_table_avx512(set.lo_table().data());
-    const __m512i hi_tbl = replicate_table_avx512(set.hi_table().data());
-    const __m512i low_nibbles = _mm512_and_si512(v, _mm512_set1_epi8(0x0F));
-    const __m512i high_nibbles = _mm512_and_si512(
-        _mm512_srli_epi16(v, 4), _mm512_set1_epi8(0x0F));
-    const __m512i lo_bits = _mm512_shuffle_epi8(lo_tbl, low_nibbles);
-    const __m512i hi_bits = _mm512_shuffle_epi8(hi_tbl, high_nibbles);
-    // Member iff lo_bits & hi_bits != 0 - vptestmb answers that directly.
-    return _mm512_test_epi8_mask(lo_bits, hi_bits);
-  }
-  return match_mask_scalar(data, 64, set);
+  match_words_scalar(data, size, set, out, base);
 }
 
 __attribute__((target(JRF_AVX512_TARGET))) std::size_t find_byte_avx512(
@@ -739,30 +784,19 @@ expand_bits_vbmi2(std::uint64_t mask, std::uint32_t base,
 
 }  // namespace
 
-std::size_t chunk_width(simd_level level) noexcept {
+void match_words(const unsigned char* data, std::size_t size,
+                 const byte_set& set, simd_level level,
+                 std::uint64_t* out) noexcept {
 #if JRF_SIMD_X86
   switch (level) {
-    case simd_level::sse2: return 16;
-    case simd_level::avx2: return 32;
+    case simd_level::avx512: return match_words_avx512(data, size, set, out);
+    case simd_level::avx2: return match_words_avx2(data, size, set, out);
+    case simd_level::sse2: return match_words_sse2(data, size, set, out);
     default: break;
   }
-#else
+#endif
   (void)level;
-#endif
-  return 64;
-}
-
-std::uint64_t match_mask(const unsigned char* data, std::size_t size,
-                         const byte_set& set, simd_level level) noexcept {
-#if JRF_SIMD_X86
-  switch (level) {
-    case simd_level::avx512: return match_mask_avx512(data, size, set);
-    case simd_level::avx2: return match_mask_avx2(data, size, set);
-    case simd_level::sse2: return match_mask_sse2(data, size, set);
-    default: break;
-  }
-#endif
-  return match_mask_scalar(data, std::min(size, chunk_width(level)), set);
+  match_words_scalar(data, size, set, out);
 }
 
 block_class classify_block(const unsigned char* data, std::size_t size,

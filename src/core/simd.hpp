@@ -11,8 +11,9 @@
 //                                 (numrange::is_token_byte's fixed class),
 //   find_substring              - exact substring search (first+last byte
 //                                 vector compare, then memcmp confirm),
-//   match_mask                  - per-chunk membership bitmask against a
-//                                 prepared byte_set (gram candidate scan).
+//   match_words                 - membership bitmap of a whole buffer
+//                                 against a prepared byte_set (the string
+//                                 primitives' gram candidate scan).
 //
 // Four tiers exist for every kernel - scalar, SSE2 (128-bit), AVX2
 // (256-bit) and AVX-512 (64-byte mask registers: vpcmpb/vpmovb2m
@@ -114,15 +115,12 @@ class byte_set {
   bool nibble_ok_ = false;
 };
 
-/// Chunk width match_mask classifies per call at this tier (scalar 64,
-/// SSE2 16, AVX2 32, AVX-512 64). Never exceeds 64 so masks fit
-/// std::uint64_t.
-std::size_t chunk_width(simd_level level) noexcept;
-
-/// Membership bitmask of the first min(size, chunk_width(level)) bytes:
-/// bit i set iff data[i] is in `set`.
-std::uint64_t match_mask(const unsigned char* data, std::size_t size,
-                         const byte_set& set, simd_level level) noexcept;
+/// Membership bitmap of data[0, size): bit i of out[i / 64] set iff
+/// data[i] is in `set`. Writes all ceil(size / 64) words; bits past
+/// `size` are zero.
+void match_words(const unsigned char* data, std::size_t size,
+                 const byte_set& set, simd_level level,
+                 std::uint64_t* out) noexcept;
 
 /// Per-class bitmasks of one <= 64-byte block, the raw material of the
 /// bitmap pass (core/bitmaps.hpp). Bit i of each mask refers to data[i];

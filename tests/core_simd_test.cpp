@@ -110,7 +110,7 @@ TEST(SimdKernels, TokenClassesMatchScalar) {
   }
 }
 
-TEST(SimdKernels, MatchMaskAgreesAcrossLevelsAndSetShapes) {
+TEST(SimdKernels, MatchWordsAgreesAcrossLevelsAndSetShapes) {
   // Set shapes: 1-4 members (compare path), 5-8 (nibble path on AVX2), and
   // a set spanning > 8 high nibbles (forces the bitmap fallback).
   const std::vector<std::string> shapes = {
@@ -123,18 +123,18 @@ TEST(SimdKernels, MatchMaskAgreesAcrossLevelsAndSetShapes) {
       // Sprinkle members so masks are non-trivial.
       for (std::size_t i = 0; i < n; i += 5)
         data[i] = static_cast<unsigned char>(shape[i % shape.size()]);
+      const std::size_t words = (n + 63) / 64;
+      std::vector<std::uint64_t> expected(words, 0);
+      for (std::size_t i = 0; i < n; ++i)
+        if (set.contains(data[i])) expected[i / 64] |= std::uint64_t{1} << (i % 64);
       for (const simd_level level : available_levels()) {
-        const std::size_t width = chunk_width(level);
-        for (std::size_t base = 0; base < n; base += width) {
-          const std::size_t len = n - base;
-          std::uint64_t expected = 0;
-          for (std::size_t i = 0; i < std::min(len, width); ++i)
-            if (set.contains(data[base + i]))
-              expected |= std::uint64_t{1} << i;
-          EXPECT_EQ(match_mask(data.data() + base, len, set, level), expected)
-              << "set=" << shape.size() << "B n=" << n << " base=" << base
-              << " level=" << to_string(level);
-        }
+        // A sentinel word past the end must survive: exactly `words` written.
+        std::vector<std::uint64_t> out(words + 1, 0xA5A5A5A5A5A5A5A5u);
+        match_words(data.data(), n, set, level, out.data());
+        EXPECT_EQ(out.back(), 0xA5A5A5A5A5A5A5A5u) << "n=" << n;
+        out.pop_back();
+        EXPECT_EQ(out, expected) << "set=" << shape.size() << "B n=" << n
+                                 << " level=" << to_string(level);
       }
     }
   }
