@@ -927,7 +927,7 @@ class chunked_filter_engine final : public filter_engine {
   }
 
   /// Fill one fire bitmap per live engine over `pass` (window_ holds its
-  /// bytes), plus the pair-bound bitmap when a group needs it.
+  /// bytes), plus the structural bitmaps the plan's groups read.
   void build_bits(const bitmap_pass& pass) {
     bits_pass_ = &pass;
     const std::size_t n = pass.size();
@@ -944,22 +944,25 @@ class chunked_filter_engine final : public filter_engine {
         engines_[e]->fire_bits(window, boundary, out);
     }
     if (plan_->run_bits != 0) walk_runs(pass);
-    if (has_scopes_ || has_pairs_) {
-      // The unmasked scope bytes, split into opens and closes; the pair
-      // bounds are the unmasked ',' '}' ']' - structural minus opens.
-      static const simd::byte_set open_bytes{std::string_view("{[")};
-      static const simd::byte_set close_bytes{std::string_view("}]")};
-      const std::span<const std::uint64_t> structural = pass.structural();
-      opens_.resize(stride_);
+    if (!has_scopes_ && !has_pairs_) return;
+    // The unmasked opens and closes the scope groups' event walk reads,
+    // and the pair bounds: the unmasked ',' '}' ']' - structural minus
+    // the opens.
+    static const simd::byte_set open_bytes{std::string_view("{[")};
+    static const simd::byte_set close_bytes{std::string_view("}]")};
+    const std::span<const std::uint64_t> structural = pass.structural();
+    opens_.resize(stride_);
+    simd::match_words(window_, n, open_bytes, level_, opens_.data());
+    for (std::size_t w = 0; w < stride_; ++w) opens_[w] &= structural[w];
+    if (has_scopes_) {
       closes_.resize(stride_);
-      pair_bounds_.resize(stride_);
-      simd::match_words(window_, n, open_bytes, level_, opens_.data());
       simd::match_words(window_, n, close_bytes, level_, closes_.data());
-      for (std::size_t w = 0; w < stride_; ++w) {
-        opens_[w] &= structural[w];
-        closes_[w] &= structural[w];
+      for (std::size_t w = 0; w < stride_; ++w) closes_[w] &= structural[w];
+    }
+    if (has_pairs_) {
+      pair_bounds_.resize(stride_);
+      for (std::size_t w = 0; w < stride_; ++w)
         pair_bounds_[w] = structural[w] & ~opens_[w];
-      }
     }
   }
 

@@ -95,25 +95,23 @@ class substring_engine final : public primitive_engine {
     for (const std::string& gram : grams_)
       last_bytes.push_back(static_cast<unsigned char>(gram.back()));
     last_bytes_ = simd::byte_set({last_bytes.data(), last_bytes.size()});
+    // Shift-AND steps taking a word's bits to R_target (at most six reach
+    // 64; the rest stay 0).
     const auto ladder_to = [](std::size_t target,
-                              std::array<unsigned char, 8>& steps) {
-      std::size_t count = 0;
-      for (std::size_t len = 1; len < target;) {
+                              std::array<unsigned char, 6>& steps) {
+      for (std::size_t len = 1, k = 0; len < target; ++k) {
         const std::size_t step = std::min(len, target - len);
-        steps[count++] = static_cast<unsigned char>(step);
+        steps[k] = static_cast<unsigned char>(step);
         len += step;
       }
-      return count;
     };
     cadence_.threshold = static_cast<unsigned>(threshold_);
     cadence_.period = mask_ + 1;
     if (threshold_ <= 64) {
-      cadence_.ladder_steps = ladder_to(cadence_.threshold, cadence_.ladder);
+      ladder_to(cadence_.threshold, cadence_.ladder);
       for (std::size_t k = cadence_.threshold; k <= 64; k += cadence_.period)
         ++cadence_.terms;
-      if (cadence_.terms > 1)
-        cadence_.period_steps =
-            ladder_to(cadence_.period, cadence_.period_ladder);
+      if (cadence_.terms > 1) ladder_to(cadence_.period, cadence_.period_ladder);
     }
     for (std::size_t bit = 0; bit < 64; bit += cadence_.period)
       cadence_.bits |= std::uint64_t{1} << bit;
@@ -282,10 +280,8 @@ class substring_engine final : public primitive_engine {
   /// t * 2^w that fit, the shift-AND ladders reaching R_threshold and
   /// R_(2^w), and the period's bits.
   struct cadence {
-    std::array<unsigned char, 8> ladder{};  // to R_threshold
-    std::size_t ladder_steps = 0;
-    std::array<unsigned char, 8> period_ladder{};  // to R_(2^w)
-    std::size_t period_steps = 0;
+    std::array<unsigned char, 6> ladder{};         // to R_threshold
+    std::array<unsigned char, 6> period_ladder{};  // to R_(2^w)
     std::size_t terms = 0;  // thresholds + t * 2^w <= 64
     unsigned threshold = 0;
     unsigned period = 0;
@@ -293,21 +289,27 @@ class substring_engine final : public primitive_engine {
 
     /// R_k of `m` by a shift-AND ladder: bit i set iff bits i-k+1 .. i of
     /// m are all set (bits before the word count as clear).
-    static std::uint64_t run_ladder(std::uint64_t m,
-                                    const std::array<unsigned char, 8>& steps,
-                                    std::size_t count) noexcept {
-      for (std::size_t k = 0; k < count; ++k) m &= m << steps[k];
+    static std::uint64_t run_ladder(
+        std::uint64_t m, const std::array<unsigned char, 6>& steps) noexcept {
+      // Six steps reach any k <= 64; unused steps shift by 0 (a no-op),
+      // so the ladder runs without a loop.
+      m &= m << steps[0];
+      m &= m << steps[1];
+      m &= m << steps[2];
+      m &= m << steps[3];
+      m &= m << steps[4];
+      m &= m << steps[5];
       return m;
     }
 
     /// Pulses of the runs of `m` that start inside the word from counter 0.
     std::uint64_t interior_fires(std::uint64_t m) const noexcept {
       if (terms == 0) return 0;
-      std::uint64_t r = run_ladder(m, ladder, ladder_steps);  // R_threshold
+      std::uint64_t r = run_ladder(m, ladder);  // R_threshold
       std::uint64_t fires = r & ~(r << 1);
       if (r != 0 && terms > 1) {
         // R_(k + 2^w) = R_k & (R_(2^w) << k) for the later cadence points.
-        const std::uint64_t p = run_ladder(m, period_ladder, period_steps);
+        const std::uint64_t p = run_ladder(m, period_ladder);
         unsigned k = threshold;
         for (std::size_t t = 1; t < terms; ++t, k += period) {
           r &= p << k;
