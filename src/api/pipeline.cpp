@@ -122,21 +122,29 @@ struct pipeline::impl {
   // query compiles under a stream gate - the whole point of the epoch
   // scheme is that live traffic keeps flowing during the compile.
   struct query_registry {
-    std::vector<core::query_id> ids;          // dense order, ascending
-    std::vector<decision_sink> query_sinks;   // parallel to ids; may be null
-    /// Ordinals of the queries with a non-null sink: the flush loop visits
-    /// only these instead of probing every resident query per record.
-    std::vector<std::uint32_t> sink_ordinals;
+    std::vector<core::query_id> ids;  // dense order, ascending
+    /// (ordinal, sink) of the subscribed queries, ascending by ordinal:
+    /// delivery visits only these, and an epoch copies only these.
+    std::vector<std::pair<std::uint32_t, decision_sink>> sinks;
     std::uint64_t epoch = 0;  // 0 = the build-time set
 
     std::size_t wpr() const noexcept { return (ids.size() + 63) / 64; }
 
-    /// Recompute sink_ordinals after query_sinks edits.
-    void index_sinks() {
-      sink_ordinals.clear();
-      for (std::size_t qi = 0; qi < query_sinks.size(); ++qi)
-        if (query_sinks[qi])
-          sink_ordinals.push_back(static_cast<std::uint32_t>(qi));
+    /// Subscribe the query at `ordinal` to `sink`, replacing its old one
+    /// (an empty sink unsubscribes it).
+    void set_sink(std::size_t ordinal, decision_sink sink) {
+      const auto q = static_cast<std::uint32_t>(ordinal);
+      const auto it = std::lower_bound(
+          sinks.begin(), sinks.end(), q,
+          [](const auto& entry, std::uint32_t o) { return entry.first < o; });
+      const bool held = it != sinks.end() && it->first == q;
+      if (!sink) {
+        if (held) sinks.erase(it);
+      } else if (held) {
+        it->second = std::move(sink);
+      } else {
+        sinks.emplace(it, q, std::move(sink));
+      }
     }
   };
   using registry_ptr = std::shared_ptr<const query_registry>;
@@ -284,7 +292,7 @@ struct pipeline::impl {
   }
 
   bool sinks_for(const query_registry& r) const {
-    return sink || vsink || !r.sink_ordinals.empty();
+    return sink || vsink || !r.sinks.empty();
   }
 
   /// Open the resident epoch's segment at the stream's next record - even
@@ -370,9 +378,8 @@ struct pipeline::impl {
       // Only the queries that actually have a sink are visited - the
       // registry indexes them once per epoch, so a 10k-query fleet with
       // two subscribed sinks costs two calls per record, not 10k probes.
-      for (const std::uint32_t qi : r.sink_ordinals)
-        r.query_sinks[qi](shard, index,
-                          ((row[qi / 64] >> (qi % 64)) & 1u) != 0);
+      for (const auto& [qi, query_sink] : r.sinks)
+        query_sink(shard, index, ((row[qi / 64] >> (qi % 64)) & 1u) != 0);
     }
   }
 
@@ -497,19 +504,21 @@ struct pipeline::impl {
   }
 
   /// New epoch snapshot for the current qset, carrying the per-query
-  /// sinks of the old epoch over by id. Caller holds mutation_mutex.
+  /// sinks of the old epoch over by id: a removed query's sink goes, the
+  /// later ones shift to their new ordinals (order is kept, so the table
+  /// stays sorted). Caller holds mutation_mutex.
   std::shared_ptr<query_registry> snapshot_registry() const {
     auto nreg = std::make_shared<query_registry>();
     nreg->ids = qset.ids();
-    nreg->query_sinks.resize(nreg->ids.size());
     if (reg) {
       nreg->epoch = reg->epoch + 1;
-      for (const std::uint32_t old : reg->sink_ordinals)
+      nreg->sinks.reserve(reg->sinks.size());
+      for (const auto& [old, query_sink] : reg->sinks)
         if (qset.contains(reg->ids[old]))
-          nreg->query_sinks[qset.ordinal(reg->ids[old])] =
-              reg->query_sinks[old];
+          nreg->sinks.emplace_back(
+              static_cast<std::uint32_t>(qset.ordinal(reg->ids[old])),
+              query_sink);
     }
-    nreg->index_sinks();
     return nreg;
   }
 
@@ -550,10 +559,7 @@ struct pipeline::impl {
     // compile throws here with the set and every stream untouched.
     const core::query_id id = qset.add(std::move(qexpr));
     auto nreg = snapshot_registry();
-    if (query_sink) {
-      nreg->query_sinks[qset.ordinal(id)] = std::move(query_sink);
-      nreg->index_sinks();
-    }
+    if (query_sink) nreg->set_sink(qset.ordinal(id), std::move(query_sink));
     swap_epoch(std::move(nreg), true);
     return id;
   }
@@ -579,8 +585,7 @@ struct pipeline::impl {
       throw error("pipeline: on_query_decision(" + std::to_string(id) +
                   "): unknown query id");
     auto nreg = snapshot_registry();
-    nreg->query_sinks[qset.ordinal(id)] = std::move(s);
-    nreg->index_sinks();
+    nreg->set_sink(qset.ordinal(id), std::move(s));
     // Registry-only epoch: the engines already evaluate this query, only
     // the delivery plan changes - every backend supports it.
     swap_epoch(std::move(nreg), false);

@@ -827,6 +827,9 @@ class chunked_filter_engine final : public filter_engine {
     }
     cursor_.resize(members);
     bits_pass_ = nullptr;  // the fire bitmaps follow the plan's engines
+    pair_anchors_.clear();
+    if (!multi_ && p.run_bits != 0 && !paired_runs_only(p.root))
+      pair_anchors_.clear();
     engine_words_ = (p.engines.size() + 63) / 64;
     fired_words_.assign(multi_ ? engine_words_ : 0, 0);
     group_epoch_.assign(multi_ ? p.groups.size() : 0, 0);
@@ -943,27 +946,51 @@ class chunked_filter_engine final : public filter_engine {
       else
         engines_[e]->fire_bits(window, boundary, out);
     }
-    if (plan_->run_bits != 0) walk_runs(pass);
-    if (!has_scopes_ && !has_pairs_) return;
-    // The unmasked opens and closes the scope groups' event walk reads,
-    // and the pair bounds: the unmasked ',' '}' ']' - structural minus
-    // the opens.
-    static const simd::byte_set open_bytes{std::string_view("{[")};
-    static const simd::byte_set close_bytes{std::string_view("}]")};
-    const std::span<const std::uint64_t> structural = pass.structural();
-    opens_.resize(stride_);
-    simd::match_words(window_, n, open_bytes, level_, opens_.data());
-    for (std::size_t w = 0; w < stride_; ++w) opens_[w] &= structural[w];
-    if (has_scopes_) {
-      closes_.resize(stride_);
-      simd::match_words(window_, n, close_bytes, level_, closes_.data());
-      for (std::size_t w = 0; w < stride_; ++w) closes_[w] &= structural[w];
+    if (has_scopes_ || has_pairs_) {
+      // The unmasked opens and closes the scope groups' event walk reads,
+      // and the pair bounds: the unmasked ',' '}' ']' - structural minus
+      // the opens - and the record boundaries.
+      static const simd::byte_set open_bytes{std::string_view("{[")};
+      static const simd::byte_set close_bytes{std::string_view("}]")};
+      const std::span<const std::uint64_t> structural = pass.structural();
+      opens_.resize(stride_);
+      simd::match_words(window_, n, open_bytes, level_, opens_.data());
+      for (std::size_t w = 0; w < stride_; ++w) opens_[w] &= structural[w];
+      if (has_scopes_) {
+        closes_.resize(stride_);
+        simd::match_words(window_, n, close_bytes, level_, closes_.data());
+        for (std::size_t w = 0; w < stride_; ++w) closes_[w] &= structural[w];
+      }
+      if (has_pairs_) {
+        pair_bounds_.resize(stride_);
+        for (std::size_t w = 0; w < stride_; ++w)
+          pair_bounds_[w] = (structural[w] & ~opens_[w]) | boundary[w];
+      }
     }
-    if (has_pairs_) {
-      pair_bounds_.resize(stride_);
-      for (std::size_t w = 0; w < stride_; ++w)
-        pair_bounds_[w] = structural[w] & ~opens_[w];
+    if (plan_->run_bits == 0) return;
+    if (!pair_anchors_.empty()) {
+      // Only pair groups read the value leaves, beside string anchors:
+      // their pulses count only in segments holding an anchor pulse, so
+      // only the runs ending there are walked.
+      segments_.assign(stride_, 0);
+      for (const std::size_t a : pair_anchors_) {
+        const std::span<const std::uint64_t> anchor = fire_bits(a);
+        for (std::size_t p = next_bit(anchor, 0, n); p != simd::npos;) {
+          const std::size_t before = prev_bit(pair_bounds_.data(), 0, p);
+          const std::size_t low = before == simd::npos ? 0 : before + 1;
+          std::size_t bound = next_bit(pair_bounds_, p, n);
+          if (bound == simd::npos) bound = n - 1;
+          for (std::size_t w = low >> 6; w <= bound >> 6; ++w) {
+            std::uint64_t bits = ~std::uint64_t{0};
+            if (w == low >> 6) bits &= ~std::uint64_t{0} << (low & 63);
+            if (w == bound >> 6) bits &= ~std::uint64_t{0} >> (63 - (bound & 63));
+            segments_[w] |= bits;
+          }
+          p = next_bit(anchor, bound + 1, n);
+        }
+      }
     }
+    walk_runs(pass);
   }
 
   /// Set every run-capable leaf's bits: one numeral-automaton walk per
@@ -1006,6 +1033,8 @@ class chunked_filter_engine final : public filter_engine {
       if (end >= n) return;
       t = runs(w) & (~std::uint64_t{0} << (end & 63));
       if (token_separator && ((boundary[w] >> (end & 63)) & 1) != 0) continue;
+      if (!pair_anchors_.empty() && ((segments_[w] >> (end & 63)) & 1) == 0)
+        continue;  // no anchor pulses in this segment
       const std::uint64_t mask = numerals_.walk(window_ + begin, end - begin);
       if (mask == 0) continue;  // most runs: no leaf pulses
       if (leaves <= 8) {
@@ -1017,6 +1046,32 @@ class chunked_filter_engine final : public filter_engine {
         bits_[run_owner_[std::countr_zero(m)] * stride_ + w] |=
             std::uint64_t{1} << (end & 63);
     }
+  }
+
+  /// True when `node` reads its run-bit value leaves only as pair-group
+  /// members after a first member holding no run bit; those groups' first
+  /// members (their anchors) go to pair_anchors_.
+  bool paired_runs_only(const compiled_layout::plan_node& node) {
+    using plan_node = compiled_layout::plan_node;
+    switch (node.k) {
+      case plan_node::kind::leaf:
+        return !run_capable_[node.index];
+      case plan_node::kind::group: {
+        const compiled_layout::group_info& g = plan_->groups[node.index];
+        if (g.kind == group_kind::scope)
+          return std::none_of(g.members.begin(), g.members.end(),
+                              [&](std::size_t e) { return run_capable_[e]; });
+        if (run_capable_[g.members.front()]) return false;
+        pair_anchors_.push_back(g.members.front());
+        return true;
+      }
+      case plan_node::kind::conj:
+      case plan_node::kind::disj:
+        for (const plan_node& child : node.children)
+          if (!paired_runs_only(child)) return false;
+        return true;
+    }
+    return false;
   }
 
   /// One node of the conjunct-prefix trie: prune on the required-engine
@@ -1223,7 +1278,11 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<std::uint64_t> bits_;         // [engine slot][word]
   std::vector<std::uint64_t> opens_;        // unmasked '{' '['
   std::vector<std::uint64_t> closes_;       // unmasked '}' ']'
-  std::vector<std::uint64_t> pair_bounds_;  // unmasked ',' '}' ']' 
+  std::vector<std::uint64_t> pair_bounds_;  // unmasked ',' '}' ']', ends
+  // One-query plans whose value leaves only pair groups read: the groups'
+  // string anchors, and the segments holding an anchor pulse.
+  std::vector<std::size_t> pair_anchors_;
+  std::vector<std::uint64_t> segments_;
 
   // Per-record scratch, reused across records.
   const bitmap_pass* cur_pass_ = nullptr;  // pass that framed the record

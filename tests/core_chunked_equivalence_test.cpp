@@ -559,6 +559,50 @@ TEST(ChunkedEquivalence, GramsAndDfaTextsBesideAPrintableSeparator) {
   }
 }
 
+TEST(ChunkedEquivalence, PairGroupsReadValueRunsOnlyNearTheirAnchors) {
+  // A one-query plan whose value leaves only pair groups read, beside a
+  // string anchor, walks just the token runs ending in a segment that
+  // holds an anchor pulse. Numerals sit inside and outside those
+  // segments, on pair bounds, across masked separators and at record
+  // ends; plans that read a value leaf any other way walk every run.
+  const auto pair = [](std::vector<core::primitive_spec> members) {
+    return core::make_group(core::group_kind::pair, std::move(members));
+  };
+  const std::vector<core::expr_ptr> queries{
+      pair({gram(1, "key"), range("0", "5")}),
+      core::conj({pair({gram(1, "key"), range("0", "5")}),
+                  pair({dfa_text("w"), range("3", "9")})}),
+      pair({gram(2, "ab"), range("1", "2"), range("4", "6")}),
+      core::disj({pair({gram(1, "key"), range("0", "5")}),
+                  core::leaf(gram(2, "zz"))}),
+      core::conj({pair({gram(1, "key"), range("0", "5")}),
+                  core::leaf(range("7", "8"))}),
+      pair({range("0", "5"), gram(1, "key")}),
+      core::conj({core::make_group(core::group_kind::scope,
+                                   {gram(1, "w"), range("3", "9")}),
+                  pair({gram(1, "key"), range("0", "5")})}),
+  };
+  std::string stream;
+  for (const char* record :
+       {"{\"key\":3,\"w\":7}", "{\"a\":1,\"key\":\"x\",\"b\":2}", "key,3",
+        "3,key", "{\"key\":[1,2],\"v\":4}", "key3", "{\"key\":3}",
+        "\"key\":12,", "{\"w\":4,\"key\":9,\"n\":1}", "{\"ab\":1.5,\"x\":5}",
+        "{\"ab\":[1,5]}", "ab 1.5 5", "{\"s\":\"key,2\",\"key\":8}", "zz 1", "7,8,key:4}",
+        "{\"key\":\"3\"}", "{\"w\":\"3,7\",\"key\":4,\"w\":5}", "key 2"})
+    stream += std::string(record) + "\n";
+  stream += "{\"key\":2";  // unterminated
+  for (const char separator : {'\n', ',', '7'}) {
+    core::filter_options options;
+    options.separator = static_cast<unsigned char>(separator);
+    std::string text = stream;
+    std::replace(text.begin(), text.end(), '\n', separator);
+    const std::string label = std::string("separator ") + separator;
+    if (separator == '\n') expect_mixed(queries, text, label, options);
+    expect_fleet_matches_push(queries, text, label, options);
+    expect_accepts_match(queries, text, label, options);
+  }
+}
+
 TEST(ChunkedEquivalence, RecordsAtWindowEdges) {
   // Records longer than the engine's 64 KiB window, and records straddling
   // its edges in every way a feed can place them: whole, byte by byte, and
