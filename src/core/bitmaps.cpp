@@ -63,44 +63,6 @@ void collect_bits(std::span<const std::uint64_t> words, std::size_t begin,
   }
 }
 
-void bit_runs_in(std::span<const std::uint64_t> words, std::size_t begin,
-                 std::size_t end, std::vector<simd::token_run>& out) {
-  out.clear();
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const unsigned shift = begin & 63;
-  std::size_t w = begin >> 6;
-  bool open = false;
-  std::uint32_t run_start = 0;
-  for (std::size_t rel = 0; rel < total; rel += 64, ++w) {
-    // Realign the range so bit i of `m` is position begin + rel + i. Bits
-    // past `end` exist only inside the final word and are masked off, so
-    // a run reaching `end` closes at the zero bit this leaves behind.
-    std::uint64_t m = words[w] >> shift;
-    if (shift != 0 && (w + 1) < words.size())
-      m |= words[w + 1] << (64 - shift);
-    const std::size_t valid = std::min<std::size_t>(64, total - rel);
-    if (valid < 64) m &= (std::uint64_t{1} << valid) - 1;
-    std::size_t pos = 0;
-    while (pos < 64) {
-      const std::uint64_t rest = m >> pos;
-      if (!open) {
-        if (rest == 0) break;
-        pos += static_cast<std::size_t>(std::countr_zero(rest));
-        run_start = static_cast<std::uint32_t>(rel + pos);
-        open = true;
-      } else {
-        const auto ones = static_cast<std::size_t>(std::countr_one(rest));
-        pos += ones;
-        if (pos >= 64) break;  // run continues into the next chunk
-        out.push_back({run_start, static_cast<std::uint32_t>(rel + pos)});
-        open = false;
-      }
-    }
-  }
-  if (open) out.push_back({run_start, static_cast<std::uint32_t>(total)});
-}
-
 void bitmap_pass::compute_word_scalar(const unsigned char* data,
                                       std::size_t len, unsigned char separator,
                                       framing_state& st, std::size_t w) {

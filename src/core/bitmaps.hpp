@@ -81,13 +81,6 @@ void collect_bits(std::span<const std::uint64_t> words, std::size_t begin,
                   std::size_t end, simd::simd_level level,
                   std::vector<std::uint32_t>& out);
 
-/// Maximal runs of set bits in [begin, end), replacing `out` with runs
-/// relative to `begin` (run positions are begin-relative so a record's
-/// bit range yields record-relative token runs). Over the bitmap pass's
-/// token map these are the record's maximal numeric-token runs.
-void bit_runs_in(std::span<const std::uint64_t> words, std::size_t begin,
-                 std::size_t end, std::vector<simd::token_run>& out);
-
 /// One vectored sweep over a buffer producing the three structural
 /// bitmaps. The instance owns its word storage and reuses it across
 /// compute() calls (the chunked engine calls it once per ingest buffer
@@ -117,8 +110,7 @@ class bitmap_pass {
   }
   /// Numeric-token-class bytes ('0'-'9', '+', '-', '.', 'e'/'E'), RAW -
   /// not string-mask-subtracted, because value engines match quoted
-  /// numerals too. The shared token segmentation of every record comes
-  /// from this map via bit_runs_in.
+  /// numerals too. The chunked engine's token runs come from this map.
   std::span<const std::uint64_t> token() const noexcept { return token_; }
 
   bool masked_at(std::size_t pos) const noexcept {

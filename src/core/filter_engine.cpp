@@ -888,7 +888,6 @@ class chunked_filter_engine final : public filter_engine {
                        std::uint64_t* words = nullptr) {
     window_ = record.data() - offset;
     if (&pass != bits_pass_) build_bits(pass);
-    cur_pass_ = &pass;
     lo_ = offset;
     hi_ = offset + record.size() + 1;
     events_ready_ = false;
@@ -1285,7 +1284,6 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<std::uint64_t> segments_;
 
   // Per-record scratch, reused across records.
-  const bitmap_pass* cur_pass_ = nullptr;  // pass that framed the record
   std::size_t lo_ = 0;                     // record's first bit
   std::size_t hi_ = 0;                     // one past its terminator bit
   bool events_ready_ = false;

@@ -12,7 +12,7 @@
 //                        touches only that query's delta.
 //   * plan_version     - one immutable cut of a layout, shared by every
 //                        chunked lane behind a shared_ptr; engines' bulk
-//                        scans are pure, so lanes share them too.
+//                        scan (fire_bits) is pure, so lanes share them too.
 //   * filter_engine    - abstract streaming interface: scan_chunk() accepts
 //                        arbitrary-size byte chunks, per-record decisions
 //                        accumulate in decisions(), finish() flushes a
@@ -23,13 +23,13 @@
 //
 //   scalar  - steps one raw_filter::push() per resident query, byte per
 //             byte, in lockstep; the paper-faithful reference path.
-//   chunked - the batched hot path. Records are framed by
-//             core::record_framer (escape-aware, so separator bytes inside
-//             JSON string literals never split a record), then each record
-//             is evaluated from whole-slice bulk scans of the primitive
-//             engines plus an event-driven replay of the structural group
-//             trackers at the sparse positions where state can change
-//             (member fire pulses, unmasked structural bytes, separator).
+//   chunked - the batched hot path. core::record_framer cuts the stream
+//             into 64 KiB windows and frames their records (escape-aware,
+//             so separator bytes inside JSON string literals never split a
+//             record); each window evaluates every primitive engine once,
+//             into one fire bitmap per leaf, and each record is decided
+//             from range tests over its bits, the structural groups by one
+//             loop each over their members' bitmaps.
 //
 // Both paths are decision-identical by construction, and the
 // core_chunked_equivalence_test suite holds them to it across the

@@ -120,9 +120,9 @@ class primitive_engine {
                          std::uint64_t* out) const = 0;
 
   /// True when this engine's pulses are a pure function of the maximal
-  /// numeric-token runs of the record (core::bit_runs_in over the bitmap
-  /// pass's token map), letting one shared segmentation replace the
-  /// engine's own fire_bits scan. Value engines whose DFA rejects the
+  /// numeric-token runs of the record (from the bitmap pass's token map),
+  /// letting one shared segmentation replace the engine's own fire_bits
+  /// scan. Value engines whose DFA rejects the
   /// empty token qualify; everything else answers false.
   virtual bool run_capable() const { return false; }
 

@@ -156,14 +156,6 @@ std::size_t find_token(const unsigned char* data, std::size_t size,
 std::size_t find_non_token(const unsigned char* data, std::size_t size,
                            simd_level level) noexcept;
 
-/// One maximal run of consecutive numeric-token-class bytes: half-open
-/// positions [begin, end) into the scanned buffer. bit_runs_in
-/// (core/bitmaps.hpp) extracts them from the bitmap pass's token map.
-struct token_run {
-  std::uint32_t begin = 0;
-  std::uint32_t end = 0;
-};
-
 /// Index of the first occurrence of needle[0..m) in hay[0..n), or npos.
 /// Exact search (no false positives/negatives at any tier). m == 0
 /// returns 0.
