@@ -731,6 +731,60 @@ TEST(ApiQuerySet, QuerySinkSurvivesAnOrdinalShift) {
   }
 }
 
+TEST(ApiQuerySet, QuerySinksReplaceAndDetachById) {
+  // Sinks attached out of ordinal order, one replaced and one detached
+  // (an empty sink) mid-stream: each receives exactly its own query's
+  // verdicts for the records decided while it was attached.
+  const std::string& stream = telemetry();
+  const std::vector<bool> col_a = standalone(primary_expr(), stream);
+  const std::vector<bool> col_b = standalone(second_expr(), stream);
+  const std::size_t first_cut = record_boundary(stream, 70);
+  const std::size_t second_cut = record_boundary(stream, 140);
+  auto built = pipeline::make()
+                   .from_query(query::riotbench::qs0())
+                   .add_filter_expression(R"((0.7 <= "temperature" <= 35.1))")
+                   .add_raw_filter(second_expr())
+                   .backend(backend_kind::chunked)
+                   .build();
+  ASSERT_TRUE(built.has_value()) << built.error().message;
+  struct log {
+    std::vector<std::uint64_t> indices;
+    std::vector<bool> bits;
+  };
+  log first, third_before, third_after;
+  const auto into = [](log& l) {
+    return [&l](std::size_t, std::uint64_t index, bool accepted) {
+      l.indices.push_back(index);
+      l.bits.push_back(accepted);
+    };
+  };
+  ASSERT_TRUE(built->on_query_decision(3, into(third_before)).has_value());
+  ASSERT_TRUE(built->on_query_decision(1, into(first)).has_value());
+  ASSERT_TRUE(built->offer(std::string_view(stream).substr(0, first_cut))
+                  .has_value());
+  ASSERT_TRUE(built->on_query_decision(3, into(third_after)).has_value());
+  ASSERT_TRUE(built
+                  ->offer(std::string_view(stream).substr(
+                      first_cut, second_cut - first_cut))
+                  .has_value());
+  ASSERT_TRUE(built->on_query_decision(1, {}).has_value());
+  ASSERT_TRUE(built->offer(std::string_view(stream).substr(second_cut))
+                  .has_value());
+  ASSERT_TRUE(built->finish().has_value());
+
+  const auto expect_span = [](const log& l, const std::vector<bool>& column,
+                              std::size_t from, std::size_t to) {
+    ASSERT_EQ(l.indices.size(), to - from);
+    for (std::size_t i = 0; i < l.indices.size(); ++i) {
+      ASSERT_EQ(l.indices[i], from + i);
+      ASSERT_EQ(l.bits[i], column[from + i]) << "record " << from + i;
+    }
+  };
+  expect_span(first, col_a, 0, 140);
+  expect_span(third_before, col_b, 0, 70);
+  expect_span(third_after, col_b, 70, col_b.size());
+}
+
 TEST(ApiQuerySet, LiveStatsMatchDeliveredDecisions) {
   // stats() on a single-stream pipeline is a live view of the same
   // counters finish() reports: after every offer it equals what the sink
