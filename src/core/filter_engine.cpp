@@ -812,6 +812,15 @@ class chunked_filter_engine final : public filter_engine {
     plan_ = std::move(plan);
     const plan_version& p = *plan_;
     numerals_.clear(p.run_bits, p.run_dfas);
+    // Token bytes that, alone as a run, pulse no value leaf: their lone
+    // runs need no walk (in JSON text mostly the 'e' of a word).
+    std::string silent;
+    if (p.run_bits != 0)
+      for (const char c : {'e', 'E', '.', '+', '-'}) {
+        const auto b = static_cast<unsigned char>(c);
+        if (numerals_.walk(&b, 1) == 0) silent += c;
+      }
+    silent_ = simd::byte_set(std::string_view(silent));
     expr_ = p.front;
     query_count_ = p.queries;
     multi_ = p.queries > 1;
@@ -1001,7 +1010,23 @@ class chunked_filter_engine final : public filter_engine {
     const std::size_t n = pass.size();
     const std::uint64_t* token = pass.token().data();
     const std::uint64_t* boundary = pass.boundary().data();
-    const auto runs = [&](std::size_t w) { return token[w] & ~boundary[w]; };
+    // The runs bitmap: token bytes that are no boundary, less the lone
+    // silent bytes (a run of one byte whose verdict is empty).
+    runs_.resize(stride_);
+    for (std::size_t w = 0; w < stride_; ++w) runs_[w] = token[w] & ~boundary[w];
+    if (silent_.size() != 0) {
+      scratch_.resize(stride_);
+      simd::match_words(window_, n, silent_, level_, scratch_.data());
+      std::uint64_t before = 0;  // the previous word's top bit
+      for (std::size_t w = 0; w < stride_; ++w) {
+        const std::uint64_t t = runs_[w];
+        const std::uint64_t after = w + 1 < stride_ ? runs_[w + 1] << 63 : 0;
+        const std::uint64_t lone = t & ~((t << 1) | before) & ~((t >> 1) | after);
+        before = t >> 63;
+        runs_[w] = t & ~(lone & scratch_[w]);
+      }
+    }
+    const auto runs = [&](std::size_t w) { return runs_[w]; };
     // A run ending before a token-class separator is never sampled: the
     // separator extends it, then the record restarts.
     const bool token_separator = numrange::is_token_byte(options_.separator);
@@ -1282,6 +1307,9 @@ class chunked_filter_engine final : public filter_engine {
   // string anchors, and the segments holding an anchor pulse.
   std::vector<std::size_t> pair_anchors_;
   std::vector<std::uint64_t> segments_;
+  simd::byte_set silent_;              // see bind
+  std::vector<std::uint64_t> runs_;    // the pass's walked token bytes
+  std::vector<std::uint64_t> scratch_;
 
   // Per-record scratch, reused across records.
   std::size_t lo_ = 0;                     // record's first bit
