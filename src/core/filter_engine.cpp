@@ -652,12 +652,17 @@ class scalar_filter_engine final : public filter_engine {
 // bitmap per leaf engine - the software form of the paper's primitives
 // pulsing on every byte in parallel:
 //
-//   string leaves = primitive_engine::fire_bits: word-level match_mask
+//   string leaves = primitive_engine::fire_bits: word-level match_words
 //                   membership plus the hit-counter run logic,
 //   value leaves  = one numeral-automaton walk per token run of the
 //                   window, a leaf's bit set at the run's end when the
 //                   run's verdict mask holds the leaf's run bit (leaves
 //                   past the 64 run bits scan with their own fire_bits).
+//                   A lone byte whose one-byte verdict is empty (the 'e'
+//                   of a word) is not walked, and a one-query plan whose
+//                   value leaves only pair groups read walks just the runs
+//                   ending in a segment that holds a pulse of a group's
+//                   string anchor: their pulses count nowhere else.
 //
 // A record is decided from its bit range [offset, offset + size] in those
 // bitmaps, its terminator included:
@@ -666,9 +671,9 @@ class scalar_filter_engine final : public filter_engine {
 //                  bitmap with one range test per live engine and walks
 //                  the plan trie against it,
 //   scope groups = one loop: the arming pulse is the next bit of any
-//                  member, the close comes from the record's structural
-//                  event walk, and the group fires when every member has
-//                  a bit in between,
+//                  member, the close comes from the record's scope events
+//                  (the window's unmasked opens and closes), and the group
+//                  fires when every member has a bit in between,
 //   pair groups  = one loop: a segment between consecutive pair bounds
 //                  holding a bit of the first member fires when every
 //                  member has a bit inside it.
@@ -914,7 +919,7 @@ class chunked_filter_engine final : public filter_engine {
       // fired, not O(resident queries).
       std::fill(fired_words_.begin(), fired_words_.end(), 0);
       for (const std::uint32_t e : plan_->live)
-        if (next_bit(fire_bits(e), lo_, hi_) != simd::npos)
+        if (next_bit(bits_of(e), lo_, hi_) != simd::npos)
           fired_words_[e / 64] |= std::uint64_t{1} << (e % 64);
       for (const std::size_t root : plan_->trie_roots) {
         eval_trie(plan_->trie[root], words, any);
@@ -927,14 +932,14 @@ class chunked_filter_engine final : public filter_engine {
   }
 
   /// The fire bitmap of engine slot `e` over the current pass.
-  std::span<const std::uint64_t> fire_bits(std::size_t e) const {
+  std::span<const std::uint64_t> bits_of(std::size_t e) const {
     return {bits_.data() + e * stride_, stride_};
   }
 
   /// Did engine `e` pulse anywhere in the current record+terminator?
   bool fired(std::size_t e) const {
     if (multi_) return (fired_words_[e / 64] >> (e % 64)) & 1;
-    return next_bit(fire_bits(e), lo_, hi_) != simd::npos;
+    return next_bit(bits_of(e), lo_, hi_) != simd::npos;
   }
 
   /// Fill one fire bitmap per live engine over `pass` (window_ holds its
@@ -982,7 +987,7 @@ class chunked_filter_engine final : public filter_engine {
       // only the runs ending there are walked.
       segments_.assign(stride_, 0);
       for (const std::size_t a : pair_anchors_) {
-        const std::span<const std::uint64_t> anchor = fire_bits(a);
+        const std::span<const std::uint64_t> anchor = bits_of(a);
         for (std::size_t p = next_bit(anchor, 0, n); p != simd::npos;) {
           const std::size_t before = prev_bit(pair_bounds_.data(), 0, p);
           const std::size_t low = before == simd::npos ? 0 : before + 1;
@@ -1189,7 +1194,7 @@ class chunked_filter_engine final : public filter_engine {
     for (std::size_t m = 0; m < info.members.size(); ++m) {
       const std::size_t e = info.members[m];
       if (multi_ && !fired(e)) return false;  // one bit of the fire bitmap
-      cursor_[m] = next_bit(fire_bits(e), lo_, hi_);
+      cursor_[m] = next_bit(bits_of(e), lo_, hi_);
       if (cursor_[m] == simd::npos) return false;
     }
     return info.kind == group_kind::scope ? scope_fires(info)
@@ -1202,7 +1207,7 @@ class chunked_filter_engine final : public filter_engine {
   bool advance_to(const compiled_layout::group_info& info, std::size_t from) {
     for (std::size_t m = 0; m < info.members.size(); ++m) {
       if (cursor_[m] >= from) continue;
-      cursor_[m] = next_bit(fire_bits(info.members[m]), from, hi_);
+      cursor_[m] = next_bit(bits_of(info.members[m]), from, hi_);
       if (cursor_[m] == simd::npos) return false;
     }
     return true;
