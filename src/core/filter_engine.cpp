@@ -818,14 +818,23 @@ class chunked_filter_engine final : public filter_engine {
     const plan_version& p = *plan_;
     numerals_.clear(p.run_bits, p.run_dfas);
     // Token bytes that, alone as a run, pulse no value leaf: their lone
-    // runs need no walk (in JSON text mostly the 'e' of a word).
+    // runs need no walk (in JSON text mostly the 'e' of a word). Asked of
+    // the leaves' DFAs directly, so a swap builds nothing; the byte set is
+    // rebuilt only when the answer changes.
+    static constexpr char kLone[] = "eE.+-";
     std::string silent;
-    if (p.run_bits != 0)
-      for (const char c : {'e', 'E', '.', '+', '-'}) {
-        const auto b = static_cast<unsigned char>(c);
-        if (numerals_.walk(&b, 1) == 0) silent += c;
+    for (const char c : std::string_view(kLone)) {
+      bool pulses = false;
+      for (std::uint64_t b = p.run_bits; b != 0; b &= b - 1) {
+        const regex::dfa& d = *p.run_dfas[std::countr_zero(b)];
+        pulses = pulses || d.accepting(d.step(d.start(), static_cast<unsigned char>(c)));
       }
-    silent_ = simd::byte_set(std::string_view(silent));
+      if (p.run_bits != 0 && !pulses) silent += c;
+    }
+    if (silent != silent_text_) {
+      silent_text_ = silent;
+      silent_ = simd::byte_set(std::string_view(silent));
+    }
     expr_ = p.front;
     query_count_ = p.queries;
     multi_ = p.queries > 1;
@@ -1313,6 +1322,7 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<std::size_t> pair_anchors_;
   std::vector<std::uint64_t> segments_;
   simd::byte_set silent_;              // see bind
+  std::string silent_text_;            // its bytes
   std::vector<std::uint64_t> runs_;    // the pass's walked token bytes
   std::vector<std::uint64_t> scratch_;
 
