@@ -817,24 +817,7 @@ class chunked_filter_engine final : public filter_engine {
     plan_ = std::move(plan);
     const plan_version& p = *plan_;
     numerals_.clear(p.run_bits, p.run_dfas);
-    // Token bytes that, alone as a run, pulse no value leaf: their lone
-    // runs need no walk (in JSON text mostly the 'e' of a word). Asked of
-    // the leaves' DFAs directly, so a swap builds nothing; the byte set is
-    // rebuilt only when the answer changes.
-    static constexpr char kLone[] = "eE.+-";
-    std::string silent;
-    for (const char c : std::string_view(kLone)) {
-      bool pulses = false;
-      for (std::uint64_t b = p.run_bits; b != 0; b &= b - 1) {
-        const regex::dfa& d = *p.run_dfas[std::countr_zero(b)];
-        pulses = pulses || d.accepting(d.step(d.start(), static_cast<unsigned char>(c)));
-      }
-      if (p.run_bits != 0 && !pulses) silent += c;
-    }
-    if (silent != silent_text_) {
-      silent_text_ = silent;
-      silent_ = simd::byte_set(std::string_view(silent));
-    }
+    silent_ready_ = false;  // asked again by the next walk
     expr_ = p.front;
     query_count_ = p.queries;
     multi_ = p.queries > 1;
@@ -1015,12 +998,35 @@ class chunked_filter_engine final : public filter_engine {
     walk_runs(pass);
   }
 
+  /// Token bytes that, alone as a run, pulse no value leaf: their lone
+  /// runs need no walk (in JSON text mostly the 'e' of a word). Asked of
+  /// the leaves' DFAs directly once per plan, so a swap builds nothing;
+  /// the byte set is rebuilt only when the answer changes.
+  void find_silent_bytes() {
+    std::string silent;
+    for (const char c : std::string_view("eE.+-")) {
+      bool pulses = false;
+      for (std::uint64_t b = plan_->run_bits; b != 0; b &= b - 1) {
+        const regex::dfa& d = *plan_->run_dfas[std::countr_zero(b)];
+        pulses = pulses ||
+                 d.accepting(d.step(d.start(), static_cast<unsigned char>(c)));
+      }
+      if (!pulses) silent += c;
+    }
+    if (silent != silent_text_) {
+      silent_text_ = silent;
+      silent_ = simd::byte_set(std::string_view(silent));
+    }
+    silent_ready_ = true;
+  }
+
   /// Set every run-capable leaf's bits: one numeral-automaton walk per
   /// maximal token run of the pass, the run's verdict mask naming the
   /// leaves that pulse at its end. Runs never reach across a boundary -
   /// each record's runs restart after it, like the value primitives - and
   /// a run the pass ends inside is left for the pass that completes it.
   void walk_runs(const bitmap_pass& pass) {
+    if (!silent_ready_) find_silent_bytes();
     const std::size_t n = pass.size();
     const std::uint64_t* token = pass.token().data();
     const std::uint64_t* boundary = pass.boundary().data();
@@ -1321,8 +1327,9 @@ class chunked_filter_engine final : public filter_engine {
   // string anchors, and the segments holding an anchor pulse.
   std::vector<std::size_t> pair_anchors_;
   std::vector<std::uint64_t> segments_;
-  simd::byte_set silent_;              // see bind
+  simd::byte_set silent_;              // see find_silent_bytes
   std::string silent_text_;            // its bytes
+  bool silent_ready_ = false;          // silent_ answers the bound plan
   std::vector<std::uint64_t> runs_;    // the pass's walked token bytes
   std::vector<std::uint64_t> scratch_;
 
