@@ -15,8 +15,8 @@
 //                                     structural= unmasked { } [ ] ,
 //
 // Downstream consumers never re-walk bytes: record framing is a ctz walk
-// of `boundary`, the scope groups' event walk a ctz walk of `structural`
-// restricted to the record's bit range, the value leaves' token runs come
+// of `boundary`, the structural groups' segments are cut at the bits of
+// `structural` (segment_any below), the value leaves' token runs come
 // from `token`, and the string mask is a bit test.
 //
 // Speculation (fpga-json-parser style): the escape automaton for a block
@@ -72,6 +72,23 @@ inline std::size_t next_bit(std::span<const std::uint64_t> words,
   const std::size_t at =
       (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
   return at < end ? at : simd::npos;
+}
+
+/// One word of a segmented OR: the set bits of `bounds` end segments, and
+/// bit s of the result is set, for each bound s, iff `x` has a bit in the
+/// segment ending at s (s included). `carry` links a segment begun in an
+/// earlier word (false before the first). Adding a segment's bits of `x`
+/// to its interior (a run of ones in ~bounds) carries into the bound; the
+/// carry out of a word depends on the carry in only when the word is one
+/// interior without a bit of `x`.
+inline std::uint64_t segment_any(std::uint64_t bounds, std::uint64_t x,
+                                 bool& carry) noexcept {
+  const std::uint64_t inside = ~bounds;
+  std::uint64_t sum = 0;
+  const bool wrapped = __builtin_add_overflow(inside, x & inside, &sum);
+  const std::uint64_t out = bounds & ((sum + carry) | x);
+  carry = sum == ~std::uint64_t{0} ? carry : wrapped;
+  return out;
 }
 
 /// Append the absolute positions of the set bits in [begin, end) to `out`

@@ -664,19 +664,23 @@ class scalar_filter_engine final : public filter_engine {
 //                   ending in a segment that holds a pulse of a group's
 //                   string anchor: their pulses count nowhere else.
 //
-// A record is decided from its bit range [offset, offset + size] in those
-// bitmaps, its terminator included:
+// Records are decided the way the circuit samples its latches at the
+// separator: each leaf and group gets one record-hit bitmap per window,
+// set only at the record terminators E, so a record's decision is one bit
+// test at offset + size. segment_any (core/bitmaps.hpp) sets each bound
+// whose segment holds a bit:
 //
-//   leaves       = a range test; an N > 1 plan fills its engine-fire
-//                  bitmap with one range test per live engine and walks
-//                  the plan trie against it,
-//   scope groups = one loop: the arming pulse is the next bit of any
-//                  member, the close comes from the record's scope events
-//                  (the window's unmasked opens and closes), and the group
-//                  fires when every member has a bit in between,
-//   pair groups  = one loop: a segment between consecutive pair bounds
-//                  holding a bit of the first member fires when every
-//                  member has a bit inside it.
+//   leaves       = segment_any of the fire bits over E,
+//   pair groups  = per member, segment_any over the pair bounds (unmasked
+//                  ',' '}' ']' and E); AND-ed, then carried on to E,
+//   scope groups = the same over the scope bounds (unmasked opens, closes
+//                  and E), keeping the segments that end at a close or E;
+//                  observation 3 names the records this leaves open.
+//
+// A one-query plan combines those bitmaps word by word into one decision
+// bitmap. A multi-query plan sets each record's engine-fire bitmap from
+// its leaves' bitmaps and walks the plan trie against it; a group's
+// bitmap is built when a record first reads it, so a pruned one never is.
 //
 // Decision-identity with the scalar path rests on three observations:
 //
@@ -692,14 +696,18 @@ class scalar_filter_engine final : public filter_engine {
 //
 //  3. Groups. A group tracker's state only changes on bytes where a member
 //     pulses or a sample trigger occurs (unmasked structural byte or the
-//     separator); on every other byte its step() is a no-op. A scope
-//     tracker arms at the first member pulse after a clear, freezing the
-//     depth before that byte, and samples at the next scope close back at
-//     or below that depth, or at the separator; a pair tracker samples at
-//     every pair bound and the separator. Each loop iteration is one such
-//     armed window, and the group fires iff every member latched in it.
-//     The structural bitmap excludes masked bytes by construction, so the
-//     event walk needs only the saturating depth counter.
+//     separator); on every other byte its step() is a no-op. A pair tracker
+//     samples at every pair bound, so the group fires iff some pair segment
+//     holds every member. A scope tracker arms at a member pulse x and
+//     samples at c(x): the first close whose depth-before equals x's (the
+//     saturating counter moves one step per scope byte), or the separator.
+//     It fires iff some x has every member pulsing in [x, c(x)]. When no
+//     member pulse of a record lies in a segment ending at an open, c(x)
+//     ends x's own segment, so the group fires iff a segment ending at a
+//     close or E holds every member. The other records' windows may span a
+//     child scope (SenML's never do); those the segments leave unfired are
+//     flagged by word operations and step the reference group_tracker over
+//     their member pulses, scope bytes and terminator.
 // ---------------------------------------------------------------------------
 
 /// Highest set bit in [lo, before), simd::npos when none.
@@ -717,6 +725,11 @@ std::size_t prev_bit(const std::uint64_t* words, std::size_t lo,
     if (w == lo >> 6) return simd::npos;
     word = words[--w];
   }
+}
+
+/// Bit `pos` of a bitmap.
+bool bit_at(const std::uint64_t* words, std::size_t pos) noexcept {
+  return ((words[pos >> 6] >> (pos & 63)) & 1) != 0;
 }
 
 class chunked_filter_engine final : public filter_engine {
@@ -803,6 +816,9 @@ class chunked_filter_engine final : public filter_engine {
   }
 
  private:
+  using plan_node = compiled_layout::plan_node;
+  using group_info = compiled_layout::group_info;
+
   chunked_filter_engine(const chunked_filter_engine& other)
       : filter_engine(other.expr_, other.query_count_, other.options_),
         level_(other.level_),
@@ -812,7 +828,9 @@ class chunked_filter_engine final : public filter_engine {
   }
 
   /// Point every later record at `plan`: per-plan scratch is resized, and
-  /// the numeral automaton restarts over the plan's value leaves.
+  /// the numeral automaton restarts over the plan's value leaves. Nothing
+  /// is sized per group here; the record bitmaps grow at the plan's first
+  /// window.
   void bind(std::shared_ptr<const plan_version> plan) {
     plan_ = std::move(plan);
     const plan_version& p = *plan_;
@@ -826,20 +844,14 @@ class chunked_filter_engine final : public filter_engine {
     for (const std::uint32_t e : p.live)
       if (run_capable_[e]) run_owner_[p.run_slot[e]] = e;
     has_scopes_ = has_pairs_ = false;
-    std::size_t members = 0;
-    for (const compiled_layout::group_info& g : p.groups) {
+    for (const group_info& g : p.groups)
       (g.kind == group_kind::scope ? has_scopes_ : has_pairs_) = true;
-      members = std::max(members, g.members.size());
-    }
-    cursor_.resize(members);
     bits_pass_ = nullptr;  // the fire bitmaps follow the plan's engines
     pair_anchors_.clear();
-    if (!multi_ && p.run_bits != 0 && !paired_runs_only(p.root))
-      pair_anchors_.clear();
+    if (!multi_ && p.run_bits != 0 && paired_runs_only(p.root))
+      collect_pair_anchors(p.root);
     engine_words_ = (p.engines.size() + 63) / 64;
     fired_words_.assign(multi_ ? engine_words_ : 0, 0);
-    group_epoch_.assign(multi_ ? p.groups.size() : 0, 0);
-    group_val_.assign(multi_ ? p.groups.size() : 0, 0);
   }
 
   /// Append one zeroed bitmap row to decision_words_ and return its
@@ -884,34 +896,29 @@ class chunked_filter_engine final : public filter_engine {
   /// record.size() is the record's terminator. Returns the any-match
   /// verdict; when `words` is non-null (pre-zeroed, words_per_record()
   /// entries) bit q is set for each accepting query. The first record of a
-  /// pass builds the pass's fire bitmaps, which every later record of it
-  /// and every resident query's plan read; multi-query evaluation computes
-  /// one engine-fire bitmap per record and walks the conjunct-prefix trie
+  /// pass builds the pass's bitmaps. A one-query plan then reads its
+  /// decision bit; a multi-query plan sets the record's engine-fire bitmap
+  /// from the leaves' record bits and walks the conjunct-prefix trie
   /// against it, so a shared conjunct evaluates once and fans out to every
-  /// subscribing verdict bit (group outcomes stay memoized per record).
+  /// subscribing verdict bit.
   bool evaluate_record(std::span<const unsigned char> record,
                        const bitmap_pass& pass, std::size_t offset,
                        std::uint64_t* words = nullptr) {
-    window_ = record.data() - offset;
-    if (&pass != bits_pass_) build_bits(pass);
-    lo_ = offset;
-    hi_ = offset + record.size() + 1;
-    events_ready_ = false;
+    if (&pass != bits_pass_) build_bits(pass, record.data() - offset);
+    terminator_ = offset + record.size();
     bool any = false;
     if (!multi_) {
-      any = eval(plan_->root);
+      any = bit_at(plan_bits_.data(), terminator_);
       if (any && words != nullptr) words[0] = 1;
     } else {
-      ++record_epoch_;  // pre-increment: the zero-initialised stamps of a
-                        // fresh/cloned engine can never falsely hit
-      // Engine-fire bitmap: one range test per live engine. Every leaf of
+      // Engine-fire bitmap: one bit test per live engine. Every leaf of
       // every resident plan reads its bit from here, and the trie walk
       // below prunes whole query subtrees off it - a record's cost is
       // O(unique engines) plus the trie nodes whose required engines all
       // fired, not O(resident queries).
       std::fill(fired_words_.begin(), fired_words_.end(), 0);
       for (const std::uint32_t e : plan_->live)
-        if (next_bit(bits_of(e), lo_, hi_) != simd::npos)
+        if (bit_at(hits_.data() + e * stride_, terminator_))
           fired_words_[e / 64] |= std::uint64_t{1} << (e % 64);
       for (const std::size_t root : plan_->trie_roots) {
         eval_trie(plan_->trie[root], words, any);
@@ -928,19 +935,16 @@ class chunked_filter_engine final : public filter_engine {
     return {bits_.data() + e * stride_, stride_};
   }
 
-  /// Did engine `e` pulse anywhere in the current record+terminator?
-  bool fired(std::size_t e) const {
-    if (multi_) return (fired_words_[e / 64] >> (e % 64)) & 1;
-    return next_bit(bits_of(e), lo_, hi_) != simd::npos;
-  }
-
-  /// Fill one fire bitmap per live engine over `pass` (window_ holds its
-  /// bytes), plus the structural bitmaps the plan's groups read.
-  void build_bits(const bitmap_pass& pass) {
+  /// Fill one fire bitmap per live engine over `pass` (`window` holds its
+  /// bytes), the structural bitmaps the plan's groups read, and the record
+  /// bits: the decision bitmap of a one-query plan, every live engine's of
+  /// a multi-query plan (whose groups build theirs when first read).
+  void build_bits(const bitmap_pass& pass, const unsigned char* window) {
     bits_pass_ = &pass;
+    window_ = window;
     const std::size_t n = pass.size();
-    const std::span<const unsigned char> window(window_, n);
     const std::span<const std::uint64_t> boundary = pass.boundary();
+    ends_ = boundary.data();
     stride_ = (n + 63) / 64;
     if (bits_.size() < plan_->engines.size() * stride_)
       bits_.resize(plan_->engines.size() * stride_);
@@ -949,12 +953,12 @@ class chunked_filter_engine final : public filter_engine {
       if (run_capable_[e])
         std::fill_n(out, stride_, std::uint64_t{0});
       else
-        engines_[e]->fire_bits(window, boundary, out);
+        engines_[e]->fire_bits({window_, n}, boundary, out);
     }
     if (has_scopes_ || has_pairs_) {
-      // The unmasked opens and closes the scope groups' event walk reads,
-      // and the pair bounds: the unmasked ',' '}' ']' - structural minus
-      // the opens - and the record boundaries.
+      // The unmasked opens and closes, the scope bounds (those and the
+      // record boundaries) and the pair bounds: the unmasked ',' '}' ']' -
+      // structural minus the opens - and the record boundaries.
       static const simd::byte_set open_bytes{std::string_view("{[")};
       static const simd::byte_set close_bytes{std::string_view("}]")};
       const std::span<const std::uint64_t> structural = pass.structural();
@@ -963,8 +967,12 @@ class chunked_filter_engine final : public filter_engine {
       for (std::size_t w = 0; w < stride_; ++w) opens_[w] &= structural[w];
       if (has_scopes_) {
         closes_.resize(stride_);
+        scope_bounds_.resize(stride_);
         simd::match_words(window_, n, close_bytes, level_, closes_.data());
-        for (std::size_t w = 0; w < stride_; ++w) closes_[w] &= structural[w];
+        for (std::size_t w = 0; w < stride_; ++w) {
+          closes_[w] &= structural[w];
+          scope_bounds_[w] = opens_[w] | closes_[w] | boundary[w];
+        }
       }
       if (has_pairs_) {
         pair_bounds_.resize(stride_);
@@ -972,30 +980,43 @@ class chunked_filter_engine final : public filter_engine {
           pair_bounds_[w] = (structural[w] & ~opens_[w]) | boundary[w];
       }
     }
-    if (plan_->run_bits == 0) return;
-    if (!pair_anchors_.empty()) {
-      // Only pair groups read the value leaves, beside string anchors:
-      // their pulses count only in segments holding an anchor pulse, so
-      // only the runs ending there are walked.
-      segments_.assign(stride_, 0);
-      for (const std::size_t a : pair_anchors_) {
-        const std::span<const std::uint64_t> anchor = bits_of(a);
-        for (std::size_t p = next_bit(anchor, 0, n); p != simd::npos;) {
-          const std::size_t before = prev_bit(pair_bounds_.data(), 0, p);
-          const std::size_t low = before == simd::npos ? 0 : before + 1;
-          std::size_t bound = next_bit(pair_bounds_, p, n);
-          if (bound == simd::npos) bound = n - 1;
-          for (std::size_t w = low >> 6; w <= bound >> 6; ++w) {
-            std::uint64_t bits = ~std::uint64_t{0};
-            if (w == low >> 6) bits &= ~std::uint64_t{0} << (low & 63);
-            if (w == bound >> 6) bits &= ~std::uint64_t{0} >> (63 - (bound & 63));
-            segments_[w] |= bits;
-          }
-          p = next_bit(anchor, bound + 1, n);
+    if (plan_->run_bits != 0) {
+      if (!pair_anchors_.empty()) mark_anchor_segments(n);
+      walk_runs(pass);
+    }
+    if (multi_) {
+      if (hits_.size() < plan_->engines.size() * stride_)
+        hits_.resize(plan_->engines.size() * stride_);
+      for (const std::uint32_t e : plan_->live)
+        leaf_record_bits(e, hits_.data() + e * stride_);
+      group_slot_.assign(plan_->groups.size(), simd::npos);
+      group_bits_.clear();
+    } else {
+      plan_record_bits(plan_->root, 0);
+    }
+  }
+
+  /// Only pair groups read the value leaves, beside string anchors: their
+  /// pulses count only in segments holding an anchor pulse, so only the
+  /// runs ending there are walked. Marks those segments in segments_.
+  void mark_anchor_segments(std::size_t n) {
+    segments_.assign(stride_, 0);
+    for (const std::size_t a : pair_anchors_) {
+      const std::span<const std::uint64_t> anchor = bits_of(a);
+      for (std::size_t p = next_bit(anchor, 0, n); p != simd::npos;) {
+        const std::size_t before = prev_bit(pair_bounds_.data(), 0, p);
+        const std::size_t low = before == simd::npos ? 0 : before + 1;
+        std::size_t bound = next_bit(pair_bounds_, p, n);
+        if (bound == simd::npos) bound = n - 1;
+        for (std::size_t w = low >> 6; w <= bound >> 6; ++w) {
+          std::uint64_t bits = ~std::uint64_t{0};
+          if (w == low >> 6) bits &= ~std::uint64_t{0} << (low & 63);
+          if (w == bound >> 6) bits &= ~std::uint64_t{0} >> (63 - (bound & 63));
+          segments_[w] |= bits;
         }
+        p = next_bit(anchor, bound + 1, n);
       }
     }
-    walk_runs(pass);
   }
 
   /// Token bytes that, alone as a run, pulse no value leaf: their lone
@@ -1093,29 +1114,196 @@ class chunked_filter_engine final : public filter_engine {
   }
 
   /// True when `node` reads its run-bit value leaves only as pair-group
-  /// members after a first member holding no run bit; those groups' first
-  /// members (their anchors) go to pair_anchors_.
-  bool paired_runs_only(const compiled_layout::plan_node& node) {
-    using plan_node = compiled_layout::plan_node;
+  /// members after a first member holding no run bit.
+  bool paired_runs_only(const plan_node& node) const {
     switch (node.k) {
       case plan_node::kind::leaf:
         return !run_capable_[node.index];
       case plan_node::kind::group: {
-        const compiled_layout::group_info& g = plan_->groups[node.index];
+        const group_info& g = plan_->groups[node.index];
         if (g.kind == group_kind::scope)
           return std::none_of(g.members.begin(), g.members.end(),
                               [&](std::size_t e) { return run_capable_[e]; });
-        if (run_capable_[g.members.front()]) return false;
-        pair_anchors_.push_back(g.members.front());
-        return true;
+        return !run_capable_[g.members.front()];
       }
       case plan_node::kind::conj:
       case plan_node::kind::disj:
-        for (const plan_node& child : node.children)
-          if (!paired_runs_only(child)) return false;
-        return true;
+        return std::all_of(node.children.begin(), node.children.end(),
+                           [&](const plan_node& c) { return paired_runs_only(c); });
     }
     return false;
+  }
+
+  /// Append the first member (the string anchor) of every pair group of
+  /// `node` to pair_anchors_.
+  void collect_pair_anchors(const plan_node& node) {
+    if (node.k == plan_node::kind::group &&
+        plan_->groups[node.index].kind == group_kind::pair)
+      pair_anchors_.push_back(plan_->groups[node.index].members.front());
+    for (const plan_node& child : node.children) collect_pair_anchors(child);
+  }
+
+  /// Record bits of a one-query plan node over the current pass into
+  /// bitmap `level` of plan_bits_, its children's in the level above: the
+  /// word-wise AND or OR of theirs. Only the bits at record terminators
+  /// mean anything.
+  void plan_record_bits(const plan_node& node, std::size_t level) {
+    if (plan_bits_.size() < (level + 1) * stride_)
+      plan_bits_.resize((level + 1) * stride_);
+    std::uint64_t* out = plan_bits_.data() + level * stride_;
+    switch (node.k) {
+      case plan_node::kind::leaf:
+        leaf_record_bits(node.index, out);
+        return;
+      case plan_node::kind::group:
+        group_record_bits(node.index, out);
+        return;
+      case plan_node::kind::conj:
+      case plan_node::kind::disj:
+        break;
+    }
+    const bool conj = node.k == plan_node::kind::conj;
+    std::fill_n(out, stride_, conj ? ~std::uint64_t{0} : 0);
+    for (const plan_node& child : node.children) {
+      plan_record_bits(child, level + 1);
+      out = plan_bits_.data() + level * stride_;  // the child may grow it
+      const std::uint64_t* in = out + stride_;
+      std::uint64_t left = 0;  // records still accepted
+      for (std::size_t w = 0; w < stride_; ++w) {
+        out[w] = conj ? out[w] & in[w] : out[w] | in[w];
+        left |= out[w] & ends_[w];
+      }
+      if (conj && left == 0) return;  // the later children cannot matter
+    }
+  }
+
+  /// Record bits of engine `e`: did it pulse in the record, terminator
+  /// included?
+  void leaf_record_bits(std::size_t e, std::uint64_t* out) const {
+    const std::uint64_t* fire = bits_.data() + e * stride_;
+    bool carry = false;
+    for (std::size_t w = 0; w < stride_; ++w)
+      out[w] = segment_any(ends_[w], fire[w], carry);
+  }
+
+  /// Record bits of group `g` over the current pass into `out` (see the
+  /// block comment above the class). When a member pulse of a scope group
+  /// sits in a segment ending at an open, the records holding one that
+  /// group_pass left unfired step the tracker.
+  void group_record_bits(std::size_t g, std::uint64_t* out) {
+    const group_info& info = plan_->groups[g];
+    const bool open_ended = info.members.size() == 2 ? group_pass<2>(info, out)
+                                                     : group_pass<0>(info, out);
+    if (!open_ended) return;
+    bool segment_carry = false;
+    bool record_carry = false;
+    for (std::size_t w = 0; w < stride_; ++w) {
+      std::uint64_t pulses = 0;
+      for (const std::size_t e : info.members) pulses |= bits_of(e)[w];
+      const std::uint64_t at_opens =
+          segment_any(scope_bounds_[w], pulses, segment_carry) & opens_[w];
+      for (std::uint64_t flagged =
+               segment_any(ends_[w], at_opens, record_carry) & ~out[w];
+           flagged != 0; flagged &= flagged - 1) {
+        const auto bit = static_cast<unsigned>(std::countr_zero(flagged));
+        if (step_tracker(info, (w << 6) + bit)) out[w] |= std::uint64_t{1} << bit;
+      }
+    }
+  }
+
+  /// One pass over a group of `K` members (0: any count; the two-member
+  /// groups of the riotbench queries keep their carries in registers):
+  /// per member, the segments holding one of its pulses, AND-ed - a scope
+  /// group keeps those ending at a close or a terminator - and carried to
+  /// the terminators. Returns whether a member pulse of a scope group sits
+  /// in a segment ending at an open.
+  template <std::size_t K>
+  bool group_pass(const group_info& info, std::uint64_t* out) {
+    // Locals throughout: a store to `out` could otherwise alias the
+    // members' sizes and the engine's own fields.
+    const bool scope = info.kind == group_kind::scope;
+    const std::size_t members = K != 0 ? K : info.members.size();
+    const std::size_t words = stride_;
+    std::array<const std::uint64_t*, K != 0 ? K : 1> fixed_fire{};
+    std::array<bool, K != 0 ? K : 1> fixed_carry{};
+    if (K == 0) {
+      member_fire_.resize(members);
+      member_carry_.assign(members, 0);
+    }
+    const std::uint64_t** fire = K != 0 ? fixed_fire.data() : member_fire_.data();
+    for (std::size_t m = 0; m < members; ++m)
+      fire[m] = bits_.data() + info.members[m] * words;
+    const std::uint64_t* bounds = scope ? scope_bounds_.data() : pair_bounds_.data();
+    const std::uint64_t* ends = ends_;
+    const std::uint64_t* opens = opens_.data();
+    const std::uint64_t* closes = closes_.data();
+    bool carry = false;
+    std::uint64_t open_ended = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t all = ~std::uint64_t{0};
+      std::uint64_t any = 0;
+      for (std::size_t m = 0; m < members; ++m) {
+        bool c = K != 0 ? fixed_carry[m] : member_carry_[m] != 0;
+        const std::uint64_t held = segment_any(bounds[w], fire[m][w], c);
+        if (K != 0)
+          fixed_carry[m] = c;
+        else
+          member_carry_[m] = c;
+        all &= held;
+        any |= held;
+      }
+      if (scope) {
+        all &= closes[w] | ends[w];
+        open_ended |= any & opens[w];
+      }
+      out[w] = segment_any(ends[w], all, carry);
+    }
+    return open_ended != 0;
+  }
+
+  /// Scope group `info` on the record ending at terminator `end`, decided
+  /// by the reference tracker stepped over the record's member pulses,
+  /// scope bytes and terminator - its step() is a no-op on every other
+  /// byte. The depth counter restarts at the record's first byte.
+  bool step_tracker(const group_info& info, std::size_t end) {
+    const std::size_t before = prev_bit(ends_, 0, end);
+    const std::size_t lo = before == simd::npos ? 0 : before + 1;
+    const std::size_t members = info.members.size();
+    group_tracker tracker(group_kind::scope, static_cast<int>(members));
+    member_fires_.resize(members);
+    int depth = 0;
+    for (std::size_t w = lo >> 6; w <= end >> 6; ++w) {
+      std::uint64_t events = scope_bounds_[w];
+      for (const std::size_t e : info.members) events |= bits_of(e)[w];
+      if (w == lo >> 6) events &= ~std::uint64_t{0} << (lo & 63);
+      if (w == end >> 6) events &= ~std::uint64_t{0} >> (63 - (end & 63));
+      for (; events != 0; events &= events - 1) {
+        const auto bit = static_cast<unsigned>(std::countr_zero(events));
+        structure_state st;
+        st.scope_open = ((opens_[w] >> bit) & 1) != 0;
+        st.scope_close = ((closes_[w] >> bit) & 1) != 0;
+        st.depth_before = depth;
+        if (st.scope_open) depth = std::min(depth + 1, max_depth_);
+        if (st.scope_close) depth = std::max(depth - 1, 0);
+        st.depth = depth;
+        for (std::size_t m = 0; m < members; ++m)
+          member_fires_[m] = static_cast<char>((bits_of(info.members[m])[w] >> bit) & 1);
+        if (tracker.step(st, (w << 6) + bit == end, member_fires_)) return true;
+      }
+    }
+    return false;
+  }
+
+  /// Did group `g` fire in the current record? A multi-query plan builds
+  /// a group's record bits the first time a record of the pass asks.
+  bool group_fired(std::size_t g) {
+    std::size_t& slot = group_slot_[g];
+    if (slot == simd::npos) {
+      slot = group_bits_.size();
+      group_bits_.resize(slot + stride_);
+      group_record_bits(g, group_bits_.data() + slot);
+    }
+    return bit_at(group_bits_.data() + slot, terminator_);
   }
 
   /// One node of the conjunct-prefix trie: prune on the required-engine
@@ -1138,21 +1326,14 @@ class chunked_filter_engine final : public filter_engine {
     }
   }
 
-  bool eval(const compiled_layout::plan_node& node) {
-    using plan_node = compiled_layout::plan_node;
+  /// A trie conjunct on the current record: leaves read the engine-fire
+  /// bitmap, groups their record bits.
+  bool eval(const plan_node& node) {
     switch (node.k) {
       case plan_node::kind::leaf:
-        return fired(node.index);
+        return ((fired_words_[node.index / 64] >> (node.index % 64)) & 1) != 0;
       case plan_node::kind::group:
-        if (multi_) {
-          if (group_epoch_[node.index] == record_epoch_)
-            return group_val_[node.index] != 0;
-          const bool fired = group_fires(node.index);
-          group_epoch_[node.index] = record_epoch_;
-          group_val_[node.index] = fired ? 1 : 0;
-          return fired;
-        }
-        return group_fires(node.index);
+        return group_fired(node.index);
       case plan_node::kind::conj:
         for (const plan_node& child : node.children)
           if (!eval(child)) return false;
@@ -1163,119 +1344,6 @@ class chunked_filter_engine final : public filter_engine {
         return false;
     }
     throw error("chunked filter: invalid eval node");
-  }
-
-  /// One unmasked scope byte of the current record: its absolute position,
-  /// and the saturating depth counter before and after it.
-  struct scope_event {
-    std::size_t pos = 0;
-    int depth_before = 0;
-    int depth = 0;
-    bool close = false;
-  };
-
-  /// The record's scope events, from the scope bitmaps of its pass:
-  /// positions already unmasked, so the walk is the depth automaton alone.
-  void ensure_events() {
-    if (events_ready_) return;
-    events_.clear();
-    int depth = 0;
-    const std::size_t end = hi_ - 1;  // the terminator samples regardless
-    for (std::size_t w = lo_ >> 6; (w << 6) < end; ++w) {
-      std::uint64_t scope = opens_[w] | closes_[w];
-      if (w == lo_ >> 6) scope &= ~std::uint64_t{0} << (lo_ & 63);
-      if (w == (end - 1) >> 6 && (end & 63) != 0)
-        scope &= (std::uint64_t{1} << (end & 63)) - 1;
-      for (; scope != 0; scope &= scope - 1) {
-        const auto bit = static_cast<unsigned>(std::countr_zero(scope));
-        scope_event ev{(w << 6) + bit, depth, depth, false};
-        if ((closes_[w] >> bit) & 1) {
-          ev.close = true;
-          depth = std::max(depth - 1, 0);
-        } else {
-          depth = std::min(depth + 1, max_depth_);
-        }
-        ev.depth = depth;
-        events_.push_back(ev);
-      }
-    }
-    events_ready_ = true;
-  }
-
-  bool group_fires(std::size_t group) {
-    const compiled_layout::group_info& info = plan_->groups[group];
-    // cursor_[m]: member m's next pulse. A member that never pulses can
-    // never be latched at a sample point.
-    for (std::size_t m = 0; m < info.members.size(); ++m) {
-      const std::size_t e = info.members[m];
-      if (multi_ && !fired(e)) return false;  // one bit of the fire bitmap
-      cursor_[m] = next_bit(bits_of(e), lo_, hi_);
-      if (cursor_[m] == simd::npos) return false;
-    }
-    return info.kind == group_kind::scope ? scope_fires(info)
-                                          : pair_fires(info);
-  }
-
-  /// Move every member cursor before `from` to the member's next pulse at
-  /// or after it; false when a member has none left (no later window can
-  /// latch it).
-  bool advance_to(const compiled_layout::group_info& info, std::size_t from) {
-    for (std::size_t m = 0; m < info.members.size(); ++m) {
-      if (cursor_[m] >= from) continue;
-      cursor_[m] = next_bit(bits_of(info.members[m]), from, hi_);
-      if (cursor_[m] == simd::npos) return false;
-    }
-    return true;
-  }
-
-  /// Windowed replay of the scope tracker: per armed window, the arming
-  /// pulse p (the earliest member cursor), the depth before it, the close
-  /// c that samples (the first scope close at or after p back at or below
-  /// that depth, else the terminator), and whether every member pulses in
-  /// [p, c]. The sample clears every latch, so the next window arms past c.
-  bool scope_fires(const compiled_layout::group_info& info) {
-    ensure_events();
-    const std::size_t members = info.members.size();
-    const std::size_t terminator = hi_ - 1;  // always samples
-    std::size_t ei = 0;  // events before the current arming pulse
-    int depth = 0;       // depth after events_[0 .. ei)
-    for (;;) {
-      const std::size_t p =
-          *std::min_element(cursor_.begin(), cursor_.begin() + members);
-      while (ei < events_.size() && events_[ei].pos < p)
-        depth = events_[ei++].depth;
-      std::size_t c = terminator;
-      for (std::size_t ej = ei; ej < events_.size(); ++ej)
-        if (events_[ej].close && events_[ej].depth_before <= depth) {
-          c = events_[ej].pos;
-          break;
-        }
-      if (std::all_of(cursor_.begin(), cursor_.begin() + members,
-                      [&](std::size_t at) { return at <= c; }))
-        return true;  // the latch is sticky: one window decides
-      if (c == terminator || !advance_to(info, c + 1)) return false;
-    }
-  }
-
-  /// Pair-group replay: the tracker samples at every pair bound and the
-  /// terminator, with no depth dependence, so the group fires iff some
-  /// segment (previous bound, bound] holds a pulse of every member. Only
-  /// segments holding a pulse of the first member can qualify, so the loop
-  /// visits just those.
-  bool pair_fires(const compiled_layout::group_info& info) {
-    const std::size_t terminator = hi_ - 1;
-    for (;;) {
-      const std::size_t p = cursor_[0];
-      std::size_t bound = next_bit(pair_bounds_, p, terminator);
-      if (bound == simd::npos) bound = terminator;
-      const std::size_t before = prev_bit(pair_bounds_.data(), lo_, p);
-      const std::size_t low = before == simd::npos ? lo_ : before + 1;
-      if (!advance_to(info, low)) return false;
-      if (std::all_of(cursor_.begin(), cursor_.begin() + info.members.size(),
-                      [&](std::size_t at) { return at <= bound; }))
-        return true;
-      if (bound == terminator || !advance_to(info, bound + 1)) return false;
-    }
   }
 
   simd::simd_level level_;               // resolved vector tier
@@ -1312,17 +1380,22 @@ class chunked_filter_engine final : public filter_engine {
   std::string record_buf_;   // accepts_bits' record and terminator
   bitmap_pass record_pass_;  // accepts_bits' pass over record_buf_
 
-  // Per-pass state: the bytes and fire bitmaps of the pass the current
-  // record was framed from. bits_pass_ names the pass the bitmaps cover
-  // (null once it is gone: a window ended, a carried record or probe was
+  // Per-pass state: the bytes and bitmaps of the pass the current record
+  // was framed from. bits_pass_ names the pass the bitmaps cover (null
+  // once it is gone: a window ended, a carried record or probe was
   // decided, or the plan changed).
   const unsigned char* window_ = nullptr;   // the pass's first byte
   const bitmap_pass* bits_pass_ = nullptr;
-  std::size_t stride_ = 0;                  // words per fire bitmap
-  std::vector<std::uint64_t> bits_;         // [engine slot][word]
+  std::size_t stride_ = 0;                  // words per bitmap
+  const std::uint64_t* ends_ = nullptr;     // the pass's record terminators
+  std::vector<std::uint64_t> bits_;         // [engine slot][word] fire bits
   std::vector<std::uint64_t> opens_;        // unmasked '{' '['
   std::vector<std::uint64_t> closes_;       // unmasked '}' ']'
+  std::vector<std::uint64_t> scope_bounds_; // opens, closes, ends
   std::vector<std::uint64_t> pair_bounds_;  // unmasked ',' '}' ']', ends
+  std::vector<const std::uint64_t*> member_fire_;  // group_pass, K = 0
+  std::vector<char> member_carry_;                 // group_pass, K = 0
+  std::vector<char> member_fires_;          // step_tracker's member pulses
   // One-query plans whose value leaves only pair groups read: the groups'
   // string anchors, and the segments holding an anchor pulse.
   std::vector<std::size_t> pair_anchors_;
@@ -1333,24 +1406,21 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<std::uint64_t> runs_;    // the pass's walked token bytes
   std::vector<std::uint64_t> scratch_;
 
-  // Per-record scratch, reused across records.
-  std::size_t lo_ = 0;                     // record's first bit
-  std::size_t hi_ = 0;                     // one past its terminator bit
-  bool events_ready_ = false;
-  std::vector<scope_event> events_;
-  std::vector<std::size_t> cursor_;  // per group member: its next pulse
+  // Record bits. A one-query plan keeps one bitmap per level of its plan
+  // tree, level 0 holding its decisions. A multi-query plan keeps every
+  // live engine's, and those of the groups read in this pass, in the
+  // order they were first read.
+  std::vector<std::uint64_t> plan_bits_;    // [level][word]
+  std::vector<std::uint64_t> hits_;         // [engine slot][word]
+  std::vector<std::size_t> group_slot_;     // group order: group_bits_ offset
+  std::vector<std::uint64_t> group_bits_;   // [read order][word]
 
-  // Multi-query shared-evaluation state (multi_ only). fired_words_ is the
-  // per-record engine-fire bitmap every plan leaf reads and the trie's
-  // required-mask pruning tests against. Groups keep an epoch-stamped memo
-  // (a dedup'd group replays once per record, every subscribing plan reads
-  // the cached outcome); record_epoch_ pre-increments so a fresh engine's
-  // zero stamps never hit.
+  // Multi-query per-record state: the terminator, and the engine-fire
+  // bitmap every plan leaf reads and the trie's required-mask pruning
+  // tests against.
+  std::size_t terminator_ = 0;
   std::size_t engine_words_ = 0;            // ceil(engines / 64)
   std::vector<std::uint64_t> fired_words_;  // per-record engine-fire bitmap
-  std::uint64_t record_epoch_ = 0;
-  std::vector<std::uint64_t> group_epoch_;  // group order
-  std::vector<char> group_val_;             // group order
 
   numeral_automaton numerals_;  // run verdicts; restarts on every bind
 };

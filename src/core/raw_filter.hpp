@@ -42,15 +42,6 @@ class group_tracker {
   bool step(const structure_state& st, bool separator,
             std::span<const char> member_fires);
 
-  group_kind kind() const noexcept { return kind_; }
-  int member_count() const noexcept { return static_cast<int>(latched_.size()); }
-
-  /// Armed: some member latch is set since the last sample. While unarmed
-  /// (equivalently: all latches clear), step() at a position with no
-  /// member pulse is a state no-op that cannot fire, which the chunked
-  /// replay exploits to skip structural events between member pulses.
-  bool armed() const noexcept { return armed_; }
-
  private:
   group_kind kind_;
   std::vector<char> latched_;

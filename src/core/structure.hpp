@@ -58,9 +58,9 @@ class structure_tracker {
 
   void reset();
 
-  /// Defined inline: the chunked engine's event scan calls this once per
-  /// structural byte (~every 7th byte of real JSON) and the call overhead
-  /// would dominate that loop out of line.
+  /// Defined inline: raw_filter::push and dse/signals call it once per
+  /// input byte, and the call overhead would dominate their loops out of
+  /// line.
   structure_state step(unsigned char byte) {
     structure_state st;
     st.depth_before = depth_;

@@ -603,6 +603,133 @@ TEST(ChunkedEquivalence, PairGroupsReadValueRunsOnlyNearTheirAnchors) {
   }
 }
 
+TEST(ChunkedEquivalence, RecordHitCarriesAcrossWords) {
+  // Records of 200 bytes and more whose member pulses all sit in their
+  // first 64-bit word while the terminator lies two or more words later:
+  // a record's hit reaches its terminator only through the word-to-word
+  // carry. Some records pulse on nothing but their terminator.
+  const std::string pad(250, 'p');
+  const std::string blank(200, ' ');
+  std::string stream;
+  for (const char* value : {"3", "7"}) {
+    stream += "{\"key\":" + std::string(value) + ",\"pad\":\"" + pad + "\"}\n";
+    stream += "{\"key\":" + blank + value + "}" + blank + "\n";
+    stream += "\"key\"" + blank + ":" + value + "," + blank + "\n";
+    stream += "key " + std::string(value) + blank + blank + "\n";
+    stream += blank + pad + " " + value + "\n";  // pulses on its terminator
+  }
+  stream += "{\"pad\":\"" + pad + "\"}\n";
+  const std::vector<core::expr_ptr> queries{
+      core::leaf(gram(1, "key")),
+      core::leaf(range("0", "5")),
+      core::make_group(core::group_kind::scope, {gram(1, "key"), range("0", "5")}),
+      core::make_group(core::group_kind::pair, {gram(1, "key"), range("0", "5")}),
+      core::conj({core::leaf(gram(2, "ke")), core::leaf(range("2", "4"))}),
+  };
+  expect_mixed(queries, stream, "carry", {});
+  expect_fleet_matches_push(queries, stream, "carry", {});
+  expect_accepts_match(queries, stream, "carry", {});
+}
+
+TEST(ChunkedEquivalence, ScopeWindowsSpanningAChild) {
+  // A scope group's window runs from a member pulse to the close back at
+  // its depth, so it spans every child scope opened in between: a member
+  // after a nested object, a member only inside the nested child, a
+  // member pulsing on an open byte (a numeral right before '{' or '['),
+  // and a member pulsing on the close that samples the group.
+  std::string stream;
+  for (const char* record : {
+           "{\"n\":\"temperature\",\"x\":{\"y\":1},\"v\":24.1}",
+           "{\"n\":\"temperature\",\"x\":{\"y\":1},\"v\":94.1}",
+           "{\"n\":\"humidity\",\"x\":{\"n\":\"temperature\",\"v\":3}}",
+           "{\"n\":\"humidity\",\"x\":{\"v\":3},\"m\":\"temperature\"}",
+           "{\"x\":{\"v\":24.1},\"n\":\"temperature\"}",
+           "{\"x\":{\"n\":\"temperature\"},\"v\":2}",
+           "{\"x\":[{\"n\":\"temperature\"}],\"v\":2,\"w\":[1]}",
+           "{\"n\":\"temperature\",\"v\":24.1{\"a\":\"b\"}}",
+           "{\"n\":\"temperature\",\"v\":24.1[\"a\"]}",
+           "[\"temperature\",3[1]]",
+           "{\"n\":\"temperature\",\"v\":24.1}",
+           "{\"n\":\"temperature\",\"v\":[24.1]}",
+           "{\"e\":[{\"n\":\"temperature\"},{\"v\":3}]}",
+           "{\"e\":[{\"n\":\"temperature\",\"v\":3}],\"bt\":9}",
+           "\"temperature\":1{}}}{\"v\":2}",
+           "{{{{\"temperature\":3{{{{}}}}}}}}"})
+    stream += std::string(record) + "\n";
+  const auto temperature = gram(1, "temperature");
+  const std::vector<core::expr_ptr> queries{
+      core::make_group(core::group_kind::scope, {temperature, range("0.7", "35.1")}),
+      core::make_group(core::group_kind::scope, {range("0.7", "35.1"), temperature}),
+      core::make_group(core::group_kind::scope,
+                       {dfa_text("temperature"), range("1", "3"), gram(1, "v")}),
+      core::conj({core::make_group(core::group_kind::scope,
+                                   {temperature, range("0.7", "35.1")}),
+                  core::leaf(gram(1, "x"))}),
+  };
+  for (const int bits : {2, 5}) {
+    core::filter_options options;
+    options.depth_bits = bits;
+    const std::string label = "depth_bits=" + std::to_string(bits);
+    expect_mixed(queries, stream, label, options);
+    expect_fleet_matches_push(queries, stream, label, options);
+    expect_accepts_match(queries, stream, label, options);
+  }
+}
+
+TEST(ChunkedEquivalence, PairSegmentStraddlesAWord) {
+  // A pair segment whose member pulses fall on both sides of a 64-bit word
+  // edge, at every alignment: the segment's hit reaches its bound through
+  // the word-to-word carry.
+  std::string stream;
+  for (std::size_t shift = 0; shift < 70; ++shift) {
+    const std::string pad(shift, 'a');
+    const char* value = shift % 3 == 0 ? "9" : "3";
+    stream += "{\"p\":\"" + pad + "\",\"key\":" + std::string(40, ' ') +
+              value + ",\"q\":1}\n";
+    stream += pad + ",key" + std::string(shift % 11 + 60, ' ') + value + "\n";
+  }
+  const std::vector<core::expr_ptr> queries{
+      core::make_group(core::group_kind::pair, {gram(1, "key"), range("0", "5")}),
+      core::make_group(core::group_kind::pair,
+                       {range("0", "5"), gram(2, "key"), gram(1, "k")}),
+      core::conj({core::make_group(core::group_kind::pair,
+                                   {dfa_text("key"), range("2", "4")}),
+                  core::leaf(gram(1, "q"))}),
+  };
+  expect_mixed(queries, stream, "straddle", {});
+  expect_fleet_matches_push(queries, stream, "straddle", {});
+  expect_accepts_match(queries, stream, "straddle", {});
+}
+
+TEST(ChunkedEquivalence, ScopeGroupSharedAcrossTriePaths) {
+  // One scope group read by four queries whose conjunct paths differ: as
+  // the second conjunct under another group, alone, inside a disjunction
+  // and after one. A group's record bits are built once per window and
+  // read from every path.
+  const auto shared = [] {
+    return core::make_group(core::group_kind::scope,
+                            {gram(1, "temperature"), range("0.7", "35.1")});
+  };
+  const auto other = core::make_group(core::group_kind::scope,
+                                      {gram(1, "humidity"), range("20.3", "69.1")});
+  const std::vector<core::expr_ptr> queries{
+      core::conj({other, shared()}),
+      shared(),
+      core::disj({shared(), core::leaf(gram(2, "zz"))}),
+      core::conj({core::disj({core::leaf(gram(1, "light")), core::leaf(gram(1, "dust"))}),
+                  shared()}),
+  };
+  std::string stream = data::smartcity_generator(11).stream(150);
+  for (const char* record :
+       {"{\"e\":[{\"n\":\"temperature\",\"v\":3},{\"n\":\"light\",\"v\":1}]}",
+        "{\"e\":[{\"n\":\"temperature\",\"x\":{},\"v\":3}],\"zz\":1}",
+        "{\"e\":[{\"n\":\"temperature\"},{\"v\":3},{\"n\":\"dust\"}]}"})
+    stream += std::string(record) + "\n";
+  expect_mixed(queries, stream, "shared", {});
+  expect_fleet_matches_push(queries, stream, "shared", {}, {1, 64, 4096});
+  expect_accepts_match(queries, stream, "shared", {});
+}
+
 TEST(ChunkedEquivalence, RecordsAtWindowEdges) {
   // Records longer than the engine's 64 KiB window, and records straddling
   // its edges in every way a feed can place them: whole, byte by byte, and
