@@ -925,9 +925,22 @@ class chunked_filter_engine final : public filter_engine {
         if (any && words == nullptr) break;  // any-match probe: one hit decides
       }
     }
-    // A carried record's or a probe's pass dies with this call.
-    if (&pass != &framer_.pass()) bits_pass_ = nullptr;
+    // A carried record's or a probe's pass dies with this call, and the
+    // bitmaps grown past a window for it are given back.
+    if (&pass != &framer_.pass()) {
+      bits_pass_ = nullptr;
+      if (stride_ > record_framer::kWindow / 64) release_bitmaps();
+    }
     return any;
+  }
+
+  /// Free every per-pass bitmap: after a record longer than a window they
+  /// would otherwise keep its size for the rest of the stream.
+  void release_bitmaps() {
+    for (std::vector<std::uint64_t>* v :
+         {&bits_, &opens_, &closes_, &scope_bounds_, &pair_bounds_, &segments_,
+          &runs_, &scratch_, &plan_bits_, &hits_, &group_bits_})
+      std::vector<std::uint64_t>().swap(*v);
   }
 
   /// The fire bitmap of engine slot `e` over the current pass.
@@ -1192,9 +1205,7 @@ class chunked_filter_engine final : public filter_engine {
   /// group_pass left unfired step the tracker.
   void group_record_bits(std::size_t g, std::uint64_t* out) {
     const group_info& info = plan_->groups[g];
-    const bool open_ended = info.members.size() == 2 ? group_pass<2>(info, out)
-                                                     : group_pass<0>(info, out);
-    if (!open_ended) return;
+    if (!group_pass(info, out)) return;
     bool segment_carry = false;
     bool record_carry = false;
     for (std::size_t w = 0; w < stride_; ++w) {
@@ -1211,54 +1222,49 @@ class chunked_filter_engine final : public filter_engine {
     }
   }
 
-  /// One pass over a group of `K` members (0: any count; the two-member
-  /// groups of the riotbench queries keep their carries in registers):
-  /// per member, the segments holding one of its pulses, AND-ed - a scope
-  /// group keeps those ending at a close or a terminator - and carried to
-  /// the terminators. Returns whether a member pulse of a scope group sits
-  /// in a segment ending at an open.
-  template <std::size_t K>
+  /// One pass over group `info`'s members, two at a time with their
+  /// segment carries in locals (an odd count repeats its last member,
+  /// which changes no AND or OR): per member, the segments holding one of
+  /// its pulses, AND-ed in `out` - a scope group keeps those ending at a
+  /// close or a terminator - and, after the last pair, carried to the
+  /// terminators. Returns whether a member pulse of a scope group sits in
+  /// a segment ending at an open.
   bool group_pass(const group_info& info, std::uint64_t* out) {
     // Locals throughout: a store to `out` could otherwise alias the
     // members' sizes and the engine's own fields.
+    constexpr std::size_t block = 2;
     const bool scope = info.kind == group_kind::scope;
-    const std::size_t members = K != 0 ? K : info.members.size();
+    const std::size_t count = info.members.size();
     const std::size_t words = stride_;
-    std::array<const std::uint64_t*, K != 0 ? K : 1> fixed_fire{};
-    std::array<bool, K != 0 ? K : 1> fixed_carry{};
-    if (K == 0) {
-      member_fire_.resize(members);
-      member_carry_.assign(members, 0);
-    }
-    const std::uint64_t** fire = K != 0 ? fixed_fire.data() : member_fire_.data();
-    for (std::size_t m = 0; m < members; ++m)
-      fire[m] = bits_.data() + info.members[m] * words;
     const std::uint64_t* bounds = scope ? scope_bounds_.data() : pair_bounds_.data();
+    // The bounds a group's segments may end at: a pair segment holds
+    // member bits only at its bounds anyway.
+    const std::uint64_t* stops = scope ? closes_.data() : bounds;
     const std::uint64_t* ends = ends_;
     const std::uint64_t* opens = opens_.data();
-    const std::uint64_t* closes = closes_.data();
-    bool carry = false;
     std::uint64_t open_ended = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t all = ~std::uint64_t{0};
-      std::uint64_t any = 0;
-      for (std::size_t m = 0; m < members; ++m) {
-        bool c = K != 0 ? fixed_carry[m] : member_carry_[m] != 0;
-        const std::uint64_t held = segment_any(bounds[w], fire[m][w], c);
-        if (K != 0)
-          fixed_carry[m] = c;
-        else
-          member_carry_[m] = c;
-        all &= held;
-        any |= held;
-      }
-      if (scope) {
-        all &= closes[w] | ends[w];
+    for (std::size_t first = 0; first < count; first += block) {
+      const bool last = first + block >= count;
+      const std::uint64_t fresh = first == 0 ? ~std::uint64_t{0} : 0;
+      std::array<const std::uint64_t*, block> fire{};
+      std::array<bool, block> held_carry{};
+      for (std::size_t m = 0; m < block; ++m)
+        fire[m] = bits_.data() + info.members[std::min(first + m, count - 1)] * words;
+      bool carry = false;
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t all = (out[w] | fresh) & (stops[w] | ends[w]);
+        std::uint64_t any = 0;
+        for (std::size_t m = 0; m < block; ++m) {
+          const std::uint64_t held = segment_any(bounds[w], fire[m][w], held_carry[m]);
+          all &= held;
+          any |= held;
+        }
         open_ended |= any & opens[w];
+        const std::uint64_t fired = segment_any(ends[w], all, carry);
+        out[w] = last ? fired : all;
       }
-      out[w] = segment_any(ends[w], all, carry);
     }
-    return open_ended != 0;
+    return scope && open_ended != 0;
   }
 
   /// Scope group `info` on the record ending at terminator `end`, decided
@@ -1393,8 +1399,6 @@ class chunked_filter_engine final : public filter_engine {
   std::vector<std::uint64_t> closes_;       // unmasked '}' ']'
   std::vector<std::uint64_t> scope_bounds_; // opens, closes, ends
   std::vector<std::uint64_t> pair_bounds_;  // unmasked ',' '}' ']', ends
-  std::vector<const std::uint64_t*> member_fire_;  // group_pass, K = 0
-  std::vector<char> member_carry_;                 // group_pass, K = 0
   std::vector<char> member_fires_;          // step_tracker's member pulses
   // One-query plans whose value leaves only pair groups read: the groups'
   // string anchors, and the segments holding an anchor pulse.
